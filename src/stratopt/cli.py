@@ -55,7 +55,7 @@ def run(cfg: RunConfig) -> int:
     consistency failures.
     """
     try:
-        with open(cfg.input_path, newline="", encoding="utf-8") as handle:
+        with open(cfg.input_path, newline="", encoding="utf-8-sig") as handle:
             population = load_population(
                 handle, cfg.x_col, cfg.y_col, delimiter=cfg.delimiter
             )

@@ -17,7 +17,7 @@ class InputSchemaError(StratificationError):
 
 
 class DataError(StratificationError):
-    """A cell could not be parsed to a finite number."""
+    """A cell could not be parsed to a finite number, or sums of y overflow."""
 
 
 class EmptyPopulationError(StratificationError):

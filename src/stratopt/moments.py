@@ -15,6 +15,7 @@ from typing import Iterable, Sequence
 
 from .errors import (
     ConsistencyError,
+    DataError,
     DegenerateAllocationError,
     InfeasibleAllocationError,
     InvalidSpecError,
@@ -86,44 +87,68 @@ def build_prefix_moments(ft: FrequencyTable) -> PrefixMoments:
     """Accumulate per-group aggregates into prefix arrays.
 
     Float prefixes use compensated accumulation so long tables do not drift.
+    Raises DataError when a running sum of y or y^2 overflows a float.
     """
     cum_count = [0]
     running = 0
     for c in ft.count:
         running += c
         cum_count.append(running)
-    return PrefixMoments(
-        tuple(cum_count),
-        _compensated_prefix(ft.y_sum),
-        _compensated_prefix(ft.y_sumsq),
-    )
+    cum_y = _compensated_prefix(ft.y_sum)
+    cum_y2 = _compensated_prefix(ft.y_sumsq)
+    if not all(map(math.isfinite, cum_y + cum_y2)):
+        raise DataError("y values too large: a running sum of y or y^2 overflows a float")
+    return PrefixMoments(tuple(cum_count), cum_y, cum_y2)
 
 
 def segment_stats(pm: PrefixMoments, i: int, j: int) -> SegmentStats:
     """Stats of the segment covering groups i..j-1 (1-based, j <= K+1).
 
-    Raises UndefinedVarianceError when the segment holds a single unit, and
-    ConsistencyError when cancellation drives the sum of squares negative
-    beyond rounding noise.
+    The one-head case of segment_row. Raises ValueError for a segment
+    outside the table, and the errors of segment_row.
     """
     if not 1 <= i < j <= pm.K + 1:
         raise ValueError(f"segment ({i}, {j}) outside 1 <= i < j <= {pm.K + 1}")
-    n_pop = pm.cum_count[j - 1] - pm.cum_count[i - 1]
-    y_total = pm.cum_y[j - 1] - pm.cum_y[i - 1]
-    if n_pop == 1:
-        raise UndefinedVarianceError(
-            f"segment of groups {i}..{j - 1} holds a single unit"
-        )
-    y2_total = pm.cum_y2[j - 1] - pm.cum_y2[i - 1]
-    ss = y2_total - y_total * y_total / n_pop
-    if ss < 0.0:
-        if ss < -_NEGATIVE_SS_TOLERANCE * abs(y2_total / n_pop):
-            raise ConsistencyError(
-                f"sum of squares {ss} for groups {i}..{j - 1} is negative "
-                "beyond rounding noise"
+    return SegmentStats(*segment_row(pm, i, (j,))[0])
+
+
+def segment_row(
+    pm: PrefixMoments, i: int, heads: Iterable[int]
+) -> list[tuple[int, float, float]]:
+    """(n_pop, s2, y_total) of the segments i..j-1 for each head j in heads.
+
+    Every segment of one tail reads the tail's prefixes once; the callers
+    keep 1 <= i < j <= K+1. Raises UndefinedVarianceError when a segment
+    holds a single unit, DataError when its squared y total overflows a
+    float, and ConsistencyError when cancellation drives its sum of squares
+    negative beyond rounding noise.
+    """
+    cum_count, cum_y, cum_y2 = pm.cum_count, pm.cum_y, pm.cum_y2
+    count_before, y_before, y2_before = cum_count[i - 1], cum_y[i - 1], cum_y2[i - 1]
+    row = []
+    for j in heads:
+        n_pop = cum_count[j - 1] - count_before
+        y_total = cum_y[j - 1] - y_before
+        if n_pop == 1:
+            raise UndefinedVarianceError(
+                f"segment of groups {i}..{j - 1} holds a single unit"
             )
-        ss = 0.0
-    return SegmentStats(n_pop, ss / (n_pop - 1), y_total)
+        y2_total = cum_y2[j - 1] - y2_before
+        ss = y2_total - y_total * y_total / n_pop
+        if ss < 0.0:
+            if math.isinf(y_total * y_total):
+                raise DataError(
+                    f"y values too large: the squared y total of groups "
+                    f"{i}..{j - 1} overflows a float"
+                )
+            if ss < -_NEGATIVE_SS_TOLERANCE * abs(y2_total / n_pop):
+                raise ConsistencyError(
+                    f"sum of squares {ss} for groups {i}..{j - 1} is negative "
+                    "beyond rounding noise"
+                )
+            ss = 0.0
+        row.append((n_pop, ss / (n_pop - 1), y_total))
+    return row
 
 
 def segment_stats_direct(ft: FrequencyTable, i: int, j: int) -> SegmentStats:
@@ -166,7 +191,8 @@ def exact_cost_units(cost: float) -> int:
     cost ties are genuine ties.
     """
     numerator, denominator = cost.as_integer_ratio()
-    return numerator * (_EXACT_SCALE // denominator)
+    # denominator is 2**k, so the product numerator * 2**(1074 - k) is a shift
+    return numerator << (1075 - denominator.bit_length())
 
 
 def cost_units_to_float(units: int) -> float:

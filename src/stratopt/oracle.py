@@ -12,7 +12,8 @@ import time
 from dataclasses import replace
 from typing import Iterator
 
-from .errors import InfeasibleProblemError, InvalidSpecError, OracleTooLargeError
+from .errors import InvalidSpecError, OracleTooLargeError
+from .graph import check_feasible
 from .moments import (
     ProblemSpec,
     build_prefix_moments,
@@ -70,11 +71,7 @@ def brute_force_solve(
     start = time.perf_counter()
     if spec.N != ft.N:
         raise InvalidSpecError(f"spec N={spec.N} does not match table N={ft.N}")
-    if ft.K < 2 * spec.L:
-        raise InfeasibleProblemError(
-            f"{ft.K} distinct values cannot form {spec.L} strata of at least "
-            "two distinct values each"
-        )
+    check_feasible(ft.K, spec.L)
     m = count_solutions(ft.K, spec.L)
     if m > cap:
         raise OracleTooLargeError(

@@ -10,9 +10,11 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, replace
+from operator import add
+from typing import Iterable, Iterator, Sequence
 
-from .errors import ConsistencyError, InfeasibleProblemError, InvalidSpecError
-from .graph import LayeredGraph, attach_costs, build_layered_graph
+from .errors import ConsistencyError, InvalidSpecError
+from .graph import LayeredGraph, cost_table, layer_bounds
 from .moments import (
     PrefixMoments,
     ProblemSpec,
@@ -80,45 +82,27 @@ class StratificationSolution:
 def solve(graph: LayeredGraph) -> PathSolution:
     """Cheapest path from source to terminal using one arc per layer.
 
-    Arc costs are carried as exact integer units, so path sums do not depend
-    on summation order and equal-cost paths are genuinely tied. Dynamic
-    program over layers: completion[h][i] is the least cost from node i to
-    the terminal through layers h..L. Ties are broken toward the
-    lexicographically smallest node sequence by walking forward and taking
-    the smallest head whose completion matches.
+    An inspection view: the graph's arc costs feed the same dynamic program
+    solve_problem runs over its cost table. Each layer must list the heads
+    of a tail contiguously, as build_layered_graph does.
     """
-    scaled: list[list[tuple[int, int, int]]] = []
+    layers = []
     for layer in graph.layers:
-        rows: list[tuple[int, int, int]] = []
+        rows: list[tuple[int, int, list[int]]] = []
         for arc in layer:
             if arc.cost is None:
                 raise ValueError("graph has no costs attached")
-            rows.append((arc.tail, arc.head, exact_cost_units(arc.cost)))
-        scaled.append(rows)
-
-    completion: list[dict[int, int]] = [{} for _ in range(graph.L + 2)]
-    completion[graph.L + 1] = {graph.sink: 0}
-    for h in range(graph.L, 0, -1):
-        onward = completion[h + 1]
-        table = completion[h]
-        for tail, head, units in scaled[h - 1]:
-            total = units + onward[head]
-            best = table.get(tail)
-            if best is None or total < best:
-                table[tail] = total
-
-    nodes = [graph.source]
-    for h in range(1, graph.L + 1):
-        here = nodes[-1]
-        target = completion[h][here]
-        onward = completion[h + 1]
-        for tail, head, units in scaled[h - 1]:  # ordered by (tail, head)
-            if tail == here and units + onward[head] == target:
-                nodes.append(head)
-                break
-        else:
-            raise ConsistencyError(f"no arc out of node {here} matches its label")
-    return PathSolution(tuple(nodes), cost_units_to_float(completion[1][graph.source]))
+            if not rows or rows[-1][0] != arc.tail:
+                rows.append((arc.tail, arc.head, []))
+            tail, first_head, units = rows[-1]
+            if arc.head != first_head + len(units):
+                raise ValueError(
+                    f"heads of tail {tail} in layer {arc.layer} are not contiguous"
+                )
+            units.append(exact_cost_units(arc.cost))
+        layers.append(rows)
+    nodes, units = _cheapest_path(graph.K, layers)
+    return PathSolution(nodes, cost_units_to_float(units))
 
 
 def path_to_solution(
@@ -187,9 +171,12 @@ def path_to_solution(
 def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSolution:
     """Solve one stratification problem end to end.
 
-    L = 1 needs no graph: the single stratum spans everything. For L >= 2
-    the costed layered graph is built and searched. Either way the result
-    carries wall-clock elapsed seconds.
+    Costs every segment that is an arc of some layer once, into a table of
+    exact integer units, and runs the layered dynamic program over node
+    indexes; the LayeredGraph is never built (build_layered_graph,
+    attach_costs and solve are inspection views of the same computation).
+    L = 1 is the one-layer case. The result carries wall-clock elapsed
+    seconds.
 
     Raises InfeasibleProblemError when K < 2L (each stratum must get at
     least two distinct values, so a lone distinct value cannot even fill a
@@ -198,17 +185,55 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     start = time.perf_counter()
     if spec.N != ft.N:
         raise InvalidSpecError(f"spec N={spec.N} does not match table N={ft.N}")
-    if ft.K < 2 * spec.L:
-        raise InfeasibleProblemError(
-            f"{ft.K} distinct values cannot form {spec.L} strata of at least "
-            "two distinct values each"
-        )
+    bounds = layer_bounds(ft.K, spec.L)
     pm = build_prefix_moments(ft)
-    if spec.L == 1:
-        cost = unit_cost(segment_stats(pm, 1, ft.K + 1))
-        path = PathSolution((1, ft.K + 1), cost)
-    else:
-        graph = attach_costs(build_layered_graph(ft.K, spec.L), pm)
-        path = solve(graph)
+    units = [
+        [None if cost is None else exact_cost_units(cost) for cost in row]
+        for row in cost_table(pm, bounds)
+    ]
+    layers = [_table_layer(units, *layer) for layer in bounds]
+    nodes, total = _cheapest_path(ft.K, layers)
+    path = PathSolution(nodes, cost_units_to_float(total))
     solution = path_to_solution(path, pm, ft, spec)
     return replace(solution, elapsed=time.perf_counter() - start)
+
+
+def _table_layer(
+    units: list[list[int | None]], tails: range, first_head: int, head_stop: int
+) -> Iterator[tuple[int, int, list[int]]]:
+    """One layer's rows, cut from the unit table by its node bounds."""
+    for i in tails:
+        first = max(i + 2, first_head)
+        yield i, first, units[i][first - i - 2 : head_stop - i - 2]
+
+
+def _cheapest_path(
+    K: int, layers: Sequence[Iterable[tuple[int, int, list[int]]]]
+) -> tuple[tuple[int, ...], int]:
+    """Least total over paths from node 1 to K+1 taking one arc per layer.
+
+    Each layer yields (tail, first head, units): the tail's arcs to heads
+    first, first+1, ... with their costs in exact integer units, so sums do
+    not depend on summation order and equal-cost paths are genuinely tied.
+    completion[i] is the least cost from node i to the terminal through the
+    layers already processed, from the last one back. Each (layer, tail)
+    keeps its leftmost cheapest head, so following the choices forward
+    yields the lexicographically smallest optimal node sequence.
+    """
+    completion: list[int | None] = [None] * (K + 2)
+    completion[K + 1] = 0
+    choices: list[dict[int, int]] = []
+    for layer in reversed(layers):
+        here: list[int | None] = [None] * (K + 2)
+        choice: dict[int, int] = {}
+        for tail, first, units in layer:
+            totals = list(map(add, units, completion[first : first + len(units)]))
+            best = min(totals)
+            here[tail] = best
+            choice[tail] = first + totals.index(best)
+        completion = here
+        choices.append(choice)
+    nodes = [1]
+    for choice in reversed(choices):
+        nodes.append(choice[nodes[-1]])
+    return tuple(nodes), completion[1]

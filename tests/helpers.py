@@ -41,13 +41,16 @@ def desk_table() -> FrequencyTable:
     return table_from_pairs((x, x) for x in DESK_X)
 
 
-def random_pairs(rng: random.Random, L: int, k_max: int = 25) -> list[tuple[float, float]]:
-    """Raw (x, y) rows with an exact count of distinct x in [2L, k_max].
+def random_pairs(
+    rng: random.Random, L: int, k_max: int = 25, k_min: int = 0
+) -> list[tuple[float, float]]:
+    """Raw (x, y) rows with an exact count of distinct x in
+    [max(2L, k_min), k_max].
 
     x values are cumulative positive gaps, so they are distinct by
     construction; y is lognormal.
     """
-    k = rng.randint(2 * L, k_max)
+    k = rng.randint(max(2 * L, k_min), k_max)
     values = []
     x = 0.0
     for _ in range(k):
@@ -60,8 +63,10 @@ def random_pairs(rng: random.Random, L: int, k_max: int = 25) -> list[tuple[floa
     return pairs
 
 
-def random_instance(rng: random.Random, L: int, k_max: int = 25) -> FrequencyTable:
-    return table_from_pairs(random_pairs(rng, L, k_max))
+def random_instance(
+    rng: random.Random, L: int, k_max: int = 25, k_min: int = 0
+) -> FrequencyTable:
+    return table_from_pairs(random_pairs(rng, L, k_max, k_min))
 
 
 def skewed_table(n_units: int = 900, k_distinct: int = 272, seed: int = 20240917) -> FrequencyTable:

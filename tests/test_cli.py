@@ -163,6 +163,15 @@ class TestColumnsAndDelimiters:
         assert code == 0
         assert json.loads(out)["variance"] == pytest.approx(112.0, rel=1e-12)
 
+    def test_utf8_byte_order_mark_before_header(self, capsys, tmp_path):
+        path = tmp_path / "bom.csv"
+        path.write_text(DESK_CSV, encoding="utf-8-sig")
+        code, out, _ = run_cli(
+            capsys, "--input", str(path), "--strata", "2", "--sample-size", "3", "--json"
+        )
+        assert code == 0
+        assert json.loads(out)["boundaries"] == [4.0]
+
 
 class TestExitCodes:
     def test_missing_file_exits_2_with_no_output(self, capsys):
@@ -191,6 +200,34 @@ class TestExitCodes:
         )
         assert code == 2
         assert "row 3" in err
+
+    @pytest.mark.parametrize(
+        "rows,strata",
+        [
+            pytest.param(
+                ("1.1e154", "1.11e154", "1.12e154", "1.13e154"), "2",
+                id="prefix-of-y2",
+            ),
+            # every prefix is finite, but a squared segment total of y is not
+            pytest.param(
+                ("6e153", "6.01e153", "6.02e153", "6.03e153"), "1",
+                id="segment-total-L1",
+            ),
+            pytest.param(
+                ("4e153", "4.01e153", "4.02e153", "4.03e153", "4.04e153", "4.05e153"), "2",
+                id="segment-total-L2",
+            ),
+        ],
+    )
+    def test_float_overflow_exits_2(self, capsys, tmp_path, rows, strata):
+        path = tmp_path / "huge.csv"
+        path.write_text("x\n" + "\n".join(rows) + "\n")
+        code, out, err = run_cli(
+            capsys, "--input", str(path), "--strata", strata, "--sample-size", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: y values too large") and err.count("\n") == 1
 
     def test_header_only_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"

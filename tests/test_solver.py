@@ -7,6 +7,8 @@ import random
 
 import pytest
 
+import stratopt.graph
+import stratopt.solver
 from stratopt import (
     ConsistencyError,
     InfeasibleProblemError,
@@ -32,6 +34,7 @@ from helpers import (
     random_composition,
     random_instance,
     random_pairs,
+    skewed_table,
     table_from_pairs,
 )
 
@@ -186,13 +189,18 @@ class TestSolveProblem:
         with pytest.raises(InvalidSpecError):
             solve_problem(ft, ProblemSpec(L=2, n=3, N=10))
 
-    @pytest.mark.parametrize("seed", range(30))
-    def test_matches_exhaustive_oracle(self, seed):
+    @pytest.mark.parametrize(
+        "seed,strata,k_min,k_max",
+        [pytest.param(1_000 + seed, (2, 3, 4), 0, 25, id=str(seed)) for seed in range(30)]
+        + [pytest.param(101_000 + seed, (2, 3), 40, 200, id=f"K40-200-{seed}") for seed in range(8)],
+    )
+    def test_matches_exhaustive_oracle(self, seed, strata, k_min, k_max):
         """Same boundaries and variance (1e-9 relative) as scoring every
-        feasible split."""
-        rng = random.Random(1_000 + seed)
-        L = rng.choice([2, 3, 4])
-        ft = random_instance(rng, L)
+        feasible split. K up to 200 at L <= 3 checks the cost table far past
+        the small cases while the enumeration stays cheap."""
+        rng = random.Random(seed)
+        L = rng.choice(strata)
+        ft = random_instance(rng, L, k_max, k_min)
         n = max(1, ft.N // 5)
         spec = ProblemSpec(L=L, n=n, N=ft.N)
         fast = solve_problem(ft, spec)
@@ -205,16 +213,21 @@ class TestSolveProblem:
     # the trailing seeds reproduce cases where float summation used to make
     # the dynamic program and the enumeration break an exact tie differently
     @pytest.mark.parametrize(
-        "seed", (*range(40), 121, 905, 2466, 2507, 3408, 4432, 4851)
+        "seed,strata,k_min,k_max",
+        [
+            pytest.param(42_000 + seed, (2, 3, 4), 0, 12, id=str(seed))
+            for seed in (*range(40), 121, 905, 2466, 2507, 3408, 4432, 4851)
+        ]
+        + [pytest.param(142_000 + seed, (2, 3), 40, 200, id=f"K40-200-{seed}") for seed in range(8)],
     )
-    def test_matches_oracle_on_tie_heavy_data(self, seed):
+    def test_matches_oracle_on_tie_heavy_data(self, seed, strata, k_min, k_max):
         """y drawn from {1, 2} makes many splits share a cost exactly; both
         routes must still land on the identical node sequence. Guards the
         exact-integer cost accumulation: with plain float sums the dynamic
         program and the enumeration can break such ties differently."""
-        rng = random.Random(42_000 + seed)
-        L = rng.choice([2, 3, 4])
-        K = rng.randint(2 * L, 12)
+        rng = random.Random(seed)
+        L = rng.choice(strata)
+        K = rng.randint(max(2 * L, k_min), k_max)
         pairs = []
         x = 0.0
         for _ in range(K):
@@ -227,6 +240,24 @@ class TestSolveProblem:
         slow = brute_force_solve(ft, spec)
         assert fast.nodes == slow.nodes
         assert fast.variance == slow.variance
+
+    def test_never_builds_the_graph(self, monkeypatch):
+        """The layered graph is an inspection view: solve_problem reaches the
+        acceptance answer with the graph functions replaced by ones that
+        raise, and agrees with the graph route."""
+        ft = skewed_table(n_units=900, k_distinct=272)
+        spec = ProblemSpec(L=5, n=100, N=900)
+        pm = build_prefix_moments(ft)
+        via_graph = solve(attach_costs(build_layered_graph(ft.K, spec.L), pm))
+
+        def unavailable(*args):
+            raise AssertionError("solve_problem built the layered graph")
+
+        for module in (stratopt.graph, stratopt.solver):
+            for name in ("build_layered_graph", "attach_costs"):
+                monkeypatch.setattr(module, name, unavailable, raising=False)
+        sol = solve_problem(ft, spec)
+        assert sol.nodes == via_graph.nodes == (1, 38, 83, 132, 196, 273)
 
     @pytest.mark.parametrize("seed", range(5))
     def test_beats_random_feasible_splits(self, seed):
