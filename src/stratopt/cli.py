@@ -16,10 +16,11 @@ from .errors import (
     InfeasibleProblemError,
     InputSchemaError,
     InvalidSpecError,
+    OracleTooLargeError,
     UndefinedCVError,
 )
 from .moments import ProblemSpec, allocate_neyman
-from .oracle import DEFAULT_ORACLE_CAP, brute_force_solve, count_solutions
+from .oracle import DEFAULT_ORACLE_CAP, brute_force_solve
 from .population import build_frequency_table, load_population
 from .solver import StratificationSolution, solve_problem
 
@@ -67,15 +68,11 @@ def run(cfg: RunConfig) -> int:
 
         oracle_checked = False
         if cfg.oracle_check:
-            m = count_solutions(ft.K, spec.L)
-            if m > cfg.oracle_cap:
-                print(
-                    f"warning: exhaustive check skipped, {m} candidates "
-                    f"exceed the cap of {cfg.oracle_cap}",
-                    file=sys.stderr,
-                )
-            else:
+            try:
                 reference = brute_force_solve(ft, spec, cfg.oracle_cap)
+            except OracleTooLargeError as exc:
+                print(f"warning: exhaustive check skipped: {exc}", file=sys.stderr)
+            else:
                 if solution.boundaries != reference.boundaries or not math.isclose(
                     solution.variance, reference.variance, rel_tol=1e-9
                 ):

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import InfeasibleProblemError
-from .moments import PrefixMoments, segment_row
+from .moments import PrefixMoments, exact_cost_units, segment_row
 
 
 @dataclass(frozen=True, slots=True)
@@ -108,30 +108,51 @@ def arc_counts(K: int, L: int) -> tuple[int, int, int, int]:
     return span, span, middle, 2 * span + (L - 2) * middle
 
 
-def cost_table(pm: PrefixMoments, bounds: Bounds) -> list[list[float | None]]:
+def cost_table(
+    pm: PrefixMoments, bounds: Bounds
+) -> tuple[list[list[float]], list[float | None]]:
     """N_h * S2_h of every segment that is an arc of some layer, each once.
 
-    Row i holds the segments with tail i, the cost of (i, j) at
-    table[i][j - i - 2], all costed by one segment_row call; heads that no
-    layer pairs with tail i hold None, so no segment outside the graph is
-    ever costed.
+    Returns (rows, final). rows[i][j - i - 2] is the cost of (i, j) for the
+    heads j = i+2, i+3, ... that layers 1..L-1 pair with tail i; each of
+    those layers starts its heads at i + 2, so a row has no gaps. final[i]
+    is the cost of the last stratum i..K for each tail of layer L, whose one
+    head is K+1, and None at every other node. Memory thus follows the arc
+    count (linear in K for L <= 2). Each tail's segments are costed by one
+    segment_row call, and no segment outside the graph is ever costed.
     """
-    reach: dict[int, list[tuple[int, int]]] = {}
-    for tails, first_head, head_stop in bounds:
+    K = pm.K
+    *inner, (last_tails, _, _) = bounds
+    row_stop: dict[int, int] = {}
+    for tails, _, head_stop in inner:
         for i in tails:
-            reach.setdefault(i, []).append((max(i + 2, first_head), head_stop))
-    table: list[list[float | None]] = [[] for _ in range(pm.K + 1)]
-    for i, spans in reach.items():
-        heads: list[int] = []
-        for start, stop in sorted(spans):
-            # the spans of different layers overlap; each head joins once
-            first_new = max(start, heads[-1] + 1) if heads else start
-            heads.extend(range(first_new, stop))
-        row: list[float | None] = [None] * (heads[-1] - i - 1)
-        for j, (n_pop, s2, _) in zip(heads, segment_row(pm, i, heads)):
-            row[j - i - 2] = n_pop * s2
-        table[i] = row
-    return table
+            row_stop[i] = max(row_stop.get(i, 0), head_stop)
+    rows: list[list[float]] = [[] for _ in range(K + 1)]
+    final: list[float | None] = [None] * (K + 1)
+    for i in sorted(row_stop.keys() | set(last_tails)):
+        heads = list(range(i + 2, row_stop.get(i, i + 2)))
+        if i in last_tails:
+            heads.append(K + 1)
+        row = [n_pop * s2 for n_pop, s2, _ in segment_row(pm, i, heads)]
+        if i in last_tails:
+            final[i] = row.pop()
+        rows[i] = row
+    return rows, final
+
+
+def unit_table(
+    pm: PrefixMoments, bounds: Bounds
+) -> tuple[list[list[int]], list[int | None]]:
+    """cost_table in exact 2^-1074 integer units, converted row by row.
+
+    Sums of these units do not depend on summation order, so equal-cost
+    paths are genuinely tied.
+    """
+    rows, final = cost_table(pm, bounds)
+    return (
+        [[exact_cost_units(cost) for cost in row] for row in rows],
+        [None if cost is None else exact_cost_units(cost) for cost in final],
+    )
 
 
 def attach_costs(graph: LayeredGraph, pm: PrefixMoments) -> LayeredGraph:
@@ -145,13 +166,15 @@ def attach_costs(graph: LayeredGraph, pm: PrefixMoments) -> LayeredGraph:
         raise ValueError(
             f"prefix moments cover {pm.K} groups, graph expects {graph.K}"
         )
-    table = cost_table(pm, layer_bounds(graph.K, graph.L))
+    rows, final = cost_table(pm, layer_bounds(graph.K, graph.L))
     layers = tuple(
-        tuple(
-            Arc(arc.tail, arc.head, arc.layer, table[arc.tail][arc.head - arc.tail - 2])
+        tuple(Arc(arc.tail, arc.head, arc.layer, final[arc.tail]) for arc in layer)
+        if h == graph.L
+        else tuple(
+            Arc(arc.tail, arc.head, arc.layer, rows[arc.tail][arc.head - arc.tail - 2])
             for arc in layer
         )
-        for layer in graph.layers
+        for h, layer in enumerate(graph.layers, start=1)
     )
     return LayeredGraph(graph.K, graph.L, layers)
 

@@ -14,7 +14,7 @@ from operator import add
 from typing import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError, InvalidSpecError
-from .graph import LayeredGraph, cost_table, layer_bounds
+from .graph import LayeredGraph, layer_bounds, unit_table
 from .moments import (
     PrefixMoments,
     ProblemSpec,
@@ -180,18 +180,16 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
 
     Raises InfeasibleProblemError when K < 2L (each stratum must get at
     least two distinct values, so a lone distinct value cannot even fill a
-    single stratum).
+    single stratum), and InvalidSpecError from path_to_solution when spec.N
+    differs from the table's N.
     """
     start = time.perf_counter()
-    if spec.N != ft.N:
-        raise InvalidSpecError(f"spec N={spec.N} does not match table N={ft.N}")
     bounds = layer_bounds(ft.K, spec.L)
     pm = build_prefix_moments(ft)
-    units = [
-        [None if cost is None else exact_cost_units(cost) for cost in row]
-        for row in cost_table(pm, bounds)
-    ]
-    layers = [_table_layer(units, *layer) for layer in bounds]
+    rows, final = unit_table(pm, bounds)
+    *inner, (last_tails, _, _) = bounds
+    layers = [_table_layer(rows, tails, head_stop) for tails, _, head_stop in inner]
+    layers.append((i, ft.K + 1, [final[i]]) for i in last_tails)
     nodes, total = _cheapest_path(ft.K, layers)
     path = PathSolution(nodes, cost_units_to_float(total))
     solution = path_to_solution(path, pm, ft, spec)
@@ -199,12 +197,12 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
 
 
 def _table_layer(
-    units: list[list[int | None]], tails: range, first_head: int, head_stop: int
+    rows: list[list[int]], tails: range, head_stop: int
 ) -> Iterator[tuple[int, int, list[int]]]:
-    """One layer's rows, cut from the unit table by its node bounds."""
+    """One layer before the last, its rows cut from the unit table at its
+    head stop; every such layer's heads start two past the tail."""
     for i in tails:
-        first = max(i + 2, first_head)
-        yield i, first, units[i][first - i - 2 : head_stop - i - 2]
+        yield i, i + 2, rows[i][: head_stop - i - 2]
 
 
 def _cheapest_path(

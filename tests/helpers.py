@@ -14,11 +14,19 @@ from stratopt import (
     FrequencyTable,
     LayeredGraph,
     Observation,
+    PathSolution,
     Population,
     ProblemSpec,
+    StratificationSolution,
     build_frequency_table,
+    build_prefix_moments,
+    enumerate_compositions,
+    path_to_solution,
+    segment_stats,
+    unit_cost,
     variance_factor,
 )
+from stratopt.moments import cost_units_to_float, exact_cost_units
 
 # sorts to the worked example multiset (2, 4, 4, 8, 10, 10, 10, 15, 15)
 DESK_X = (10, 2, 4, 8, 10, 4, 15, 10, 15)
@@ -67,6 +75,18 @@ def random_instance(
     rng: random.Random, L: int, k_max: int = 25, k_min: int = 0
 ) -> FrequencyTable:
     return table_from_pairs(random_pairs(rng, L, k_max, k_min))
+
+
+def tie_heavy_pairs(rng: random.Random, K: int) -> list[tuple[float, float]]:
+    """Raw (x, y) rows with K distinct integer-spaced x and y drawn from
+    {1, 2}, so many splits share a cost exactly."""
+    pairs = []
+    x = 0.0
+    for _ in range(K):
+        x += rng.randint(1, 3)
+        for _ in range(rng.randint(1, 3)):
+            pairs.append((x, float(rng.choice((1, 2)))))
+    return pairs
 
 
 def skewed_table(n_units: int = 900, k_distinct: int = 272, seed: int = 20240917) -> FrequencyTable:
@@ -122,6 +142,34 @@ def reference_variance(pairs, widths, spec: ProblemSpec) -> float:
         costs.append(len(ys) * statistics.variance(ys))
         start += width
     return variance_factor(spec) * sum(costs)
+
+
+def reference_brute_force_solve(
+    ft: FrequencyTable, spec: ProblemSpec
+) -> StratificationSolution:
+    """Per-composition exhaustive scorer: every composition from
+    enumerate_compositions is scored segment by segment through
+    segment_stats, in exact integer units, and a strict < keeps the first
+    composition enumerated among ties."""
+    pm = build_prefix_moments(ft)
+    segment_units: dict[tuple[int, int], int] = {}
+    best_nodes: tuple[int, ...] | None = None
+    best_total: int | None = None
+    for widths in enumerate_compositions(ft.K, spec.L):
+        nodes = nodes_from_composition(widths)
+        total = 0
+        for i, j in zip(nodes, nodes[1:]):
+            units = segment_units.get((i, j))
+            if units is None:
+                units = exact_cost_units(unit_cost(segment_stats(pm, i, j)))
+                segment_units[(i, j)] = units
+            total += units
+        if best_total is None or total < best_total:
+            best_total = total
+            best_nodes = nodes
+    assert best_nodes is not None and best_total is not None
+    path = PathSolution(best_nodes, cost_units_to_float(best_total))
+    return path_to_solution(path, pm, ft, spec)
 
 
 def count_paths(graph: LayeredGraph) -> int:

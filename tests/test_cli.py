@@ -122,7 +122,8 @@ class TestJsonReport:
         )
         assert code == 0
         assert json.loads(out)["oracle_checked"] is False
-        assert "skipped" in err
+        assert "warning: exhaustive check skipped: " in err
+        assert "needs 2 evaluations" in err and "cap of 1" in err
 
     def test_neyman_field(self, capsys, desk_csv):
         code, out, _ = run_cli(

@@ -3,24 +3,34 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
+import stratopt.graph
+import stratopt.moments
+import stratopt.oracle
 from stratopt import (
+    ConsistencyError,
     InfeasibleProblemError,
+    InvalidSpecError,
     OracleTooLargeError,
     ProblemSpec,
     brute_force_solve,
     count_solutions,
     enumerate_compositions,
+    solve_problem,
 )
 
 from helpers import (
     desk_table,
     nodes_from_composition,
+    random_instance,
     random_pairs,
+    reference_brute_force_solve,
     reference_variance,
     table_from_pairs,
+    tie_heavy_pairs,
 )
 
 
@@ -146,3 +156,103 @@ class TestBruteForceSolve:
         sol = brute_force_solve(ft, spec)
         assert sol.nodes == nodes_from_composition(best_reference[1])
         assert sol.variance == pytest.approx(best_reference[0], rel=1e-9)
+
+    def test_population_size_mismatch_rejected(self):
+        ft = desk_table()
+        with pytest.raises(InvalidSpecError):
+            brute_force_solve(ft, ProblemSpec(L=2, n=3, N=10))
+
+    @pytest.mark.parametrize("L", [1, 2, 3])
+    def test_walk_must_score_every_composition(self, monkeypatch, L):
+        """A count of scored compositions other than count_solutions means
+        the walk skipped or repeated some."""
+        counted = stratopt.oracle.count_solutions
+        monkeypatch.setattr(
+            stratopt.oracle, "count_solutions", lambda *shape: counted(*shape) + 1
+        )
+        ft = random_instance(random.Random(L), L, k_max=10, k_min=10)
+        with pytest.raises(ConsistencyError, match="scored"):
+            brute_force_solve(ft, ProblemSpec(L=L, n=3, N=ft.N))
+
+    @pytest.mark.parametrize(
+        "L,K,data",
+        [
+            pytest.param(L, K, data, id=f"L{L}-{shape}-{data}")
+            for L in range(1, 6)
+            for shape, K in (
+                ("K2L", 2 * L),
+                ("K2L+1", 2 * L + 1),
+                ("K24", 24),
+                ("K40", 40),
+                ("Krandom", None),
+            )
+            for data in ("random", "ties")
+        ],
+    )
+    def test_matches_per_composition_reference(self, L, K, data):
+        """Identical nodes, unit cost and variance to scoring each
+        composition on its own, segment by segment; K = 2L and L <= 2 start
+        the walk at the last-two-strata pass. This is what checks the cost
+        table's row layout, which the oracle shares with the solver."""
+        rng = random.Random(f"{L}:{K}:{data}")
+        if K is None:
+            K = rng.randint(2 * L + 2, 23)
+        if data == "random":
+            pairs = random_pairs(rng, L, k_max=K, k_min=K)
+        else:
+            pairs = tie_heavy_pairs(rng, K)
+        ft = table_from_pairs(pairs)
+        assert ft.K == K
+        spec = ProblemSpec(L=L, n=max(1, ft.N // 3), N=ft.N)
+        sol = brute_force_solve(ft, spec)
+        reference = reference_brute_force_solve(ft, spec)
+        assert sol.nodes == reference.nodes
+        assert sol.total_unit_cost == reference.total_unit_cost
+        assert sol.variance == reference.variance
+
+    def test_costs_each_table_row_once(self, monkeypatch):
+        """One segment_row call per cost-table row plus one per stratum for
+        the self-check, at most K + L, instead of one per distinct segment."""
+        calls = []
+        row = stratopt.moments.segment_row
+
+        def counting(pm, i, heads):
+            calls.append(i)
+            return row(pm, i, heads)
+
+        for module in (stratopt.moments, stratopt.graph):
+            monkeypatch.setattr(module, "segment_row", counting)
+        ft = random_instance(random.Random(40), 3, k_max=40, k_min=40)
+        brute_force_solve(ft, ProblemSpec(L=3, n=10, N=ft.N))
+        assert 0 < len(calls) <= ft.K + 3
+
+    def test_two_strata_on_many_distinct_values(self):
+        """L = 2 scores K - 3 compositions; the oracle handles K = 20,000
+        and agrees with the solver."""
+        rng = random.Random(20_000)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(20_000)]
+            + [(float(x), 1.0) for x in range(20_000)]
+        )
+        spec = ProblemSpec(L=2, n=100, N=ft.N)
+        sol = brute_force_solve(ft, spec)
+        reference = solve_problem(ft, spec)
+        assert sol.nodes == reference.nodes
+        assert sol.total_unit_cost == reference.total_unit_cost
+
+    def test_two_strata_memory_linear_in_K(self):
+        """At L = 2 the arcs and the compositions are both linear in K, so
+        the oracle's memory must be too: a table or slice list with a slot
+        per (i, j) pair would take over 30 MB at K = 3000."""
+        rng = random.Random(3000)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(3000) for _ in range(2)]
+        )
+        spec = ProblemSpec(L=2, n=100, N=ft.N)
+        tracemalloc.start()
+        try:
+            brute_force_solve(ft, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -36,6 +37,7 @@ from helpers import (
     random_pairs,
     skewed_table,
     table_from_pairs,
+    tie_heavy_pairs,
 )
 
 
@@ -228,13 +230,7 @@ class TestSolveProblem:
         rng = random.Random(seed)
         L = rng.choice(strata)
         K = rng.randint(max(2 * L, k_min), k_max)
-        pairs = []
-        x = 0.0
-        for _ in range(K):
-            x += rng.randint(1, 3)
-            for _ in range(rng.randint(1, 3)):
-                pairs.append((x, float(rng.choice((1, 2)))))
-        ft = table_from_pairs(pairs)
+        ft = table_from_pairs(tie_heavy_pairs(rng, K))
         spec = ProblemSpec(L=L, n=max(1, ft.N // 3), N=ft.N)
         fast = solve_problem(ft, spec)
         slow = brute_force_solve(ft, spec)
@@ -258,6 +254,24 @@ class TestSolveProblem:
                 monkeypatch.setattr(module, name, unavailable, raising=False)
         sol = solve_problem(ft, spec)
         assert sol.nodes == via_graph.nodes == (1, 38, 83, 132, 196, 273)
+
+    def test_two_strata_memory_linear_in_K(self):
+        """At L = 2 there are 2(K - 3) arcs, so the cost table must stay
+        linear in K: padding each last-layer row out to its head K+1 would
+        take over 30 MB at K = 3000."""
+        rng = random.Random(3000)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(3000) for _ in range(2)]
+        )
+        spec = ProblemSpec(L=2, n=100, N=ft.N)
+        tracemalloc.start()
+        try:
+            sol = solve_problem(ft, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10 * 2**20
+        assert sol.nodes == brute_force_solve(ft, spec).nodes
 
     @pytest.mark.parametrize("seed", range(5))
     def test_beats_random_feasible_splits(self, seed):
