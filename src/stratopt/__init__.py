@@ -50,7 +50,6 @@ from .oracle import (
 )
 from .population import (
     FrequencyTable,
-    Observation,
     Population,
     build_frequency_table,
     load_population,
@@ -80,7 +79,6 @@ __all__ = [
     "InputSchemaError",
     "InvalidSpecError",
     "LayeredGraph",
-    "Observation",
     "OracleTooLargeError",
     "PathSolution",
     "Population",

@@ -1,6 +1,6 @@
 """Load raw observations and group them into a distinct-value table.
 
-The pipeline works on a population sorted by a size variable x, with a study
+The pipeline works on a population grouped by a size variable x, with a study
 variable y riding along (y defaults to x when the caller names no y column).
 All downstream stages see only the per-distinct-value aggregates, never the
 raw rows.
@@ -11,29 +11,21 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import groupby
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .errors import DataError, EmptyPopulationError, InputSchemaError
 
 
 @dataclass(frozen=True, slots=True)
-class Observation:
-    """One population unit: size variable x and study variable y."""
-
-    x: float
-    y: float
-
-
-@dataclass(frozen=True, slots=True)
 class Population:
-    """All units, sorted ascending by x. Ties keep their input order."""
+    """All units grouped by exact x: each distinct x, in the order it first
+    appears, maps to the y values of its units in input order."""
 
-    observations: tuple[Observation, ...]
+    groups: dict[float, list[float]]
 
     @property
     def N(self) -> int:
-        return len(self.observations)
+        return sum(map(len, self.groups.values()))
 
 
 @dataclass(frozen=True, slots=True)
@@ -74,47 +66,47 @@ def load_population(
         delimiter: field separator, "," or "\\t" in practice.
 
     Returns:
-        Population sorted ascending by x.
+        Population grouped by exact x, unsorted.
 
     Raises:
         InputSchemaError: a named column is missing from the header.
-        DataError: a cell fails to parse to a finite number (the message
-            names the offending row).
+        DataError: the input is not UTF-8 text, a CSV field is malformed or
+            a cell is not a finite number (the message names the row if it can).
         EmptyPopulationError: the input has no data rows.
     """
-    reader = csv.reader(source, delimiter=delimiter)
+    rows = _read_rows(source, delimiter)
     try:
-        header = [cell.strip() for cell in next(reader)]
+        header = [cell.strip() for cell in next(rows)]
     except StopIteration:
         raise EmptyPopulationError("input has no header row") from None
 
     x_index = _column_index(header, x_column)
     y_index = None if y_column is None else _column_index(header, y_column)
 
-    observations: list[Observation] = []
-    for row_number, row in enumerate(reader, start=2):
+    groups: dict[float, list[float]] = {}
+    for row_number, row in enumerate(rows, start=2):
         if not row or all(cell.strip() == "" for cell in row):
             continue
         x = _parse_cell(row, x_index, x_column, row_number)
         y = x if y_index is None else _parse_cell(row, y_index, y_column, row_number)
-        observations.append(Observation(x, y))
+        groups.setdefault(x, []).append(y)
 
-    if not observations:
+    if not groups:
         raise EmptyPopulationError("input has a header but no data rows")
-    observations.sort(key=lambda o: o.x)  # stable, so ties keep input order
-    return Population(tuple(observations))
+    return Population(groups)
 
 
 def build_frequency_table(population: Population) -> FrequencyTable:
-    """Collapse a sorted population into per-distinct-value aggregates."""
-    if population.N == 0:
+    """Collapse a grouped population into per-distinct-value aggregates,
+    ascending in x. Only the K distinct keys are sorted."""
+    if not population.groups:
         raise EmptyPopulationError("cannot tabulate an empty population")
     q: list[float] = []
     count: list[int] = []
     y_sum: list[float] = []
     y_sumsq: list[float] = []
-    for value, group in groupby(population.observations, key=lambda o: o.x):
-        ys = [o.y for o in group]
+    for value in sorted(population.groups):
+        ys = population.groups[value]
         total_sq = math.fsum(y * y for y in ys)
         if not math.isfinite(total_sq):
             raise DataError(f"sum of squared y overflows in group x={value!r}")
@@ -123,6 +115,18 @@ def build_frequency_table(population: Population) -> FrequencyTable:
         y_sum.append(math.fsum(ys))
         y_sumsq.append(total_sq)
     return FrequencyTable(tuple(q), tuple(count), tuple(y_sum), tuple(y_sumsq))
+
+
+def _read_rows(source: Iterable[str], delimiter: str) -> Iterator[list[str]]:
+    """The one read point: undecodable text or malformed CSV is a DataError."""
+    reader = csv.reader(source, delimiter=delimiter)
+    try:
+        yield from reader
+    except UnicodeDecodeError:
+        # text decodes ahead of the parser in buffered chunks, so no row is named
+        raise DataError("input is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from None
 
 
 def _column_index(header: list[str], name: str) -> int:

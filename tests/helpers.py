@@ -7,13 +7,13 @@ trustworthy independent scorer for small instances.
 
 from __future__ import annotations
 
+import io
 import random
 import statistics
 
 from stratopt import (
     FrequencyTable,
     LayeredGraph,
-    Observation,
     PathSolution,
     Population,
     ProblemSpec,
@@ -21,6 +21,7 @@ from stratopt import (
     build_frequency_table,
     build_prefix_moments,
     enumerate_compositions,
+    load_population,
     path_to_solution,
     segment_stats,
     unit_cost,
@@ -35,10 +36,10 @@ DESK_CSV = "x\n" + "\n".join(str(x) for x in DESK_X) + "\n"
 
 
 def population_from_pairs(pairs) -> Population:
-    observations = sorted(
-        (Observation(float(x), float(y)) for x, y in pairs), key=lambda o: o.x
-    )
-    return Population(tuple(observations))
+    """Write (x, y) pairs as exact repr text and load them, so tests group
+    rows through the same path as real input."""
+    text = "x,y\n" + "".join(f"{float(x)!r},{float(y)!r}\n" for x, y in pairs)
+    return load_population(io.StringIO(text), "x", "y")
 
 
 def table_from_pairs(pairs) -> FrequencyTable:

@@ -230,6 +230,36 @@ class TestExitCodes:
         assert out == ""
         assert err.startswith("error: y values too large") and err.count("\n") == 1
 
+    @pytest.mark.parametrize(
+        "content,expected",
+        [
+            pytest.param(b"x\xff\n1\n2\n", "not UTF-8 text", id="bad-utf8-header"),
+            pytest.param(b"x\n1\n2\xff\n3\n4\n", "not UTF-8 text", id="bad-utf8-body"),
+            pytest.param(
+                b"x\n1\n" + b"2" * 200_000 + b"\n3\n", "row 3: malformed CSV",
+                id="oversized-field",
+            ),
+            pytest.param(b"x\n1\n2\x003\n4\n", "row 3", id="nul-byte"),
+            pytest.param(b'x\n1\n"2\n3\n', "row 3", id="unterminated-quote"),
+            pytest.param(None, "cannot read input", id="directory"),
+        ],
+    )
+    def test_malformed_file_exits_2_without_traceback(
+        self, capsys, tmp_path, content, expected
+    ):
+        path = tmp_path / "bad.csv"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = run_cli(
+            capsys, "--input", str(path), "--strata", "1", "--sample-size", "2"
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert expected in err
+
     def test_header_only_exits_2(self, capsys, tmp_path):
         path = tmp_path / "empty.csv"
         path.write_text("x\n")
@@ -267,7 +297,7 @@ class TestExitCodes:
 
         def doctored(ft, spec, cap):
             solution = real(ft, spec, cap)
-            return replace(solution, boundaries=(8.0,))
+            return replace(solution, boundaries=(8.0,), nodes=(1, 4, 6))
 
         monkeypatch.setattr(cli, "brute_force_solve", doctored)
         code, out, err = run_cli(
@@ -278,6 +308,7 @@ class TestExitCodes:
         assert code == 4
         assert out == ""
         assert "disagrees" in err
+        assert "nodes (1, 3, 6) vs (1, 4, 6)" in err
 
     def test_zero_sample_stratum_warns_on_stderr(self, capsys, tmp_path):
         path = tmp_path / "skew.csv"

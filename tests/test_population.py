@@ -5,6 +5,7 @@ from __future__ import annotations
 import io
 import math
 import random
+import tracemalloc
 
 import pytest
 
@@ -12,37 +13,36 @@ from stratopt import (
     DataError,
     EmptyPopulationError,
     InputSchemaError,
+    Population,
     build_frequency_table,
     load_population,
 )
 
-from helpers import DESK_CSV, population_from_pairs, table_from_pairs
+from helpers import DESK_CSV, table_from_pairs
 
 
 class TestLoadPopulation:
-    def test_sorts_ascending_by_x(self):
-        pop = load_population(io.StringIO("x\n3\n1\n2\n"))
-        assert [o.x for o in pop.observations] == [1.0, 2.0, 3.0]
-
     def test_y_defaults_to_x(self):
         pop = load_population(io.StringIO("x\n5\n7\n"))
-        assert [(o.x, o.y) for o in pop.observations] == [(5.0, 5.0), (7.0, 7.0)]
+        assert pop.groups == {5.0: [5.0], 7.0: [7.0]}
 
     def test_named_y_column(self):
         pop = load_population(io.StringIO("x,y\n2,20\n1,10\n"), "x", "y")
-        assert [(o.x, o.y) for o in pop.observations] == [(1.0, 10.0), (2.0, 20.0)]
+        assert pop.groups == {2.0: [20.0], 1.0: [10.0]}
 
     def test_ties_keep_input_order_of_y(self):
+        """Groups are keyed in first-appearance order; each keeps its y
+        values in input order."""
         pop = load_population(io.StringIO("x,y\n5,1\n3,9\n5,2\n"), "x", "y")
-        assert [o.y for o in pop.observations] == [9.0, 1.0, 2.0]
+        assert list(pop.groups.items()) == [(5.0, [1.0, 2.0]), (3.0, [9.0])]
 
     def test_tab_delimiter(self):
         pop = load_population(io.StringIO("x\ty\n1\t10\n2\t20\n"), "x", "y", delimiter="\t")
-        assert [o.y for o in pop.observations] == [10.0, 20.0]
+        assert pop.groups == {1.0: [10.0], 2.0: [20.0]}
 
     def test_scientific_notation(self):
         pop = load_population(io.StringIO("x\n1e3\n2.5e-1\n"))
-        assert [o.x for o in pop.observations] == [0.25, 1000.0]
+        assert pop.groups == {1000.0: [1000.0], 0.25: [0.25]}
 
     def test_single_row_is_a_valid_load(self):
         pop = load_population(io.StringIO("x\n5\n"))
@@ -81,8 +81,30 @@ class TestLoadPopulation:
         pop = load_population(io.StringIO("x\n1\n\n2\n"))
         assert pop.N == 2
 
+    def test_memory_holds_values_not_row_objects(self):
+        """100k rows over 50 distinct x: the loaded groups hold one float per
+        y and the table K entries, so the traced peak stays near 3 MB; one
+        object per row plus a sorted copy of all rows would take over 11 MB."""
+        rng = random.Random(50)
+        text = "x,y\n" + "".join(
+            f"{rng.randrange(50)},{rng.random()!r}\n" for _ in range(100_000)
+        )
+        source = io.StringIO(text)
+        tracemalloc.start()
+        try:
+            ft = build_frequency_table(load_population(source, "x", "y"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 6 * 2**20
+        assert (ft.K, ft.N) == (50, 100_000)
+
 
 class TestBuildFrequencyTable:
+    def test_sorts_ascending_by_x(self):
+        ft = build_frequency_table(load_population(io.StringIO("x\n3\n1\n2\n")))
+        assert ft.q == (1.0, 2.0, 3.0)
+
     def test_worked_example_aggregates(self):
         """Multiset (2,4,4,8,10,10,10,15,15) with y = x.
 
@@ -131,6 +153,14 @@ class TestBuildFrequencyTable:
         rng.shuffle(pairs)
         assert table_from_pairs(pairs) == ft
 
+    @pytest.mark.parametrize("first,second", [("-0.0", "0.0"), ("0.0", "-0.0")])
+    def test_signed_zeros_share_one_group_keyed_by_the_first(self, first, second):
+        text = f"x\n{first}\n{second}\n1\n2\n"
+        ft = build_frequency_table(load_population(io.StringIO(text)))
+        assert ft.q == (0.0, 1.0, 2.0)
+        assert ft.count == (2, 1, 1)
+        assert math.copysign(1.0, ft.q[0]) == math.copysign(1.0, float(first))
+
     def test_empty_population_rejected(self):
         with pytest.raises(EmptyPopulationError):
-            build_frequency_table(population_from_pairs([]))
+            build_frequency_table(Population({}))
