@@ -184,6 +184,7 @@ def emit_text(
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """Parser whose namespace holds exactly the RunConfig fields."""
     parser = argparse.ArgumentParser(
         prog="stratopt",
         description=(
@@ -192,36 +193,22 @@ def build_parser() -> argparse.ArgumentParser:
             "proportional allocation."
         ),
     )
-    parser.add_argument("--input", required=True, help="delimited text file with a header row")
+    parser.add_argument("--input", dest="input_path", required=True, metavar="INPUT", help="delimited text file with a header row")
     parser.add_argument("--x-col", default="x", help="size variable column (default: x)")
     parser.add_argument("--y-col", default=None, help="study variable column (default: reuse --x-col)")
     parser.add_argument("--strata", type=int, required=True, metavar="L", help="number of strata")
     parser.add_argument("--sample-size", type=int, required=True, metavar="n", help="total sample size")
-    parser.add_argument("--no-fpc", action="store_true", help="drop the without-replacement correction")
-    parser.add_argument("--check-oracle", action="store_true", help="cross-check against exhaustive enumeration")
+    parser.add_argument("--no-fpc", dest="fpc", action="store_false", help="drop the without-replacement correction")
+    parser.add_argument("--check-oracle", dest="oracle_check", action="store_true", help="cross-check against exhaustive enumeration")
     parser.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, metavar="M", help=f"largest enumeration allowed (default: {DEFAULT_ORACLE_CAP})")
-    parser.add_argument("--json", action="store_true", help="emit JSON instead of text")
-    parser.add_argument("--tab", action="store_true", help="input is tab separated")
+    parser.add_argument("--json", dest="output_format", action="store_const", const="json", default="text", help="emit JSON instead of text")
+    parser.add_argument("--tab", dest="delimiter", action="store_const", const="\t", default=",", help="input is tab separated")
     parser.add_argument("--neyman", action="store_true", help="also report dispersion-weighted allocations")
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    cfg = RunConfig(
-        input_path=args.input,
-        strata=args.strata,
-        sample_size=args.sample_size,
-        x_col=args.x_col,
-        y_col=args.y_col,
-        fpc=not args.no_fpc,
-        oracle_check=args.check_oracle,
-        oracle_cap=args.oracle_cap,
-        output_format="json" if args.json else "text",
-        delimiter="\t" if args.tab else ",",
-        neyman=args.neyman,
-    )
-    return run(cfg)
+    return run(RunConfig(**vars(build_parser().parse_args(argv))))
 
 
 def _neyman_or_none(

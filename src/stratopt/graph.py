@@ -5,14 +5,18 @@ placed at layer h stands for stratum h covering groups i..j-1, and a source
 to terminal path with exactly L arcs is a complete stratification. Arcs with
 j - i = 1 never appear: a one-group stratum cannot be guaranteed two units
 of every candidate split, so each stratum must span at least two groups.
+
+The solver never materialises the graph. It runs over layer_bounds and the
+unit_table of segment costs; LayeredGraph is a view of that same table that
+builds its Arc objects only when its layers are read.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InfeasibleProblemError
-from .moments import PrefixMoments, exact_cost_units, segment_row
+from .moments import PrefixMoments, cost_units_to_float, exact_cost_units, segment_row
 
 
 @dataclass(frozen=True, slots=True)
@@ -25,13 +29,27 @@ class Arc:
     cost: float | None = None
 
 
+Bounds = tuple[tuple[range, int, int], ...]
+"""Per layer: its tails, its first head, and one past its last head."""
+
+UnitTable = tuple[list[list[int]], list[int | None]]
+"""(rows, final) segment costs in exact 2^-1074 units, as unit_table lays
+them out."""
+
+
 @dataclass(frozen=True, slots=True)
 class LayeredGraph:
-    """Arcs grouped per stratum layer, each layer ordered by (tail, head)."""
+    """The graph for K distinct values and L strata, with its costs as a
+    unit_table, or None while uncosted.
+
+    layers lists the arcs per layer, each layer ordered by (tail, head); it
+    is built from layer_bounds on every read, with each cost converted back
+    from its exact units (the float the table was made from, bit for bit).
+    """
 
     K: int
     L: int
-    layers: tuple[tuple[Arc, ...], ...]
+    table: UnitTable | None = None
 
     @property
     def source(self) -> int:
@@ -41,9 +59,26 @@ class LayeredGraph:
     def sink(self) -> int:
         return self.K + 1
 
+    @property
+    def layers(self) -> tuple[tuple[Arc, ...], ...]:
+        def cost(i: int, j: int) -> float | None:
+            if self.table is None:
+                return None
+            rows, final = self.table
+            # only the last layer reaches the terminal K+1
+            units = final[i] if j > self.K else rows[i][j - i - 2]
+            return cost_units_to_float(units)
 
-Bounds = tuple[tuple[range, int, int], ...]
-"""Per layer: its tails, its first head, and one past its last head."""
+        return tuple(
+            tuple(
+                Arc(i, j, h, cost(i, j))
+                for i in tails
+                for j in range(max(i + 2, first_head), head_stop)
+            )
+            for h, (tails, first_head, head_stop) in enumerate(
+                layer_bounds(self.K, self.L), start=1
+            )
+        )
 
 
 def check_feasible(K: int, L: int) -> None:
@@ -76,26 +111,15 @@ def layer_bounds(K: int, L: int) -> Bounds:
 
 
 def build_layered_graph(K: int, L: int) -> LayeredGraph:
-    """Construct the uncosted graph for K distinct values and L strata.
+    """The uncosted graph for K distinct values and L strata.
 
-    An inspection view: solve_problem runs the same layer_bounds without
-    building arcs. Raises InfeasibleProblemError when K < 2L. L must be at
-    least 2; a single stratum needs no graph.
+    Raises InfeasibleProblemError when K < 2L. L must be at least 2; a
+    single stratum needs no graph.
     """
     if L < 2:
         raise ValueError(f"layered graph needs at least two strata, got L={L}")
-    layers = tuple(
-        tuple(
-            Arc(i, j, h)
-            for i in tails
-            for j in range(max(i + 2, first_head), head_stop)
-        )
-        for h, (tails, first_head, head_stop) in enumerate(layer_bounds(K, L), start=1)
-    )
-    span = K - 2 * L + 1
-    assert len(layers[0]) == span and len(layers[-1]) == span
-    assert all(len(mid) == span * (span + 1) // 2 for mid in layers[1:-1])
-    return LayeredGraph(K, L, layers)
+    check_feasible(K, L)
+    return LayeredGraph(K, L)
 
 
 def arc_counts(K: int, L: int) -> tuple[int, int, int, int]:
@@ -108,10 +132,9 @@ def arc_counts(K: int, L: int) -> tuple[int, int, int, int]:
     return span, span, middle, 2 * span + (L - 2) * middle
 
 
-def cost_table(
-    pm: PrefixMoments, bounds: Bounds
-) -> tuple[list[list[float]], list[float | None]]:
-    """N_h * S2_h of every segment that is an arc of some layer, each once.
+def unit_table(pm: PrefixMoments, bounds: Bounds) -> UnitTable:
+    """N_h * S2_h of every segment that is an arc of some layer, each once,
+    in exact 2^-1074 integer units.
 
     Returns (rows, final). rows[i][j - i - 2] is the cost of (i, j) for the
     heads j = i+2, i+3, ... that layers 1..L-1 pair with tail i; each of
@@ -119,7 +142,9 @@ def cost_table(
     is the cost of the last stratum i..K for each tail of layer L, whose one
     head is K+1, and None at every other node. Memory thus follows the arc
     count (linear in K for L <= 2). Each tail's segments are costed by one
-    segment_row call, and no segment outside the graph is ever costed.
+    segment_row call, and no segment outside the graph is ever costed. Sums
+    of units do not depend on summation order, so equal-cost paths are
+    genuinely tied.
     """
     K = pm.K
     *inner, (last_tails, _, _) = bounds
@@ -127,56 +152,34 @@ def cost_table(
     for tails, _, head_stop in inner:
         for i in tails:
             row_stop[i] = max(row_stop.get(i, 0), head_stop)
-    rows: list[list[float]] = [[] for _ in range(K + 1)]
-    final: list[float | None] = [None] * (K + 1)
+    rows: list[list[int]] = [[] for _ in range(K + 1)]
+    final: list[int | None] = [None] * (K + 1)
     for i in sorted(row_stop.keys() | set(last_tails)):
         heads = list(range(i + 2, row_stop.get(i, i + 2)))
         if i in last_tails:
             heads.append(K + 1)
-        row = [n_pop * s2 for n_pop, s2, _ in segment_row(pm, i, heads)]
+        row = [
+            exact_cost_units(n_pop * s2)
+            for n_pop, s2, _ in segment_row(pm, i, heads)
+        ]
         if i in last_tails:
             final[i] = row.pop()
         rows[i] = row
     return rows, final
 
 
-def unit_table(
-    pm: PrefixMoments, bounds: Bounds
-) -> tuple[list[list[int]], list[int | None]]:
-    """cost_table in exact 2^-1074 integer units, converted row by row.
-
-    Sums of these units do not depend on summation order, so equal-cost
-    paths are genuinely tied.
-    """
-    rows, final = cost_table(pm, bounds)
-    return (
-        [[exact_cost_units(cost) for cost in row] for row in rows],
-        [None if cost is None else exact_cost_units(cost) for cost in final],
-    )
-
-
 def attach_costs(graph: LayeredGraph, pm: PrefixMoments) -> LayeredGraph:
-    """Return a copy of the graph with every arc costed as N_h * S2_h.
+    """Return the graph with its unit_table attached, so that every arc
+    reads its cost N_h * S2_h.
 
-    An inspection view over cost_table. Every arc spans at least two groups
-    and every group holds at least one unit, so no segment can be degenerate
-    here.
+    Every arc spans at least two groups and every group holds at least one
+    unit, so no segment can be degenerate here.
     """
     if pm.K != graph.K:
         raise ValueError(
             f"prefix moments cover {pm.K} groups, graph expects {graph.K}"
         )
-    rows, final = cost_table(pm, layer_bounds(graph.K, graph.L))
-    layers = tuple(
-        tuple(Arc(arc.tail, arc.head, arc.layer, final[arc.tail]) for arc in layer)
-        if h == graph.L
-        else tuple(
-            Arc(arc.tail, arc.head, arc.layer, rows[arc.tail][arc.head - arc.tail - 2])
-            for arc in layer
-        )
-        for h, layer in enumerate(graph.layers, start=1)
-    )
-    return LayeredGraph(graph.K, graph.L, layers)
+    return replace(graph, table=unit_table(pm, layer_bounds(graph.K, graph.L)))
 
 
 def dump_arcs(graph: LayeredGraph) -> str:

@@ -76,7 +76,7 @@ def load_population(
     """
     rows = _read_rows(source, delimiter)
     try:
-        header = [cell.strip() for cell in next(rows)]
+        header = [cell.strip() for cell in next(rows)[1]]
     except StopIteration:
         raise EmptyPopulationError("input has no header row") from None
 
@@ -84,7 +84,7 @@ def load_population(
     y_index = None if y_column is None else _column_index(header, y_column)
 
     groups: dict[float, list[float]] = {}
-    for row_number, row in enumerate(rows, start=2):
+    for row_number, row in rows:
         if not row or all(cell.strip() == "" for cell in row):
             continue
         x = _parse_cell(row, x_index, x_column, row_number)
@@ -117,11 +117,18 @@ def build_frequency_table(population: Population) -> FrequencyTable:
     return FrequencyTable(tuple(q), tuple(count), tuple(y_sum), tuple(y_sumsq))
 
 
-def _read_rows(source: Iterable[str], delimiter: str) -> Iterator[list[str]]:
-    """The one read point: undecodable text or malformed CSV is a DataError."""
+def _read_rows(
+    source: Iterable[str], delimiter: str
+) -> Iterator[tuple[int, list[str]]]:
+    """The one read point: each record with the line it starts on, so that
+    a quoted field spanning lines does not shift later row numbers.
+    Undecodable text or malformed CSV is a DataError."""
     reader = csv.reader(source, delimiter=delimiter)
+    line = 1
     try:
-        yield from reader
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
     except UnicodeDecodeError:
         # text decodes ahead of the parser in buffered chunks, so no row is named
         raise DataError("input is not UTF-8 text") from None

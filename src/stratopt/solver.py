@@ -11,10 +11,9 @@ import math
 import time
 from dataclasses import dataclass, replace
 from operator import add
-from typing import Iterable, Iterator, Sequence
 
 from .errors import ConsistencyError, InvalidSpecError
-from .graph import LayeredGraph, layer_bounds, unit_table
+from .graph import Bounds, LayeredGraph, layer_bounds, unit_table
 from .moments import (
     PrefixMoments,
     ProblemSpec,
@@ -22,7 +21,6 @@ from .moments import (
     build_prefix_moments,
     coefficient_of_variation,
     cost_units_to_float,
-    exact_cost_units,
     segment_stats,
     segment_stats_direct,
     total_variance_proportional,
@@ -82,26 +80,12 @@ class StratificationSolution:
 def solve(graph: LayeredGraph) -> PathSolution:
     """Cheapest path from source to terminal using one arc per layer.
 
-    An inspection view: the graph's arc costs feed the same dynamic program
-    solve_problem runs over its cost table. Each layer must list the heads
-    of a tail contiguously, as build_layered_graph does.
+    An inspection view: runs solve_problem's dynamic program over the
+    unit_table that attach_costs attached, without building any arc.
     """
-    layers = []
-    for layer in graph.layers:
-        rows: list[tuple[int, int, list[int]]] = []
-        for arc in layer:
-            if arc.cost is None:
-                raise ValueError("graph has no costs attached")
-            if not rows or rows[-1][0] != arc.tail:
-                rows.append((arc.tail, arc.head, []))
-            tail, first_head, units = rows[-1]
-            if arc.head != first_head + len(units):
-                raise ValueError(
-                    f"heads of tail {tail} in layer {arc.layer} are not contiguous"
-                )
-            units.append(exact_cost_units(arc.cost))
-        layers.append(rows)
-    nodes, units = _cheapest_path(graph.K, layers)
+    if graph.table is None:
+        raise ValueError("graph has no costs attached")
+    nodes, units = _cheapest_path(layer_bounds(graph.K, graph.L), *graph.table)
     return PathSolution(nodes, cost_units_to_float(units))
 
 
@@ -171,12 +155,12 @@ def path_to_solution(
 def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSolution:
     """Solve one stratification problem end to end.
 
-    Costs every segment that is an arc of some layer once, into a table of
-    exact integer units, and runs the layered dynamic program over node
-    indexes; the LayeredGraph is never built (build_layered_graph,
-    attach_costs and solve are inspection views of the same computation).
-    L = 1 is the one-layer case. The result carries wall-clock elapsed
-    seconds.
+    Costs every segment that is an arc of some layer once, into a unit_table
+    of exact integer units, and runs the layered dynamic program over node
+    indexes; no Arc or LayeredGraph is built (build_layered_graph,
+    attach_costs and solve are inspection views over the same table and
+    dynamic program). L = 1 is the one-layer case. The result carries
+    wall-clock elapsed seconds.
 
     Raises InfeasibleProblemError when K < 2L (each stratum must get at
     least two distinct values, so a lone distinct value cannot even fill a
@@ -186,52 +170,43 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     start = time.perf_counter()
     bounds = layer_bounds(ft.K, spec.L)
     pm = build_prefix_moments(ft)
-    rows, final = unit_table(pm, bounds)
-    *inner, (last_tails, _, _) = bounds
-    layers = [_table_layer(rows, tails, head_stop) for tails, _, head_stop in inner]
-    layers.append((i, ft.K + 1, [final[i]]) for i in last_tails)
-    nodes, total = _cheapest_path(ft.K, layers)
+    nodes, total = _cheapest_path(bounds, *unit_table(pm, bounds))
     path = PathSolution(nodes, cost_units_to_float(total))
     solution = path_to_solution(path, pm, ft, spec)
     return replace(solution, elapsed=time.perf_counter() - start)
 
 
-def _table_layer(
-    rows: list[list[int]], tails: range, head_stop: int
-) -> Iterator[tuple[int, int, list[int]]]:
-    """One layer before the last, its rows cut from the unit table at its
-    head stop; every such layer's heads start two past the tail."""
-    for i in tails:
-        yield i, i + 2, rows[i][: head_stop - i - 2]
-
-
 def _cheapest_path(
-    K: int, layers: Sequence[Iterable[tuple[int, int, list[int]]]]
+    bounds: Bounds, rows: list[list[int]], final: list[int | None]
 ) -> tuple[tuple[int, ...], int]:
     """Least total over paths from node 1 to K+1 taking one arc per layer.
 
-    Each layer yields (tail, first head, units): the tail's arcs to heads
-    first, first+1, ... with their costs in exact integer units, so sums do
-    not depend on summation order and equal-cost paths are genuinely tied.
-    completion[i] is the least cost from node i to the terminal through the
-    layers already processed, from the last one back. Each (layer, tail)
-    keeps its leftmost cheapest head, so following the choices forward
-    yields the lexicographically smallest optimal node sequence.
+    rows and final are a unit_table over bounds: costs in exact integer
+    units, so sums do not depend on summation order and equal-cost paths
+    are genuinely tied. completion[i] is the least cost from node i to the
+    terminal through the layers already processed, from the last one back;
+    final is that for the last layer alone. Each earlier layer pairs a tail
+    i with the heads i+2, i+3, ... up to its head stop, whose costs open
+    rows[i]. Each (layer, tail) keeps its leftmost cheapest head, so
+    following the choices forward yields the lexicographically smallest
+    optimal node sequence.
     """
-    completion: list[int | None] = [None] * (K + 2)
-    completion[K + 1] = 0
+    *inner, (_, terminal, _) = bounds
+    completion = final
     choices: list[dict[int, int]] = []
-    for layer in reversed(layers):
-        here: list[int | None] = [None] * (K + 2)
+    for tails, _, head_stop in reversed(inner):
+        here: list[int | None] = [None] * terminal
         choice: dict[int, int] = {}
-        for tail, first, units in layer:
-            totals = list(map(add, units, completion[first : first + len(units)]))
+        for i in tails:
+            # rows[i] may run past this layer's head stop; map stops there
+            totals = list(map(add, rows[i], completion[i + 2 : head_stop]))
             best = min(totals)
-            here[tail] = best
-            choice[tail] = first + totals.index(best)
+            here[i] = best
+            choice[i] = i + 2 + totals.index(best)
         completion = here
         choices.append(choice)
     nodes = [1]
     for choice in reversed(choices):
         nodes.append(choice[nodes[-1]])
+    nodes.append(terminal)
     return tuple(nodes), completion[1]

@@ -174,6 +174,44 @@ class TestColumnsAndDelimiters:
         assert json.loads(out)["boundaries"] == [4.0]
 
 
+class TestParser:
+    REQUIRED = ("--input", "pop.csv", "--strata", "3", "--sample-size", "9")
+
+    def parse(self, *args):
+        return cli.RunConfig(**vars(cli.build_parser().parse_args(args)))
+
+    def test_defaults_are_the_run_config_defaults(self):
+        assert self.parse(*self.REQUIRED) == cli.RunConfig("pop.csv", 3, 9)
+
+    def test_every_flag_sets_its_field(self):
+        cfg = self.parse(
+            *self.REQUIRED, "--x-col", "size", "--y-col", "income", "--no-fpc",
+            "--check-oracle", "--oracle-cap", "50", "--json", "--tab", "--neyman",
+        )
+        assert cfg == cli.RunConfig(
+            input_path="pop.csv",
+            strata=3,
+            sample_size=9,
+            x_col="size",
+            y_col="income",
+            fpc=False,
+            oracle_check=True,
+            oracle_cap=50,
+            output_format="json",
+            delimiter="\t",
+            neyman=True,
+        )
+
+    def test_help_names_each_flag_and_metavar(self):
+        text = cli.build_parser().format_help()
+        for usage in (
+            "--input INPUT", "--x-col X_COL", "--y-col Y_COL", "--strata L",
+            "--sample-size n", "[--no-fpc]", "[--check-oracle]", "[--oracle-cap M]",
+            "[--json]", "[--tab]", "[--neyman]",
+        ):
+            assert usage in text
+
+
 class TestExitCodes:
     def test_missing_file_exits_2_with_no_output(self, capsys):
         code, out, err = run_cli(

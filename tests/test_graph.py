@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
 
+import stratopt.graph
 from stratopt import (
     InfeasibleProblemError,
     arc_counts,
@@ -12,9 +15,19 @@ from stratopt import (
     build_prefix_moments,
     count_solutions,
     dump_arcs,
+    segment_stats,
+    solve,
+    unit_cost,
 )
 
-from helpers import count_paths, desk_table, table_from_pairs
+from helpers import (
+    count_paths,
+    desk_table,
+    random_pairs,
+    skewed_table,
+    table_from_pairs,
+    tie_heavy_pairs,
+)
 
 
 def arc_pairs(graph, layer):
@@ -133,6 +146,40 @@ class TestAttachCosts:
         ft = desk_table()
         with pytest.raises(ValueError):
             attach_costs(build_layered_graph(8, 3), build_prefix_moments(ft))
+
+    @pytest.mark.parametrize("seed", range(12))
+    @pytest.mark.parametrize("data", ["random", "tie-heavy"])
+    def test_every_arc_cost_is_its_segment_cost(self, data, seed):
+        """The view converts the table's exact units back to floats: each
+        arc reads the very float unit_cost(segment_stats(...)) gives."""
+        rng = random.Random(seed)
+        L = rng.randint(2, 6)
+        K = rng.randint(2 * L, 60)
+        if data == "random":
+            pairs = random_pairs(rng, L, k_max=K, k_min=K)
+        else:
+            pairs = tie_heavy_pairs(rng, K)
+        pm = build_prefix_moments(table_from_pairs(pairs))
+        graph = attach_costs(build_layered_graph(K, L), pm)
+        arcs = [a for layer in graph.layers for a in layer]
+        assert len(arcs) == arc_counts(K, L)[3]
+        assert [a.cost for a in arcs] == [
+            unit_cost(segment_stats(pm, a.tail, a.head)) for a in arcs
+        ]
+
+    def test_attach_costs_and_solve_build_no_arc(self, monkeypatch):
+        """Arcs exist only when the layers are read: building, costing and
+        solving the acceptance instance's graph never constructs one."""
+
+        def no_arc(*args):
+            raise AssertionError("an Arc was built")
+
+        pm = build_prefix_moments(skewed_table())
+        monkeypatch.setattr(stratopt.graph, "Arc", no_arc)
+        graph = attach_costs(build_layered_graph(pm.K, 5), pm)
+        assert solve(graph).nodes == (1, 38, 83, 132, 196, 273)
+        with pytest.raises(AssertionError, match="an Arc was built"):
+            graph.layers
 
 
 class TestDumpArcs:

@@ -69,6 +69,19 @@ class TestLoadPopulation:
         with pytest.raises(DataError, match="row 2"):
             load_population(io.StringIO("x,y\n1\n"), "x", "y")
 
+    @pytest.mark.parametrize(
+        "text,columns",
+        [
+            pytest.param('x\n"1\n"\nbogus\n', ("x",), id="bad-cell"),
+            pytest.param('x,y\n"1\n",2\n3\n', ("x", "y"), id="missing-column"),
+        ],
+    )
+    def test_row_number_is_the_line_after_a_multiline_field(self, text, columns):
+        """A quoted field spanning lines 2-3 must not shift the number of
+        the bad record on line 4 back to its record count, 3."""
+        with pytest.raises(DataError, match="^row 4: "):
+            load_population(io.StringIO(text), *columns)
+
     def test_empty_input(self):
         with pytest.raises(EmptyPopulationError):
             load_population(io.StringIO(""))
