@@ -7,16 +7,17 @@ j - i = 1 never appear: a one-group stratum cannot be guaranteed two units
 of every candidate split, so each stratum must span at least two groups.
 
 The solver never materialises the graph. It runs over layer_bounds and the
-unit_table of segment costs; LayeredGraph is a view of that same table that
-builds its Arc objects only when its layers are read.
+cost_table of segment costs, plain floats; LayeredGraph is a view of that
+same table that builds its Arc objects only when its layers are read.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
-from .errors import InfeasibleProblemError
-from .moments import PrefixMoments, cost_units_to_float, exact_cost_units, segment_row
+from .errors import DataError, InfeasibleProblemError
+from .moments import PrefixMoments, segment_row
 
 
 @dataclass(frozen=True, slots=True)
@@ -32,24 +33,22 @@ class Arc:
 Bounds = tuple[tuple[range, int, int], ...]
 """Per layer: its tails, its first head, and one past its last head."""
 
-UnitTable = tuple[list[list[int]], list[int | None]]
-"""(rows, final) segment costs in exact 2^-1074 units, as unit_table lays
-them out."""
+CostTable = tuple[list[list[float]], list[float | None]]
+"""(rows, final) segment costs N_h * S2_h, as cost_table lays them out."""
 
 
 @dataclass(frozen=True, slots=True)
 class LayeredGraph:
     """The graph for K distinct values and L strata, with its costs as a
-    unit_table, or None while uncosted.
+    cost_table, or None while uncosted.
 
     layers lists the arcs per layer, each layer ordered by (tail, head); it
-    is built from layer_bounds on every read, with each cost converted back
-    from its exact units (the float the table was made from, bit for bit).
+    is built from layer_bounds on every read, each cost read from the table.
     """
 
     K: int
     L: int
-    table: UnitTable | None = None
+    table: CostTable | None = None
 
     @property
     def source(self) -> int:
@@ -66,8 +65,7 @@ class LayeredGraph:
                 return None
             rows, final = self.table
             # only the last layer reaches the terminal K+1
-            units = final[i] if j > self.K else rows[i][j - i - 2]
-            return cost_units_to_float(units)
+            return final[i] if j > self.K else rows[i][j - i - 2]
 
         return tuple(
             tuple(
@@ -132,9 +130,8 @@ def arc_counts(K: int, L: int) -> tuple[int, int, int, int]:
     return span, span, middle, 2 * span + (L - 2) * middle
 
 
-def unit_table(pm: PrefixMoments, bounds: Bounds) -> UnitTable:
-    """N_h * S2_h of every segment that is an arc of some layer, each once,
-    in exact 2^-1074 integer units.
+def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
+    """N_h * S2_h of every segment that is an arc of some layer, each once.
 
     Returns (rows, final). rows[i][j - i - 2] is the cost of (i, j) for the
     heads j = i+2, i+3, ... that layers 1..L-1 pair with tail i; each of
@@ -142,9 +139,9 @@ def unit_table(pm: PrefixMoments, bounds: Bounds) -> UnitTable:
     is the cost of the last stratum i..K for each tail of layer L, whose one
     head is K+1, and None at every other node. Memory thus follows the arc
     count (linear in K for L <= 2). Each tail's segments are costed by one
-    segment_row call, and no segment outside the graph is ever costed. Sums
-    of units do not depend on summation order, so equal-cost paths are
-    genuinely tied.
+    segment_row call, and no segment outside the graph is ever costed.
+    Every cost is a finite float >= 0, which the solver's tie certificate
+    relies on: raises DataError when one overflows.
     """
     K = pm.K
     *inner, (last_tails, _, _) = bounds
@@ -152,16 +149,19 @@ def unit_table(pm: PrefixMoments, bounds: Bounds) -> UnitTable:
     for tails, _, head_stop in inner:
         for i in tails:
             row_stop[i] = max(row_stop.get(i, 0), head_stop)
-    rows: list[list[int]] = [[] for _ in range(K + 1)]
-    final: list[int | None] = [None] * (K + 1)
+    rows: list[list[float]] = [[] for _ in range(K + 1)]
+    final: list[float | None] = [None] * (K + 1)
     for i in sorted(row_stop.keys() | set(last_tails)):
         heads = list(range(i + 2, row_stop.get(i, i + 2)))
         if i in last_tails:
             heads.append(K + 1)
-        row = [
-            exact_cost_units(n_pop * s2)
-            for n_pop, s2, _ in segment_row(pm, i, heads)
-        ]
+        row = [n_pop * s2 for n_pop, s2, _ in segment_row(pm, i, heads)]
+        if math.inf in row:
+            j = heads[row.index(math.inf)]
+            raise DataError(
+                f"y values too large: the cost of groups {i}..{j - 1} "
+                "overflows a float"
+            )
         if i in last_tails:
             final[i] = row.pop()
         rows[i] = row
@@ -169,7 +169,7 @@ def unit_table(pm: PrefixMoments, bounds: Bounds) -> UnitTable:
 
 
 def attach_costs(graph: LayeredGraph, pm: PrefixMoments) -> LayeredGraph:
-    """Return the graph with its unit_table attached, so that every arc
+    """Return the graph with its cost_table attached, so that every arc
     reads its cost N_h * S2_h.
 
     Every arc spans at least two groups and every group holds at least one
@@ -179,7 +179,7 @@ def attach_costs(graph: LayeredGraph, pm: PrefixMoments) -> LayeredGraph:
         raise ValueError(
             f"prefix moments cover {pm.K} groups, graph expects {graph.K}"
         )
-    return replace(graph, table=unit_table(pm, layer_bounds(graph.K, graph.L)))
+    return replace(graph, table=cost_table(pm, layer_bounds(graph.K, graph.L)))
 
 
 def dump_arcs(graph: LayeredGraph) -> str:

@@ -196,8 +196,15 @@ def exact_cost_units(cost: float) -> int:
 
 
 def cost_units_to_float(units: int) -> float:
-    """Collapse an exact unit count back to the nearest float."""
-    return units / _EXACT_SCALE
+    """Collapse an exact unit count back to the nearest float.
+
+    Raises DataError when the count lies beyond the float range, which a
+    sum of finite costs can reach.
+    """
+    try:
+        return units / _EXACT_SCALE
+    except OverflowError:
+        raise DataError("y values too large: a total cost overflows a float") from None
 
 
 def variance_factor(spec: ProblemSpec) -> float:

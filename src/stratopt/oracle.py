@@ -15,8 +15,13 @@ from operator import add
 from typing import Iterable, Iterator
 
 from .errors import ConsistencyError, OracleTooLargeError
-from .graph import layer_bounds, unit_table
-from .moments import ProblemSpec, build_prefix_moments, cost_units_to_float
+from .graph import cost_table, layer_bounds
+from .moments import (
+    ProblemSpec,
+    build_prefix_moments,
+    cost_units_to_float,
+    exact_cost_units,
+)
 from .population import FrequencyTable
 from .solver import PathSolution, StratificationSolution, path_to_solution
 
@@ -61,12 +66,13 @@ def brute_force_solve(
 ) -> StratificationSolution:
     """Score every feasible stratification and report the best.
 
-    Segment costs come from the solver's cost table in exact integer units,
-    so totals do not depend on summation order, cost ties are genuine, and
-    they resolve to the first composition enumerated: the lexicographically
-    smallest node sequence. Nothing else is shared with the solver's
-    dynamic program; since the table is shared, its layout is checked only
-    against a per-segment reference scorer in the test suite. Raises
+    Segment costs come from the solver's cost table, turned into exact
+    integer units as they are taken, so totals do not depend on summation
+    order, cost ties are genuine, and they resolve to the first composition
+    enumerated: the lexicographically smallest node sequence. Nothing else
+    is shared with the solver's dynamic program; since the table is shared,
+    its layout is checked only against a per-segment reference scorer in
+    the test suite. Raises
     OracleTooLargeError when the enumeration would exceed cap, and
     ConsistencyError when the walk scores a number of compositions other
     than count_solutions(K, L).
@@ -79,7 +85,10 @@ def brute_force_solve(
             f"enumeration needs {m} evaluations, above the cap of {cap}"
         )
     pm = build_prefix_moments(ft)
-    rows, final = unit_table(pm, bounds)
+    rows, final = cost_table(pm, bounds)
+    # scored in exact units, independent of the solver's tie certificate
+    rows = [list(map(exact_cost_units, row)) for row in rows]
+    final = [None if cost is None else exact_cost_units(cost) for cost in final]
     nodes, total, scored = _walk_compositions(rows, final, ft.K, spec.L)
     if scored != m:
         raise ConsistencyError(

@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 from operator import add
 
 from .errors import ConsistencyError, InvalidSpecError
-from .graph import Bounds, LayeredGraph, layer_bounds, unit_table
+from .graph import Bounds, LayeredGraph, cost_table, layer_bounds
 from .moments import (
     PrefixMoments,
     ProblemSpec,
@@ -21,6 +21,7 @@ from .moments import (
     build_prefix_moments,
     coefficient_of_variation,
     cost_units_to_float,
+    exact_cost_units,
     segment_stats,
     segment_stats_direct,
     total_variance_proportional,
@@ -81,7 +82,7 @@ def solve(graph: LayeredGraph) -> PathSolution:
     """Cheapest path from source to terminal using one arc per layer.
 
     An inspection view: runs solve_problem's dynamic program over the
-    unit_table that attach_costs attached, without building any arc.
+    cost_table that attach_costs attached, without building any arc.
     """
     if graph.table is None:
         raise ValueError("graph has no costs attached")
@@ -155,8 +156,8 @@ def path_to_solution(
 def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSolution:
     """Solve one stratification problem end to end.
 
-    Costs every segment that is an arc of some layer once, into a unit_table
-    of exact integer units, and runs the layered dynamic program over node
+    Costs every segment that is an arc of some layer once, into a
+    cost_table of floats, and runs the layered dynamic program over node
     indexes; no Arc or LayeredGraph is built (build_layered_graph,
     attach_costs and solve are inspection views over the same table and
     dynamic program). L = 1 is the one-layer case. The result carries
@@ -164,49 +165,99 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
 
     Raises InfeasibleProblemError when K < 2L (each stratum must get at
     least two distinct values, so a lone distinct value cannot even fill a
-    single stratum), and InvalidSpecError from path_to_solution when spec.N
-    differs from the table's N.
+    single stratum), InvalidSpecError from path_to_solution when spec.N
+    differs from the table's N, and DataError when a segment cost or the
+    optimal total overflows a float.
     """
     start = time.perf_counter()
     bounds = layer_bounds(ft.K, spec.L)
     pm = build_prefix_moments(ft)
-    nodes, total = _cheapest_path(bounds, *unit_table(pm, bounds))
+    nodes, total = _cheapest_path(bounds, *cost_table(pm, bounds))
     path = PathSolution(nodes, cost_units_to_float(total))
     solution = path_to_solution(path, pm, ft, spec)
     return replace(solution, elapsed=time.perf_counter() - start)
 
 
 def _cheapest_path(
-    bounds: Bounds, rows: list[list[int]], final: list[int | None]
+    bounds: Bounds, rows: list[list[float]], final: list[float | None]
 ) -> tuple[tuple[int, ...], int]:
-    """Least total over paths from node 1 to K+1 taking one arc per layer.
+    """Least total over paths from node 1 to K+1 taking one arc per layer,
+    and that total in exact 2^-1074 integer units.
 
-    rows and final are a unit_table over bounds: costs in exact integer
-    units, so sums do not depend on summation order and equal-cost paths
-    are genuinely tied. completion[i] is the least cost from node i to the
-    terminal through the layers already processed, from the last one back;
-    final is that for the last layer alone. Each earlier layer pairs a tail
-    i with the heads i+2, i+3, ... up to its head stop, whose costs open
-    rows[i]. Each (layer, tail) keeps its leftmost cheapest head, so
-    following the choices forward yields the lexicographically smallest
-    optimal node sequence.
+    rows and final are a cost_table over bounds. completion[i] is the float
+    cost from node i to the terminal along its optimal chain through the
+    layers already processed, from the last one back; final is that for the
+    last layer alone. Each earlier layer pairs a tail i with the heads i+2,
+    i+3, ... up to its head stop, whose costs open rows[i]. Each (layer,
+    tail) keeps its leftmost exactly cheapest head, so following the choices
+    forward yields the lexicographically smallest optimal node sequence.
+
+    The sums run in floats, and an exact tie certificate decides the head.
+    Costs are >= 0, so a float sum of at most L of them lies within a factor
+    1 +- gamma_L of its exact value, gamma_L = L*u / (1 - L*u) with
+    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, ch.
+    4); additions that land in the subnormal range are exact. A head whose
+    float total exceeds bound, a rounded-up best * (1 + gamma_L) /
+    (1 - gamma_L), is exactly dearer than the best head. When no head but
+    the float argmin is within bound, it is the answer; otherwise every head
+    within bound is resolved in exact units: its own cost plus the exact
+    completion of its head, computed once per (layer, node) along the chosen
+    chains. Each completion is the float sum along an exactly optimal chain,
+    so the bound holds at every layer. A total that overflowed to inf, or a
+    bound that did, leaves every head within bound.
     """
     *inner, (_, terminal, _) = bounds
+    # (1 + gamma_L) / (1 - gamma_L) = 1 / (1 - 2Lu) <= 1 + 4Lu while Lu <= 1/4
+    widen = 1.0 + len(bounds) * 2.0**-51
+    inf, nextafter = math.inf, math.nextafter
     completion = final
+    # choices[level - 1] and known[level] belong to the tails of the layer
+    # `level` places before the last one; level 0 is the last layer
     choices: list[dict[int, int]] = []
+    known: list[dict[int, int]] = [{}]
+
+    def exact_completion(level: int, j: int) -> int:
+        """Exact units of the chosen chain from node j, a tail at level."""
+        walked = []
+        while level and j not in known[level]:
+            head = choices[level - 1][j]
+            walked.append((level, j, head))
+            level, j = level - 1, head
+        units = known[level].get(j)
+        if units is None:
+            units = known[0][j] = exact_cost_units(final[j])
+        for level, t, head in reversed(walked):
+            units += exact_cost_units(rows[t][head - t - 2])
+            known[level][t] = units
+        return units
+
     for tails, _, head_stop in reversed(inner):
-        here: list[int | None] = [None] * terminal
+        level = len(choices)
+        here: list[float | None] = [None] * terminal
         choice: dict[int, int] = {}
         for i in tails:
             # rows[i] may run past this layer's head stop; map stops there
             totals = list(map(add, rows[i], completion[i + 2 : head_stop]))
             best = min(totals)
-            here[i] = best
-            choice[i] = i + 2 + totals.index(best)
+            k = totals.index(best)
+            bound = nextafter(best * widen, inf)
+            totals[k] = inf
+            second = min(totals)
+            totals[k] = best
+            if second <= bound:
+                row = rows[i]
+                k = min(
+                    (index for index, total in enumerate(totals) if total <= bound),
+                    key=lambda index: exact_cost_units(row[index])
+                    + exact_completion(level, i + 2 + index),
+                )
+            here[i] = totals[k]
+            choice[i] = i + 2 + k
         completion = here
         choices.append(choice)
+        known.append({})
     nodes = [1]
     for choice in reversed(choices):
         nodes.append(choice[nodes[-1]])
     nodes.append(terminal)
-    return tuple(nodes), completion[1]
+    return tuple(nodes), exact_completion(len(choices), 1)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import random
 import statistics
+from operator import add
 
 from stratopt import (
     FrequencyTable,
@@ -27,6 +28,7 @@ from stratopt import (
     unit_cost,
     variance_factor,
 )
+from stratopt.graph import Bounds, CostTable
 from stratopt.moments import cost_units_to_float, exact_cost_units
 
 # sorts to the worked example multiset (2, 4, 4, 8, 10, 10, 10, 15, 15)
@@ -184,3 +186,43 @@ def count_paths(graph: LayeredGraph) -> int:
                 onward[arc.head] = onward.get(arc.head, 0) + weight
         ways = onward
     return ways.get(graph.sink, 0)
+
+
+def units_table(table: CostTable) -> tuple[list[list[int]], list[int | None]]:
+    """A cost_table with every cost embedded in exact 2^-1074 units."""
+    rows, final = table
+    return (
+        [[exact_cost_units(cost) for cost in row] for row in rows],
+        [None if cost is None else exact_cost_units(cost) for cost in final],
+    )
+
+
+def reference_cheapest_path(
+    bounds: Bounds, rows: list[list[int]], final: list[int | None]
+) -> tuple[tuple[int, ...], int]:
+    """The layered dynamic program run wholly in exact integer units, over
+    a units_table: the reference the solver's float dynamic program with its
+    tie certificate must match, node for node and unit for unit.
+
+    Each (layer, tail) keeps its leftmost cheapest head, so following the
+    choices forward yields the lexicographically smallest optimal node
+    sequence.
+    """
+    *inner, (_, terminal, _) = bounds
+    completion = final
+    choices: list[dict[int, int]] = []
+    for tails, _, head_stop in reversed(inner):
+        here: list[int | None] = [None] * terminal
+        choice: dict[int, int] = {}
+        for i in tails:
+            totals = list(map(add, rows[i], completion[i + 2 : head_stop]))
+            best = min(totals)
+            here[i] = best
+            choice[i] = i + 2 + totals.index(best)
+        completion = here
+        choices.append(choice)
+    nodes = [1]
+    for choice in reversed(choices):
+        nodes.append(choice[nodes[-1]])
+    nodes.append(terminal)
+    return tuple(nodes), completion[1]

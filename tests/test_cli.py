@@ -5,12 +5,16 @@ from __future__ import annotations
 import json
 import math
 import re
+import sys
 
 import pytest
 
 from stratopt import cli
 
 from helpers import DESK_CSV
+
+# a pair of units at -B and B costs N_h * S2_h = 4 B^2 = 0.9 * sys.float_info.max
+B = (0.225 * sys.float_info.max) ** 0.5
 
 
 @pytest.fixture()
@@ -241,29 +245,41 @@ class TestExitCodes:
         assert "row 3" in err
 
     @pytest.mark.parametrize(
-        "rows,strata",
+        "rows,strata,y_col",
         [
             pytest.param(
-                ("1.1e154", "1.11e154", "1.12e154", "1.13e154"), "2",
+                ("1.1e154", "1.11e154", "1.12e154", "1.13e154"), "2", None,
                 id="prefix-of-y2",
             ),
             # every prefix is finite, but a squared segment total of y is not
             pytest.param(
-                ("6e153", "6.01e153", "6.02e153", "6.03e153"), "1",
+                ("6e153", "6.01e153", "6.02e153", "6.03e153"), "1", None,
                 id="segment-total-L1",
             ),
             pytest.param(
                 ("4e153", "4.01e153", "4.02e153", "4.03e153", "4.04e153", "4.05e153"), "2",
-                id="segment-total-L2",
+                None, id="segment-total-L2",
+            ),
+            # every sum is finite, but N_h * S2_h of groups 1..2 is not
+            pytest.param(
+                ("1,-8.5e153", "2,8.5e153", "3,0", "4,0"), "2", "y", id="segment-cost-L2",
+            ),
+            pytest.param(("1,-8.5e153", "2,8.5e153"), "1", "y", id="segment-cost-L1"),
+            # each segment costs 0.9 * sys.float_info.max, their sum is not finite
+            pytest.param(
+                tuple(f"{x},{y!r}" for x, y in enumerate((-B, B, -B, B), start=1)), "2", "y",
+                id="path-total-L2",
             ),
         ],
     )
-    def test_float_overflow_exits_2(self, capsys, tmp_path, rows, strata):
+    def test_float_overflow_exits_2(self, capsys, tmp_path, rows, strata, y_col):
         path = tmp_path / "huge.csv"
-        path.write_text("x\n" + "\n".join(rows) + "\n")
-        code, out, err = run_cli(
-            capsys, "--input", str(path), "--strata", strata, "--sample-size", "2"
-        )
+        header = "x" if y_col is None else "x,y"
+        path.write_text(header + "\n" + "\n".join(rows) + "\n")
+        args = ["--input", str(path), "--strata", strata, "--sample-size", "2"]
+        if y_col is not None:
+            args += ["--y-col", y_col]
+        code, out, err = run_cli(capsys, *args)
         assert code == 2
         assert out == ""
         assert err.startswith("error: y values too large") and err.count("\n") == 1

@@ -19,6 +19,8 @@ from stratopt import (
     solve,
     unit_cost,
 )
+from stratopt.graph import layer_bounds
+from stratopt.moments import cost_units_to_float, exact_cost_units
 
 from helpers import (
     count_paths,
@@ -150,8 +152,8 @@ class TestAttachCosts:
     @pytest.mark.parametrize("seed", range(12))
     @pytest.mark.parametrize("data", ["random", "tie-heavy"])
     def test_every_arc_cost_is_its_segment_cost(self, data, seed):
-        """The view converts the table's exact units back to floats: each
-        arc reads the very float unit_cost(segment_stats(...)) gives."""
+        """The view reads the table: each arc carries the very float
+        unit_cost(segment_stats(...)) gives."""
         rng = random.Random(seed)
         L = rng.randint(2, 6)
         K = rng.randint(2 * L, 60)
@@ -195,6 +197,28 @@ class TestDumpArcs:
         first = dump_arcs(g).splitlines()[0].split("\t")
         assert first[:3] == ["1", "1", "3"]
         assert float(first[3]) == pytest.approx(4.0, rel=1e-12)
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("data", ["random", "tie-heavy"])
+    def test_costed_dump_matches_a_unit_derived_listing(self, data, seed):
+        """Byte for byte the listing of costs taken through exact 2^-1074
+        units and back, as when the table held units."""
+        rng = random.Random(55_000 + seed)
+        L = rng.randint(2, 6)
+        K = rng.randint(2 * L, 60)
+        if data == "random":
+            pairs = random_pairs(rng, L, k_max=K, k_min=K)
+        else:
+            pairs = tie_heavy_pairs(rng, K)
+        pm = build_prefix_moments(table_from_pairs(pairs))
+        listing = "\n".join(
+            f"{h}\t{i}\t{j}\t"
+            f"{cost_units_to_float(exact_cost_units(unit_cost(segment_stats(pm, i, j))))!r}"
+            for h, (tails, first_head, head_stop) in enumerate(layer_bounds(K, L), start=1)
+            for i in tails
+            for j in range(max(i + 2, first_head), head_stop)
+        )
+        assert dump_arcs(attach_costs(build_layered_graph(K, L), pm)) == listing
 
 
 class TestPathCounts:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 import tracemalloc
 
 import pytest
@@ -12,6 +13,7 @@ import stratopt.graph
 import stratopt.solver
 from stratopt import (
     ConsistencyError,
+    DataError,
     InfeasibleProblemError,
     InvalidSpecError,
     PathSolution,
@@ -28,6 +30,9 @@ from stratopt import (
     unit_cost,
     variance_factor,
 )
+from stratopt.graph import cost_table, layer_bounds
+from stratopt.moments import cost_units_to_float, exact_cost_units
+from stratopt.solver import _cheapest_path
 
 from helpers import (
     desk_table,
@@ -35,9 +40,11 @@ from helpers import (
     random_composition,
     random_instance,
     random_pairs,
+    reference_cheapest_path,
     skewed_table,
     table_from_pairs,
     tie_heavy_pairs,
+    units_table,
 )
 
 
@@ -71,6 +78,164 @@ class TestSolve:
         ft = table_from_pairs([(x, float(x)) for x in range(1, 7)])
         g = attach_costs(build_layered_graph(6, 3), build_prefix_moments(ft))
         assert solve(g).nodes == (1, 3, 5, 7)
+
+
+def table_with_costs(K, L, cost):
+    """A table laid out as cost_table lays out K groups and L strata, with
+    cost(i, j) as the cost of every segment (i, j)."""
+    ft = table_from_pairs((x, x) for x in range(K))
+    rows, final = cost_table(build_prefix_moments(ft), layer_bounds(K, L))
+    rows = [[cost(i, i + 2 + k) for k in range(len(row))] for i, row in enumerate(rows)]
+    final = [None if c is None else cost(i, K + 1) for i, c in enumerate(final)]
+    return rows, final
+
+
+def assert_matches_unit_dp(K, L, table):
+    bounds = layer_bounds(K, L)
+    assert _cheapest_path(bounds, *table) == reference_cheapest_path(
+        bounds, *units_table(table)
+    )
+
+
+# costs that misorder or tie under float rounding, and subnormal costs
+NEAR_TIE_COSTS = (0.0, 2**-54, 2**-53, 3 * 2**-54, 0.5, 0.5 + 2**-53, 1.0, 1.0 + 2**-52)
+SUBNORMAL_COSTS = (0.0, 5e-324, 1e-323, 2**-1070, 2**-1022 - 2**-1074, 2**-1022, 1e-310)
+
+
+class TestCertifiedPath:
+    """The float dynamic program with its exact tie certificate must return
+    the nodes and exact unit total of the dynamic program run wholly in
+    exact units."""
+
+    @pytest.mark.parametrize("block", range(20))
+    def test_matches_unit_dp(self, block):
+        """1000 seeded instances, random and tie-heavy, K <= 60, L 2-6,
+        through solve_problem and through solve on the costed graph."""
+        for seed in range(50 * block, 50 * block + 50):
+            rng = random.Random(606_000 + seed)
+            L = rng.randint(2, 6)
+            if seed % 2:
+                ft = random_instance(rng, L, 60)
+            else:
+                ft = table_from_pairs(tie_heavy_pairs(rng, rng.randint(2 * L, 60)))
+            bounds = layer_bounds(ft.K, L)
+            pm = build_prefix_moments(ft)
+            nodes, units = reference_cheapest_path(
+                bounds, *units_table(cost_table(pm, bounds))
+            )
+            total = cost_units_to_float(units).hex()
+            sol = solve_problem(ft, ProblemSpec(L=L, n=max(1, ft.N // 4), N=ft.N))
+            path = solve(attach_costs(build_layered_graph(ft.K, L), pm))
+            assert (sol.nodes, sol.total_unit_cost.hex()) == (nodes, total)
+            assert (path.nodes, path.total_unit_cost.hex()) == (nodes, total)
+
+    @pytest.mark.parametrize(
+        "K,L,costs,nodes",
+        [
+            # both chains cost exactly 1 + 2^-52; the second sums to 1.0
+            pytest.param(
+                7, 3,
+                {(1, 3): 1.0 + 2**-52, (3, 5): 0.0, (5, 8): 0.0,
+                 (1, 4): 2**-53, (4, 6): 2**-53, (6, 8): 1.0},
+                (1, 3, 5, 8), id="tie-goes-to-the-leftmost",
+            ),
+            # 1 + 2^-52 exactly sums to 1.0; 1 + 3 * 2^-54 sums to 1 + 2^-52
+            pytest.param(
+                7, 3,
+                {(1, 3): 2**-53, (3, 5): 2**-53, (5, 8): 1.0,
+                 (1, 4): 1.0, (4, 6): 2**-53, (6, 8): 2**-54},
+                (1, 4, 6, 8), id="strict-order-reversed",
+            ),
+            # four additions each lose 2^-53: a tie two ulps apart in floats
+            pytest.param(
+                11, 5,
+                {(1, 3): 1.0 + 2**-51, (3, 5): 0.0, (5, 7): 0.0, (7, 9): 0.0, (9, 12): 0.0,
+                 (1, 4): 2**-53, (4, 6): 2**-53, (6, 8): 2**-53, (8, 10): 2**-53,
+                 (10, 12): 1.0},
+                (1, 3, 5, 7, 9, 12), id="tie-after-four-roundings",
+            ),
+        ],
+    )
+    def test_float_rounding_misorders_the_exact_order(self, K, L, costs, nodes):
+        """Two chains whose float sums order them otherwise than their exact
+        sums; every other segment costs 10."""
+        table = table_with_costs(K, L, lambda i, j: costs.get((i, j), 10.0))
+        units = sum(exact_cost_units(costs[arc]) for arc in zip(nodes, nodes[1:]))
+        assert _cheapest_path(layer_bounds(K, L), *table) == (nodes, units)
+        assert_matches_unit_dp(K, L, table)
+
+    @pytest.mark.parametrize(
+        "palette", [NEAR_TIE_COSTS, SUBNORMAL_COSTS], ids=["near-tie", "subnormal"]
+    )
+    @pytest.mark.parametrize("seed", range(10))
+    def test_hand_built_tables(self, palette, seed):
+        """Costs drawn from a few values that float sums tie or misorder,
+        or from subnormals, where the bound's own product rounds."""
+        rng = random.Random(616_000 + seed)
+        for _ in range(20):
+            L = rng.randint(2, 6)
+            K = rng.randint(2 * L, 2 * L + 12)
+            table = table_with_costs(K, L, lambda i, j: rng.choice(palette))
+            assert_matches_unit_dp(K, L, table)
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_every_float_total_overflows(self, seed):
+        """Finite costs whose every path total overflows to inf in floats:
+        every head is resolved in exact units."""
+        rng = random.Random(626_000 + seed)
+        L = rng.randint(3, 5)
+        K = rng.randint(2 * L, 2 * L + 10)
+        big = sys.float_info.max
+        table = table_with_costs(K, L, lambda i, j: rng.uniform(0.6, 0.9) * big)
+        assert_matches_unit_dp(K, L, table)
+        _, units = _cheapest_path(layer_bounds(K, L), *table)
+        with pytest.raises(DataError, match="y values too large"):
+            cost_units_to_float(units)
+
+    def test_exact_conversions_linear_in_K(self, monkeypatch):
+        """On random data, only the chosen chains and the few heads the
+        float totals cannot order are converted to exact units: at most
+        (L + 1) * K conversions, against one per table entry (36,292 here)
+        when the whole table is held in units."""
+        calls = 0
+        convert = exact_cost_units
+
+        def counting(cost):
+            nonlocal calls
+            calls += 1
+            return convert(cost)
+
+        for module in (stratopt.graph, stratopt.solver):
+            monkeypatch.setattr(module, "exact_cost_units", counting, raising=False)
+        rng = random.Random(272)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(272) for _ in range(3)]
+        )
+        spec = ProblemSpec(L=5, n=100, N=ft.N)
+        sol = solve_problem(ft, spec)
+        assert calls <= (spec.L + 1) * ft.K
+        monkeypatch.undo()
+        bounds = layer_bounds(ft.K, spec.L)
+        table = cost_table(build_prefix_moments(ft), bounds)
+        assert sol.nodes == reference_cheapest_path(bounds, *units_table(table))[0]
+
+    def test_memory_of_a_float_table(self):
+        """K = 1000, L = 5: about 0.5 million table entries. As floats they
+        peak near 16 MB traced; held as ~1100-bit integer units they took
+        over 80 MB."""
+        rng = random.Random(1000)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(1000) for _ in range(2)]
+        )
+        spec = ProblemSpec(L=5, n=100, N=ft.N)
+        tracemalloc.start()
+        try:
+            sol = solve_problem(ft, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
+        assert sol.nodes == (1, 411, 413, 555, 558, 1001)
 
 
 class TestPathToSolution:
