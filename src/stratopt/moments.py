@@ -14,7 +14,6 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .errors import (
-    ConsistencyError,
     DataError,
     DegenerateAllocationError,
     InfeasibleAllocationError,
@@ -23,9 +22,6 @@ from .errors import (
     UndefinedVarianceError,
 )
 from .population import FrequencyTable
-
-# relative slack separating rounding noise from a genuine accounting bug
-_NEGATIVE_SS_TOLERANCE = 1e-9
 
 
 @dataclass(frozen=True, slots=True)
@@ -105,10 +101,15 @@ def segment_stats(pm: PrefixMoments, i: int, j: int) -> SegmentStats:
     """Stats of the segment covering groups i..j-1 (1-based, j <= K+1).
 
     The one-head case of segment_row. Raises ValueError for a segment
-    outside the table, and the errors of segment_row.
+    outside the table, UndefinedVarianceError when the segment holds a
+    single unit, and DataError when its squared y total overflows a float.
     """
     if not 1 <= i < j <= pm.K + 1:
         raise ValueError(f"segment ({i}, {j}) outside 1 <= i < j <= {pm.K + 1}")
+    if pm.cum_count[j - 1] - pm.cum_count[i - 1] == 1:
+        raise UndefinedVarianceError(
+            f"segment of groups {i}..{j - 1} holds a single unit"
+        )
     return SegmentStats(*segment_row(pm, i, (j,))[0])
 
 
@@ -118,10 +119,11 @@ def segment_row(
     """(n_pop, s2, y_total) of the segments i..j-1 for each head j in heads.
 
     Every segment of one tail reads the tail's prefixes once; the callers
-    keep 1 <= i < j <= K+1. Raises UndefinedVarianceError when a segment
-    holds a single unit, DataError when its squared y total overflows a
-    float, and ConsistencyError when cancellation drives its sum of squares
-    negative beyond rounding noise.
+    keep 1 <= i < j <= K+1 and at least two units per segment. Raises
+    DataError when a squared y total overflows a float. A sum of squares
+    that cancellation drives negative is clamped to 0: that only lowers a
+    cost whose exact value is >= 0, and path_to_solution recomputes every
+    chosen segment through an independent route.
     """
     cum_count, cum_y, cum_y2 = pm.cum_count, pm.cum_y, pm.cum_y2
     count_before, y_before, y2_before = cum_count[i - 1], cum_y[i - 1], cum_y2[i - 1]
@@ -129,22 +131,12 @@ def segment_row(
     for j in heads:
         n_pop = cum_count[j - 1] - count_before
         y_total = cum_y[j - 1] - y_before
-        if n_pop == 1:
-            raise UndefinedVarianceError(
-                f"segment of groups {i}..{j - 1} holds a single unit"
-            )
-        y2_total = cum_y2[j - 1] - y2_before
-        ss = y2_total - y_total * y_total / n_pop
+        ss = cum_y2[j - 1] - y2_before - y_total * y_total / n_pop
         if ss < 0.0:
             if math.isinf(y_total * y_total):
                 raise DataError(
                     f"y values too large: the squared y total of groups "
                     f"{i}..{j - 1} overflows a float"
-                )
-            if ss < -_NEGATIVE_SS_TOLERANCE * abs(y2_total / n_pop):
-                raise ConsistencyError(
-                    f"sum of squares {ss} for groups {i}..{j - 1} is negative "
-                    "beyond rounding noise"
                 )
             ss = 0.0
         row.append((n_pop, ss / (n_pop - 1), y_total))
@@ -293,12 +285,21 @@ def allocate_neyman(
 
 
 def coefficient_of_variation(variance: float, total: float) -> float:
-    """Relative precision of the estimator, in percent: 100 * sqrt(V) / total."""
+    """Relative precision of the estimator, in percent: 100 * sqrt(V) / total.
+
+    Raises UndefinedCVError when the total is zero, or so close to zero
+    that the CV overflows a float.
+    """
     if variance < 0.0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     if total == 0.0:
         raise UndefinedCVError("population total is zero, CV undefined")
-    return 100.0 * math.sqrt(variance) / total
+    cv = 100.0 * math.sqrt(variance) / total
+    if not math.isfinite(cv):
+        raise UndefinedCVError(
+            f"population total {total!r} is too close to zero, CV overflows a float"
+        )
+    return cv
 
 
 def _compensated_prefix(values: Iterable[float]) -> tuple[float, ...]:

@@ -98,7 +98,8 @@ def load_population(
 
 def build_frequency_table(population: Population) -> FrequencyTable:
     """Collapse a grouped population into per-distinct-value aggregates,
-    ascending in x. Only the K distinct keys are sorted."""
+    ascending in x. Only the K distinct keys are sorted. Raises DataError
+    when a group's sum of squared y overflows a float."""
     if not population.groups:
         raise EmptyPopulationError("cannot tabulate an empty population")
     q: list[float] = []
@@ -107,9 +108,14 @@ def build_frequency_table(population: Population) -> FrequencyTable:
     y_sumsq: list[float] = []
     for value in sorted(population.groups):
         ys = population.groups[value]
-        total_sq = math.fsum(y * y for y in ys)
+        try:
+            total_sq = math.fsum(y * y for y in ys)
+        except OverflowError:  # finite squares whose sum is not
+            total_sq = math.inf
         if not math.isfinite(total_sq):
-            raise DataError(f"sum of squared y overflows in group x={value!r}")
+            raise DataError(
+                f"y values too large: the sum of squared y overflows in group x={value!r}"
+            )
         q.append(value)
         count.append(len(ys))
         y_sum.append(math.fsum(ys))

@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass, replace
 from operator import add
 
-from .errors import ConsistencyError, InvalidSpecError
+from .errors import ConsistencyError, DataError, InvalidSpecError
 from .graph import Bounds, LayeredGraph, cost_table, layer_bounds
 from .moments import (
     PrefixMoments,
@@ -24,8 +24,8 @@ from .moments import (
     exact_cost_units,
     segment_stats,
     segment_stats_direct,
-    total_variance_proportional,
     unit_cost,
+    variance_factor,
 )
 from .population import FrequencyTable
 
@@ -95,13 +95,16 @@ def path_to_solution(
     pm: PrefixMoments,
     ft: FrequencyTable,
     spec: ProblemSpec,
-    elapsed: float = 0.0,
 ) -> StratificationSolution:
     """Expand a path into boundaries, per-stratum figures, variance, and CV.
 
-    Every stratum is recomputed through the direct per-group route as a
-    self-check against the prefix-difference costs; a relative gap beyond
-    1e-7 raises ConsistencyError.
+    Every stratum is recomputed through the direct per-group route, the one
+    consistency check of the cost route: a unit-count mismatch or a relative
+    cost gap beyond 1e-7 raises ConsistencyError. The costs are summed once,
+    and the variance is variance_factor(spec) times that total. Raises
+    DataError when the total or the variance overflows a float,
+    InvalidSpecError when spec.N differs from the table's N, and the errors
+    of segment_stats and coefficient_of_variation.
     """
     nodes = path.nodes
     if nodes[0] != 1 or nodes[-1] != ft.K + 1:
@@ -135,7 +138,13 @@ def path_to_solution(
     fractional, rounded = allocate_proportional(
         [s.n_pop for s in stats_by_stratum], spec
     )
-    variance = total_variance_proportional(costs, spec)
+    try:
+        total = math.fsum(costs)
+    except OverflowError:
+        raise DataError("y values too large: a total cost overflows a float") from None
+    variance = variance_factor(spec) * total
+    if not math.isfinite(variance):
+        raise DataError("y values too large: the variance overflows a float")
     cv = coefficient_of_variation(variance, math.fsum(ft.y_sum))
     boundaries = tuple(ft.q[node - 2] for node in nodes[1:-1])
     strata = tuple(
@@ -146,10 +155,10 @@ def path_to_solution(
         boundaries=boundaries,
         strata=strata,
         nodes=nodes,
-        total_unit_cost=math.fsum(costs),
+        total_unit_cost=total,
         variance=variance,
         cv=cv,
-        elapsed=elapsed,
+        elapsed=0.0,
     )
 
 
@@ -166,8 +175,10 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     Raises InfeasibleProblemError when K < 2L (each stratum must get at
     least two distinct values, so a lone distinct value cannot even fill a
     single stratum), InvalidSpecError from path_to_solution when spec.N
-    differs from the table's N, and DataError when a segment cost or the
-    optimal total overflows a float.
+    differs from the table's N, DataError when a segment cost, the optimal
+    total or the variance overflows a float, UndefinedCVError when the
+    population total is zero or too close to zero for a finite CV, and
+    ConsistencyError when path_to_solution's self-check fails.
     """
     start = time.perf_counter()
     bounds = layer_bounds(ft.K, spec.L)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import io
 import random
 import statistics
+from fractions import Fraction
 from operator import add
 
 from stratopt import (
@@ -173,6 +174,29 @@ def reference_brute_force_solve(
     assert best_nodes is not None and best_total is not None
     path = PathSolution(best_nodes, cost_units_to_float(best_total))
     return path_to_solution(path, pm, ft, spec)
+
+
+def exact_brute_force_nodes(pairs, L: int) -> tuple[int, ...]:
+    """Leftmost optimal node sequence with every composition scored in
+    exact rationals straight from the raw (x, y) floats: the sum of
+    N_h * S2_h as a Fraction, no float rounding anywhere."""
+    groups: dict[float, list[Fraction]] = {}
+    for x, y in pairs:
+        groups.setdefault(float(x), []).append(Fraction(y))
+    ys_by_group = [groups[x] for x in sorted(groups)]
+    best_nodes: tuple[int, ...] | None = None
+    best_total: Fraction | None = None
+    for widths in enumerate_compositions(len(ys_by_group), L):
+        nodes = nodes_from_composition(widths)
+        total = Fraction(0)
+        for i, j in zip(nodes, nodes[1:]):
+            ys = [y for group in ys_by_group[i - 1 : j - 1] for y in group]
+            total += len(ys) * statistics.variance(ys)
+        if best_total is None or total < best_total:
+            best_total = total
+            best_nodes = nodes
+    assert best_nodes is not None
+    return best_nodes
 
 
 def count_paths(graph: LayeredGraph) -> int:

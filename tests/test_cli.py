@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 import re
 import sys
 
@@ -15,6 +16,11 @@ from helpers import DESK_CSV
 
 # a pair of units at -B and B costs N_h * S2_h = 4 B^2 = 0.9 * sys.float_info.max
 B = (0.225 * sys.float_info.max) ** 0.5
+# -C, C, then eight 1.0: prefix differences of y^2 over the 1.0 cancel below 0
+C = (0.2 * sys.float_info.max) ** 0.5
+CANCEL_ROWS = tuple(
+    f"{x},{y!r}" for x, y in enumerate((-C, C) + (1.0,) * 8, start=1)
+)
 
 
 @pytest.fixture()
@@ -28,6 +34,16 @@ def run_cli(capsys, *args):
     code = cli.main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def write_rows(tmp_path, rows, header="x,y"):
+    path = tmp_path / "pop.csv"
+    path.write_text(header + "\n" + "\n".join(rows) + "\n")
+    return str(path)
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
 
 
 class TestTextReport:
@@ -60,6 +76,27 @@ class TestTextReport:
         )
         assert code == 0
         assert re.search(r"nh neyman\s+0\.492\s+2\.508", out)
+
+    def test_neyman_row_without_dispersion(self, capsys, tmp_path):
+        path = write_rows(tmp_path, ("1,5", "2,5", "3,7", "4,7"))
+        code, out, err = run_cli(
+            capsys,
+            "--input", path, "--y-col", "y", "--strata", "2", "--sample-size", "2",
+            "--neyman",
+        )
+        assert code == 0
+        assert re.search(r"nh neyman\s+-\s+-\n", out + "\n")
+        assert err == "warning: every stratum has zero dispersion, shares are undefined\n"
+
+    def test_oracle_skipped_line(self, capsys, desk_csv):
+        code, out, err = run_cli(
+            capsys,
+            "--input", desk_csv, "--strata", "2", "--sample-size", "3",
+            "--check-oracle", "--oracle-cap", "1",
+        )
+        assert code == 0
+        assert "oracle      skipped" in out
+        assert err.startswith("warning: exhaustive check skipped: ")
 
 
 class TestJsonReport:
@@ -141,6 +178,32 @@ class TestJsonReport:
         weight_2 = 6 * math.sqrt(26 / 3)
         expected = [3 * w / (weight_1 + weight_2) for w in (weight_1, weight_2)]
         assert payload["neyman"] == pytest.approx(expected, rel=1e-9)
+
+    def test_neyman_field_without_dispersion(self, capsys, tmp_path):
+        path = write_rows(tmp_path, ("1,5", "2,5", "3,7", "4,7"))
+        code, out, err = run_cli(
+            capsys,
+            "--input", path, "--y-col", "y", "--strata", "2", "--sample-size", "2",
+            "--json", "--neyman",
+        )
+        assert code == 0
+        assert json.loads(out)["neyman"] is None
+        assert "zero dispersion" in err
+
+    @pytest.mark.parametrize("strata,boundaries", [("2", [8.0]), ("3", [6.0, 8.0])])
+    def test_cancellation_below_zero_is_solved(self, capsys, tmp_path, strata, boundaries):
+        """A prefix-difference sum of squares that cancels below zero is
+        clamped, not reported as an internal error; the oracle agrees."""
+        path = write_rows(tmp_path, CANCEL_ROWS)
+        code, out, err = run_cli(
+            capsys,
+            "--input", path, "--y-col", "y", "--strata", strata, "--sample-size", "5",
+            "--json", "--check-oracle",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["boundaries"] == boundaries
+        assert payload["oracle_checked"] is True
 
 
 class TestColumnsAndDelimiters:
@@ -270,6 +333,13 @@ class TestExitCodes:
                 tuple(f"{x},{y!r}" for x, y in enumerate((-B, B, -B, B), start=1)), "2", "y",
                 id="path-total-L2",
             ),
+            # each square is finite, but the sum of squares of group x=1 is not
+            pytest.param(
+                ("1,1e154", "1,1e154", "2,0", "2,1"), "1", "y", id="group-sum-of-squares",
+            ),
+            pytest.param(("1,1e155", "1,1", "2,0", "2,1"), "1", "y", id="group-square"),
+            # the one stratum costs a finite float, (N/n)(1 - n/N) = 4 times it is not
+            pytest.param(CANCEL_ROWS, "1", "y", id="variance-L1"),
         ],
     )
     def test_float_overflow_exits_2(self, capsys, tmp_path, rows, strata, y_col):
@@ -283,6 +353,19 @@ class TestExitCodes:
         assert code == 2
         assert out == ""
         assert err.startswith("error: y values too large") and err.count("\n") == 1
+
+    def test_cv_overflow_exits_3(self, capsys, tmp_path):
+        """The population total is the smallest subnormal, so 100 sqrt(V) / total
+        overflows a float."""
+        path = write_rows(tmp_path, ("1,1", "2,-1", "3,1", "4,-1", "5,5e-324", "6,0"))
+        code, out, err = run_cli(
+            capsys,
+            "--input", path, "--y-col", "y", "--strata", "1", "--sample-size", "2",
+            "--json",
+        )
+        assert (code, out) == (3, "")
+        assert err.startswith("error: population total 5e-324 is too close to zero")
+        assert err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "content,expected",
@@ -374,3 +457,50 @@ class TestExitCodes:
         assert code == 0
         assert "sample size of 0" in err
         assert "N           100" in out
+
+
+# from the least subnormal to 1e300, thick around 1.34e154 where y^2 overflows
+EXTREME_SCALES = (
+    5e-324, 1e-310, 1e-200, 1e-20, 1.0, 3.0, 1e20, 1e150,
+    1e153, 6e153, 1e154, 1.2e154, 1e155, 1e200, 1e300,
+)
+
+
+class TestNoTraceback:
+    def test_extreme_magnitudes_exit_with_a_code(self, capsys, tmp_path):
+        """Seeded small inputs whose y spans every float magnitude, both
+        signs: each run exits 0, 2, 3 or 4. On 0 stdout is valid JSON (no
+        Infinity or NaN); otherwise stdout is empty and stderr one error."""
+        rng = random.Random(20261018)
+        path = tmp_path / "extreme.csv"
+        failures = []
+        for case in range(300):
+            rows = rng.randint(2, 10)
+            # a few magnitudes per input, so that sums can cancel exactly
+            pool = rng.choices(EXTREME_SCALES, k=rng.randint(1, 3))
+            pairs = [
+                (rng.randint(1, rows), rng.choice((-1, 1)) * rng.choice(pool))
+                for _ in range(rows)
+            ]
+            path.write_text("x,y\n" + "".join(f"{x},{y!r}\n" for x, y in pairs))
+            strata = rng.randint(1, 3)
+            n = rng.randint(1, rows)
+            args = ["--input", str(path), "--y-col", "y", "--strata", str(strata),
+                    "--sample-size", str(n), "--json"]
+            try:
+                code = cli.main(args)
+            except Exception as exc:  # noqa: BLE001 - any escape is the failure
+                capsys.readouterr()
+                failures.append((case, pairs, strata, n, repr(exc)))
+                continue
+            out, err = capsys.readouterr()
+            if code == 0:
+                try:
+                    json.loads(out, parse_constant=reject_constant)
+                except ValueError as exc:
+                    failures.append((case, pairs, strata, n, str(exc)))
+            elif code not in (2, 3, 4) or out or not (
+                err.startswith("error: ") and err.count("\n") == 1
+            ):
+                failures.append((case, pairs, strata, n, code, out, err))
+        assert failures == []

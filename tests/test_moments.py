@@ -327,6 +327,12 @@ class TestCoefficientOfVariation:
         with pytest.raises(UndefinedCVError):
             coefficient_of_variation(1.0, 0.0)
 
+    @pytest.mark.parametrize("total", [5e-324, -5e-324])
+    def test_total_too_close_to_zero_rejected(self, total):
+        """100 * sqrt(4) / 5e-324 overflows a float."""
+        with pytest.raises(UndefinedCVError, match="too close to zero"):
+            coefficient_of_variation(4.0, total)
+
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             coefficient_of_variation(-1.0, 78.0)

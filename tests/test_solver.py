@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import tracemalloc
+from dataclasses import replace
 
 import pytest
 
@@ -17,7 +18,6 @@ from stratopt import (
     InfeasibleProblemError,
     InvalidSpecError,
     PathSolution,
-    PrefixMoments,
     ProblemSpec,
     attach_costs,
     brute_force_solve,
@@ -36,6 +36,7 @@ from stratopt.solver import _cheapest_path
 
 from helpers import (
     desk_table,
+    exact_brute_force_nodes,
     nodes_from_composition,
     random_composition,
     random_instance,
@@ -46,6 +47,11 @@ from helpers import (
     tie_heavy_pairs,
     units_table,
 )
+
+# a pair of units at -B and B costs N_h * S2_h = 0.9 * sys.float_info.max
+OVERFLOW_B = (0.225 * sys.float_info.max) ** 0.5
+# C^2 is large enough for prefix differences of y^2 to lose every unit
+CANCEL_C = (0.2 * sys.float_info.max) ** 0.5
 
 
 @pytest.fixture(scope="module")
@@ -301,18 +307,33 @@ class TestPathToSolution:
         with pytest.raises(InvalidSpecError):
             path_to_solution(PathSolution((1, 3, 6), 56.0), pm, ft, spec)
 
-    def test_self_check_catches_corrupted_moments(self, desk):
-        """Tampering with one cumulative square must trip the independent
-        recomputation."""
+    @pytest.mark.parametrize(
+        "field,tamper,match",
+        [
+            pytest.param("cum_y2", 500.0, "cost mismatch", id="cum_y2"),
+            pytest.param("cum_count", 1, "unit counts disagree", id="cum_count"),
+        ],
+    )
+    def test_self_check_catches_corrupted_moments(self, desk, field, tamper, match):
+        """Tampering with one cumulative square, or one cumulative count,
+        must trip the independent recomputation."""
         ft, pm = desk
-        corrupted = PrefixMoments(
-            pm.cum_count,
-            pm.cum_y,
-            pm.cum_y2[:2] + (pm.cum_y2[2] + 500.0,) + pm.cum_y2[3:],
+        column = getattr(pm, field)
+        corrupted = replace(
+            pm, **{field: column[:2] + (column[2] + tamper,) + column[3:]}
         )
         spec = ProblemSpec(L=2, n=3, N=9)
-        with pytest.raises(ConsistencyError):
+        with pytest.raises(ConsistencyError, match=match):
             path_to_solution(PathSolution((1, 3, 6), 56.0), corrupted, ft, spec)
+
+    def test_path_total_beyond_float_range_is_a_data_error(self):
+        """Each stratum (-B, B) costs 0.9 * sys.float_info.max; the two
+        summed overflow a float."""
+        ft = table_from_pairs(zip(range(1, 5), (-OVERFLOW_B, OVERFLOW_B) * 2))
+        pm = build_prefix_moments(ft)
+        spec = ProblemSpec(L=2, n=2, N=4)
+        with pytest.raises(DataError, match="y values too large: a total cost"):
+            path_to_solution(PathSolution((1, 3, 5), 0.0), pm, ft, spec)
 
 
 class TestSolveProblem:
@@ -355,6 +376,20 @@ class TestSolveProblem:
         ft = desk_table()
         with pytest.raises(InvalidSpecError):
             solve_problem(ft, ProblemSpec(L=2, n=3, N=10))
+
+    @pytest.mark.parametrize("strata,nodes", [(2, (1, 9, 11)), (3, (1, 7, 9, 11))])
+    def test_cancelled_sum_of_squares_is_not_a_consistency_error(self, strata, nodes):
+        """Groups 1 and 2 hold -C and C with C^2 = 0.2 * sys.float_info.max,
+        and eight 1.0 follow. Prefix differences over the 1.0 groups cancel to
+        a sum of squares below zero; the cost is clamped to 0 and the answer
+        is the exact optimum of the input floats."""
+        pairs = list(zip(range(1, 11), (-CANCEL_C, CANCEL_C) + (1.0,) * 8))
+        ft = table_from_pairs(pairs)
+        spec = ProblemSpec(L=strata, n=5, N=10)
+        sol = solve_problem(ft, spec)
+        assert sol.nodes == nodes
+        assert brute_force_solve(ft, spec).nodes == nodes
+        assert exact_brute_force_nodes(pairs, strata) == nodes
 
     @pytest.mark.parametrize(
         "seed,strata,k_min,k_max",
