@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -56,10 +57,13 @@ def run(cfg: RunConfig) -> int:
     consistency failures.
     """
     try:
-        with open(cfg.input_path, newline="", encoding="utf-8-sig") as handle:
-            population = load_population(
-                handle, cfg.x_col, cfg.y_col, delimiter=cfg.delimiter
-            )
+        try:
+            with open(cfg.input_path, newline="", encoding="utf-8-sig") as handle:
+                population = load_population(
+                    handle, cfg.x_col, cfg.y_col, delimiter=cfg.delimiter
+                )
+        except OSError as exc:
+            return _fail(f"cannot read input: {exc}", EXIT_INPUT)
         ft = build_frequency_table(population)
         spec = ProblemSpec(
             L=cfg.strata, n=cfg.sample_size, N=ft.N, fpc=cfg.fpc
@@ -88,18 +92,23 @@ def run(cfg: RunConfig) -> int:
                     file=sys.stderr,
                 )
         if cfg.output_format == "json":
-            print(emit_json(solution, cfg, oracle_checked, neyman))
+            output = emit_json(solution, cfg, oracle_checked, neyman)
         else:
-            print(emit_text(solution, cfg, oracle_checked, neyman))
-        return EXIT_OK
-    except OSError as exc:
-        return _fail(f"cannot read input: {exc}", EXIT_INPUT)
+            output = emit_text(solution, cfg, oracle_checked, neyman)
     except (InputSchemaError, DataError, EmptyPopulationError) as exc:
         return _fail(str(exc), EXIT_INPUT)
     except (InvalidSpecError, InfeasibleProblemError, UndefinedCVError) as exc:
         return _fail(str(exc), EXIT_INFEASIBLE)
     except ConsistencyError as exc:
         return _fail(str(exc), EXIT_INTERNAL)
+    try:
+        # flush here, so a closed stdout fails now and not at interpreter exit
+        print(output)
+        sys.stdout.flush()
+    except OSError as exc:
+        _discard_stdout()
+        return _fail(f"cannot write report: {exc}", EXIT_INPUT)
+    return EXIT_OK
 
 
 def emit_json(
@@ -223,6 +232,21 @@ def _neyman_or_none(
     except DegenerateAllocationError as exc:
         print(f"warning: {exc}", file=sys.stderr)
         return None
+
+
+def _discard_stdout() -> None:
+    """Point stdout's descriptor at the null device after a failed write, so
+    the interpreter's flush at exit does not fail again on the report still
+    buffered and print a second error."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, OSError, ValueError):  # not backed by a descriptor
+        return
+    null = os.open(os.devnull, os.O_WRONLY)
+    try:
+        os.dup2(null, fd)
+    finally:
+        os.close(null)
 
 
 def _fail(message: str, code: int) -> int:

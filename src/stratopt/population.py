@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from operator import mul
+from typing import Iterable
 
 from .errors import DataError, EmptyPopulationError, InputSchemaError
 
@@ -74,22 +75,41 @@ def load_population(
             a cell is not a finite number (the message names the row if it can).
         EmptyPopulationError: the input has no data rows.
     """
-    rows = _read_rows(source, delimiter)
-    try:
-        header = [cell.strip() for cell in next(rows)[1]]
-    except StopIteration:
-        raise EmptyPopulationError("input has no header row") from None
-
-    x_index = _column_index(header, x_column)
-    y_index = None if y_column is None else _column_index(header, y_column)
-
+    reader = csv.reader(source, delimiter=delimiter)
     groups: dict[float, list[float]] = {}
-    for row_number, row in rows:
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        x = _parse_cell(row, x_index, x_column, row_number)
-        y = x if y_index is None else _parse_cell(row, y_index, y_column, row_number)
-        groups.setdefault(x, []).append(y)
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise EmptyPopulationError("input has no header row")
+        header = [cell.strip() for cell in header]
+        x_index = _column_index(header, x_column)
+        y_index = None if y_column is None else _column_index(header, y_column)
+
+        # a record starts on the line after the one the previous record ended
+        # on, so a quoted field spanning lines does not shift later row numbers
+        end = reader.line_num
+        for row in reader:
+            # float() strips the same whitespace as str.strip(), and a row
+            # with a cell it accepts is not blank, so a clean row needs no
+            # per-cell check; x - x is nonzero only for inf and nan
+            try:
+                x = float(row[x_index])
+                y = x if y_index is None else float(row[y_index])
+            except (ValueError, IndexError):
+                x = y = math.nan
+            if x - x != 0.0 or y - y != 0.0:  # the per-cell checks, in order
+                if not row or all(cell.strip() == "" for cell in row):
+                    end = reader.line_num
+                    continue
+                x = _parse_cell(row, x_index, x_column, end + 1)
+                y = x if y_index is None else _parse_cell(row, y_index, y_column, end + 1)
+            groups.setdefault(x, []).append(y)
+            end = reader.line_num
+    except UnicodeDecodeError:
+        # text decodes ahead of the parser in buffered chunks, so no row is named
+        raise DataError("input is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from None
 
     if not groups:
         raise EmptyPopulationError("input has a header but no data rows")
@@ -109,7 +129,7 @@ def build_frequency_table(population: Population) -> FrequencyTable:
     for value in sorted(population.groups):
         ys = population.groups[value]
         try:
-            total_sq = math.fsum(y * y for y in ys)
+            total_sq = math.fsum(map(mul, ys, ys))
         except OverflowError:  # finite squares whose sum is not
             total_sq = math.inf
         if not math.isfinite(total_sq):
@@ -121,25 +141,6 @@ def build_frequency_table(population: Population) -> FrequencyTable:
         y_sum.append(math.fsum(ys))
         y_sumsq.append(total_sq)
     return FrequencyTable(tuple(q), tuple(count), tuple(y_sum), tuple(y_sumsq))
-
-
-def _read_rows(
-    source: Iterable[str], delimiter: str
-) -> Iterator[tuple[int, list[str]]]:
-    """The one read point: each record with the line it starts on, so that
-    a quoted field spanning lines does not shift later row numbers.
-    Undecodable text or malformed CSV is a DataError."""
-    reader = csv.reader(source, delimiter=delimiter)
-    line = 1
-    try:
-        for row in reader:
-            yield line, row
-            line = reader.line_num + 1
-    except UnicodeDecodeError:
-        # text decodes ahead of the parser in buffered chunks, so no row is named
-        raise DataError("input is not UTF-8 text") from None
-    except csv.Error as exc:
-        raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from None
 
 
 def _column_index(header: list[str], name: str) -> int:

@@ -7,14 +7,20 @@ trustworthy independent scorer for small instances.
 
 from __future__ import annotations
 
+import csv
 import io
+import math
 import random
 import statistics
 from fractions import Fraction
 from operator import add
+from typing import Iterable, Iterator
 
 from stratopt import (
+    DataError,
+    EmptyPopulationError,
     FrequencyTable,
+    InputSchemaError,
     LayeredGraph,
     PathSolution,
     Population,
@@ -250,3 +256,75 @@ def reference_cheapest_path(
         nodes.append(choice[nodes[-1]])
     nodes.append(terminal)
     return tuple(nodes), completion[1]
+
+
+def reference_load_population(
+    source: Iterable[str],
+    x_column: str = "x",
+    y_column: str | None = None,
+    delimiter: str = ",",
+) -> Population:
+    """The loader as it was before clean rows skipped the per-cell checks:
+    every record passes the blank-row rule and one checked parse per cell.
+    The one-step loader must match it group for group and error for error."""
+    rows = _reference_read_rows(source, delimiter)
+    try:
+        header = [cell.strip() for cell in next(rows)[1]]
+    except StopIteration:
+        raise EmptyPopulationError("input has no header row") from None
+
+    x_index = _reference_column_index(header, x_column)
+    y_index = None if y_column is None else _reference_column_index(header, y_column)
+
+    groups: dict[float, list[float]] = {}
+    for row_number, row in rows:
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        x = _reference_parse_cell(row, x_index, x_column, row_number)
+        y = x if y_index is None else _reference_parse_cell(row, y_index, y_column, row_number)
+        groups.setdefault(x, []).append(y)
+
+    if not groups:
+        raise EmptyPopulationError("input has a header but no data rows")
+    return Population(groups)
+
+
+def _reference_read_rows(
+    source: Iterable[str], delimiter: str
+) -> Iterator[tuple[int, list[str]]]:
+    reader = csv.reader(source, delimiter=delimiter)
+    line = 1
+    try:
+        for row in reader:
+            yield line, row
+            line = reader.line_num + 1
+    except UnicodeDecodeError:
+        raise DataError("input is not UTF-8 text") from None
+    except csv.Error as exc:
+        raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from None
+
+
+def _reference_column_index(header: list[str], name: str) -> int:
+    try:
+        return header.index(name)
+    except ValueError:
+        raise InputSchemaError(
+            f"column {name!r} not found in header {header}"
+        ) from None
+
+
+def _reference_parse_cell(
+    row: list[str], index: int, name: str | None, row_number: int
+) -> float:
+    if index >= len(row):
+        raise DataError(f"row {row_number}: missing value for column {name!r}")
+    text = row[index].strip()
+    try:
+        value = float(text)
+    except ValueError:
+        raise DataError(
+            f"row {row_number}: cannot parse {name}={text!r} as a number"
+        ) from None
+    if not math.isfinite(value):
+        raise DataError(f"row {row_number}: non-finite {name}={text!r}")
+    return value

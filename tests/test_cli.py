@@ -4,15 +4,20 @@ from __future__ import annotations
 
 import json
 import math
+import os
 import random
 import re
+import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
 from stratopt import cli
 
 from helpers import DESK_CSV
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 # a pair of units at -B and B costs N_h * S2_h = 4 B^2 = 0.9 * sys.float_info.max
 B = (0.225 * sys.float_info.max) ** 0.5
@@ -446,6 +451,43 @@ class TestExitCodes:
         assert out == ""
         assert "disagrees" in err
         assert "nodes (1, 3, 6) vs (1, 4, 6)" in err
+
+    @pytest.mark.parametrize("fmt", [(), ("--json",)], ids=["text", "json"])
+    def test_closed_stdout_exits_2(self, capsys, desk_csv, monkeypatch, fmt):
+        """A report that cannot be written is one `cannot write report`
+        line, not a read error and not a traceback."""
+
+        class ClosedPipe:
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def flush(self):
+                pass
+
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        code = cli.main(["--input", desk_csv, "--strata", "2", "--sample-size", "3", *fmt])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert err == "error: cannot write report: [Errno 32] Broken pipe\n"
+
+    def test_closed_pipe_exits_2_with_one_line(self, desk_csv):
+        """The command line writing into a pipe whose reader has gone, with
+        stdout block-buffered: the report fails once, at the flush, and not
+        again when the interpreter flushes stdout at exit."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [SRC, env.get("PYTHONPATH")]))
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "stratopt.cli", "--input", desk_csv,
+                 "--strata", "2", "--sample-size", "3"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env, timeout=60,
+            )
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 2
+        assert proc.stderr == b"error: cannot write report: [Errno 32] Broken pipe\n"
 
     def test_zero_sample_stratum_warns_on_stderr(self, capsys, tmp_path):
         path = tmp_path / "skew.csv"

@@ -18,7 +18,13 @@ from stratopt import (
     load_population,
 )
 
-from helpers import DESK_CSV, table_from_pairs
+from helpers import DESK_CSV, reference_load_population, table_from_pairs
+
+# cell forms the differential corpus mixes: float() accepts every NUMBERS
+# entry; REJECTS each fail one check; PADS are ASCII and Unicode whitespace
+NUMBERS = ("0", "1", "2.5", "-0.0", "0.0", "1_000", "+.5", "1e3", "-7", "3.25e-2", "\u0661\u0662")
+REJECTS = ("1e309", "-inf", "inf", "nan", "bogus", "", "1__0", "0x10", "1,5", "2\x003")
+PADS = ("", "", " ", "  ", "\t", "\u00a0", "\u2003")
 
 
 class TestLoadPopulation:
@@ -111,6 +117,109 @@ class TestLoadPopulation:
             tracemalloc.stop()
         assert peak < 6 * 2**20
         assert (ft.K, ft.N) == (50, 100_000)
+
+
+def loader_outcome(load, text, x_column, y_column, delimiter):
+    """Groups as (key hex, [y hex]) in key order, so the sign of zero and
+    the order of first appearance count; or the error's type and message."""
+    try:
+        pop = load(io.StringIO(text), x_column, y_column, delimiter)
+    except (DataError, InputSchemaError, EmptyPopulationError) as exc:
+        return type(exc).__name__, str(exc)
+    return [(x.hex(), [y.hex() for y in ys]) for x, ys in pop.groups.items()]
+
+
+def quoted(text, delimiter):
+    if any(c in text for c in (delimiter, "\n", '"')):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
+def random_loader_input(rng):
+    """One input of the differential corpus: a header, then 1-12 records
+    mixing clean and padded numbers, rejected cells, blank and
+    delimiter-only rows, short and long rows, oversized fields, and quoted
+    fields that hold the delimiter or span lines (an id column, or x
+    itself)."""
+    delimiter = rng.choice((",", ",", "\t"))
+    newline = rng.choice(("\n", "\n", "\r\n"))
+    columns = ["x", "y", "id"] + (["w"] if rng.random() < 0.3 else [])
+    rng.shuffle(columns)
+    if rng.random() < 0.15:
+        columns.remove("y")
+    y_column = rng.choice((None, "y", "y") if "y" in columns else (None, None, "y"))
+
+    def number():
+        value = rng.choice(REJECTS) if rng.random() < 0.03 else rng.choice(NUMBERS)
+        return rng.choice(PADS) + value + rng.choice(PADS)
+
+    def cell(name):
+        if name in ("x", "y"):
+            if rng.random() < 0.05:  # x or y as a quoted multi-line field
+                return quoted(number() + "\n", delimiter)
+            return quoted(number(), delimiter)
+        if rng.random() < 0.2:
+            return quoted(rng.choice(("a,b", "a\tb", "two\nlines", 'say "hi"')), delimiter)
+        return str(rng.randrange(100))
+
+    header = delimiter.join(rng.choice(PADS[:3]) + c for c in columns)
+    lines = [header]
+    for _ in range(rng.randint(1, 12)):
+        form = rng.random()
+        if form < 0.01:  # a field over csv.field_size_limit() is malformed CSV
+            lines.append(delimiter.join(["1"] * (len(columns) - 1) + ["9" * 131_073]))
+        elif form < 0.05:
+            lines.append("")
+        elif form < 0.10:
+            lines.append(delimiter * rng.randint(1, len(columns)))
+        elif form < 0.13:
+            lines.append(delimiter.join(rng.choice(PADS) for _ in columns))
+        else:
+            cells = [cell(c) for c in columns]
+            if rng.random() < 0.05:
+                del cells[rng.randrange(len(cells)) :]
+            if rng.random() < 0.1:
+                cells.append(cell("id"))
+            lines.append(delimiter.join(cells))
+    text = newline.join(lines) + rng.choice((newline, newline, ""))
+    return text, y_column, delimiter
+
+
+class TestOneStepParse:
+    def test_matches_the_checked_loader(self):
+        """600 seeded inputs: the one-step loader returns the same groups
+        (key order, key and y hex) or raises the same error, with the same
+        message and row, as the loader that checks every cell."""
+        rng = random.Random(8)
+        kinds = {"ok": 0}
+        for _ in range(600):
+            text, y_column, delimiter = random_loader_input(rng)
+            expected = loader_outcome(reference_load_population, text, "x", y_column, delimiter)
+            got = loader_outcome(load_population, text, "x", y_column, delimiter)
+            assert got == expected, (text, y_column, delimiter)
+            if isinstance(got, list):
+                kinds["ok"] += 1
+            else:
+                kind = got[1].split(": ")[1].split(" ")[0] if got[1].startswith("row") else got[0]
+                kinds[kind] = kinds.get(kind, 0) + 1
+        # the corpus reaches every outcome the checked path can produce
+        assert kinds["ok"] >= 200
+        for kind in ("cannot", "non-finite", "missing", "malformed", "InputSchemaError"):
+            assert kinds.get(kind, 0) >= 3, kinds
+
+    def test_clean_rows_skip_the_per_cell_checks(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a clean row reached the per-cell checks")
+
+        text = "id,x,y\n1, 2.5 ,10\n2,1,\u00a0-0.5\n3,2.5,1_000\n"
+        expected = reference_load_population(io.StringIO(text), "x", "y").groups
+        monkeypatch.setattr("stratopt.population._parse_cell", refuse)
+        pop = load_population(io.StringIO(text), "x", "y")
+        assert pop.groups == {2.5: [10.0, 1000.0], 1.0: [-0.5]} == expected
+
+    def test_a_bad_row_still_reaches_the_per_cell_checks(self):
+        with pytest.raises(DataError, match="^row 3: cannot parse x='bogus' as a number$"):
+            load_population(io.StringIO("x,y\n1,2\nbogus,3\n"), "x", "y")
 
 
 class TestBuildFrequencyTable:
