@@ -187,14 +187,16 @@ def exact_cost_units(cost: float) -> int:
     return numerator << (1075 - denominator.bit_length())
 
 
-def cost_units_to_float(units: int) -> float:
-    """Collapse an exact unit count back to the nearest float.
+def cost_units_to_float(units: int, scale: int = _EXACT_SCALE) -> float:
+    """Collapse an exact count of 1/scale units back to the nearest float.
 
-    Raises DataError when the count lies beyond the float range, which a
-    sum of finite costs can reach.
+    Integer true division rounds correctly, so any power-of-two scale that
+    keeps the count an integer gives the same float. Raises DataError when
+    the count lies beyond the float range, which a sum of finite costs can
+    reach.
     """
     try:
-        return units / _EXACT_SCALE
+        return units / scale
     except OverflowError:
         raise DataError("y values too large: a total cost overflows a float") from None
 

@@ -9,10 +9,11 @@ from __future__ import annotations
 
 import math
 import time
+from bisect import bisect_right
 from dataclasses import replace
 from itertools import combinations, repeat
-from operator import add
-from typing import Iterable, Iterator
+from operator import add, mul
+from typing import Iterator
 
 from .errors import ConsistencyError, OracleTooLargeError
 from .graph import cost_table, layer_bounds
@@ -67,12 +68,14 @@ def brute_force_solve(
     """Score every feasible stratification and report the best.
 
     Segment costs come from the solver's cost table, turned into exact
-    integer units as they are taken, so totals do not depend on summation
-    order, cost ties are genuine, and they resolve to the first composition
-    enumerated: the lexicographically smallest node sequence. Nothing else
-    is shared with the solver's dynamic program; since the table is shared,
-    its layout is checked only against a per-segment reference scorer in
-    the test suite. Raises
+    integer units whose size the table's least positive cost sets, so
+    totals do not depend on summation order, cost ties are genuine, and
+    they resolve to the first composition enumerated: the lexicographically
+    smallest node sequence. The units are 2**-s for some s <= 1074, and
+    dividing the best total by 2**s rounds correctly, so its float does not
+    depend on s. Nothing else is shared with the solver's dynamic program;
+    since the table is shared, its layout is checked only against a
+    per-segment reference scorer in the test suite. Raises
     OracleTooLargeError when the enumeration would exceed cap, and
     ConsistencyError when the walk scores a number of compositions other
     than count_solutions(K, L).
@@ -85,18 +88,53 @@ def brute_force_solve(
             f"enumeration needs {m} evaluations, above the cap of {cap}"
         )
     pm = build_prefix_moments(ft)
-    rows, final = cost_table(pm, bounds)
     # scored in exact units, independent of the solver's tie certificate
-    rows = [list(map(exact_cost_units, row)) for row in rows]
-    final = [None if cost is None else exact_cost_units(cost) for cost in final]
+    rows, final, scale = _exact_units(*cost_table(pm, bounds))
     nodes, total, scored = _walk_compositions(rows, final, ft.K, spec.L)
     if scored != m:
         raise ConsistencyError(
             f"exhaustive walk scored {scored} compositions, expected {m}"
         )
-    path = PathSolution(nodes, cost_units_to_float(total))
+    path = PathSolution(nodes, cost_units_to_float(total, scale))
     solution = path_to_solution(path, pm, ft, spec)
     return replace(solution, elapsed=time.perf_counter() - start)
+
+
+def _exact_units(
+    rows: list[list[float]], final: list[float | None]
+) -> tuple[list[list[int]], list[int | None], int]:
+    """The cost table as exact integer counts of 1/scale units, and scale.
+
+    A float c > 0 is a 53-bit integer times 2**(e - 53), e = frexp(c)[1], so
+    scale = 2**(53 - e) with e that of the least positive cost makes every
+    cost an integer, and c * scale forms it exactly as a float while that
+    product stays in range. The table's own precision thus sets the scale,
+    which keeps the integers narrow. A table whose costs span too wide a
+    range for that takes 2**-1074 units, which hold any float.
+    """
+    costs = [cost for cost in final if cost is not None]
+    filled = [row for row in (*rows, costs) if row]
+    least = min(min(filter(None, row), default=math.inf) for row in filled)
+    shift = 0 if least == math.inf else max(0, 53 - math.frexp(least)[1])
+    if shift <= 1023 and max(map(max, filled)) * 2.0**shift < math.inf:
+        factor = 2.0**shift
+        scale = 1 << shift
+
+        def units(row: list[float]) -> Iterator[int]:
+            return map(int, map(mul, row, repeat(factor)))
+
+    else:
+        scale = 1 << 1074
+
+        def units(row: list[float]) -> Iterator[int]:
+            return map(exact_cost_units, row)
+
+    final_units = units(costs)
+    return (
+        [list(units(row)) for row in rows],
+        [None if cost is None else next(final_units) for cost in final],
+        scale,
+    )
 
 
 def _walk_compositions(
@@ -105,49 +143,71 @@ def _walk_compositions(
     """Cheapest node sequence by scoring every composition, its total in
     units, and the number of compositions scored.
 
-    The prefixes 1 = n_0 < ... < n_{L-3} come in lexicographic order (stars
-    and bars, as in enumerate_compositions), each with its total summed
-    from the table, and n_{L-2} = i runs over every position after each of
-    them. For each i, one pass over the row rows[i] scores every split j of
-    the last two strata, i..j-1 and j..K, as rows[i][j-i-2] + final[j].
-    Totals are exact integers, so the total up to i plus the min of the
-    pass is the least full total among the compositions through i; a
-    strict < and the leftmost min keep the first composition enumerated
-    among ties. Memory stays within a constant factor of the table's.
+    The last two strata, i..j-1 and j..K, cost rows[i][j-i-2] + final[j];
+    that list over j is formed once per i. For L >= 3 the prefixes
+    1 = n_0 < ... < n_{L-3} = a are grouped by a, and one flat list per
+    group holds rows[a][i-a-2] plus the last-two list of i for every i, in
+    (i, j) order. Each prefix of the group then forms every full total, its
+    own total plus each flat entry, in one C-level pass and keeps the
+    least. A group of one prefix has its total added while the list is
+    built, so it takes no pass of its own. Totals are exact integers, so
+    ties are genuine: min keeps the leftmost within a prefix, and across
+    prefixes, whose groups leave lexicographic order once L >= 5, the
+    smaller node sequence wins, so the answer is the first composition
+    enumerated among ties. Memory stays within a constant factor of the
+    table's, as each flat list is freed before the next is built.
     """
     if L == 1:
         return (1, K + 1), final[1], 1
+    reach = range(1, 2) if L == 2 else range(2 * L - 3, K - 2)
+    last_two = {i: list(map(add, rows[i], final[i + 2 : K])) for i in reach}
     if L == 2:
-        prefixes: Iterable[tuple[int, ...]] = [()]
-        reach = range(1, 2)
-    else:
-        # n_h - h for h = 1..L-3 rises strictly from 2 to at most K-L-2
-        prefixes = (
-            (1, *(m + h for h, m in enumerate(shifted, start=1)))
-            for shifted in combinations(range(2, K - L - 1), L - 3)
-        )
-        reach = range(2 * L - 3, K - 2)
-    # final[i+2:K] for each i the walk reaches, cut once: cutting it inside
-    # every pass measured ~10% slower on instances of K 30-60, L 3-6
-    finals = {i: final[i + 2 : K] for i in reach}
+        totals = last_two[1]
+        low = min(totals)
+        return (1, 3 + totals.index(low), K + 1), low, len(totals)
     best_nodes: tuple[int, ...] = ()
     best_total: int | None = None
     scored = 0
-    for prefix in prefixes:
-        if prefix:
-            a = prefix[-1]
-            base = sum(rows[t][h - t - 2] for t, h in zip(prefix, prefix[1:]))
-            # zip stops at the range before map reads past head K-3
-            tails = zip(range(a + 2, K - 2), map(add, repeat(base), rows[a]))
-        else:
-            tails = ((1, 0),)
-        for i, total in tails:
-            # rows[i] and finals[i] both cover the heads i+2..K-1
-            sub = list(map(add, rows[i], finals[i]))
-            low = min(sub)
-            scored += len(sub)
-            if best_total is None or total + low < best_total:
-                best_total = total + low
-                best_nodes = (*prefix, i, i + 2 + sub.index(low), K + 1)
+    for a, prefixes in _prefix_groups(K, L):
+        folded = len(prefixes) == 1
+        lead = _prefix_units(rows, prefixes[0]) if folded else 0
+        flat: list[int] = []
+        starts: list[int] = []
+        # zip stops at the range before reading past head K-3 of rows[a]
+        for i, cost in zip(range(a + 2, K - 2), rows[a]):
+            starts.append(len(flat))
+            flat += map(add, repeat(lead + cost), last_two[i])
+        for prefix in prefixes:
+            base = 0 if folded else _prefix_units(rows, prefix)
+            low = min(flat) if folded else min(map(add, repeat(base), flat))
+            scored += len(flat)
+            if best_total is None or low <= best_total:
+                at = flat.index(low - base)
+                block = bisect_right(starts, at) - 1
+                i = a + 2 + block
+                nodes = (*prefix, i, i + 2 + at - starts[block], K + 1)
+                if best_total is None or low < best_total or nodes < best_nodes:
+                    best_nodes, best_total = nodes, low
+        del flat
     assert best_total is not None
     return best_nodes, best_total, scored
+
+
+def _prefix_groups(K: int, L: int) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
+    """Every prefix 1 = n_0 < ... < n_{L-3} of an L >= 3 stratification,
+    grouped by its last node a, lexicographic within each group."""
+    if L == 3:
+        yield 1, [(1,)]
+        return
+    # n_h - h for h = 1..L-3 rises strictly from 2 to at most K-L-2 (stars
+    # and bars, as in enumerate_compositions), so a runs over 2L-5..K-5
+    for a in range(2 * L - 5, K - 4):
+        yield a, [
+            (1, *(m + h for h, m in enumerate(shifted, start=1)), a)
+            for shifted in combinations(range(2, a - L + 3), L - 4)
+        ]
+
+
+def _prefix_units(rows: list[list[int]], prefix: tuple[int, ...]) -> int:
+    """Total units of the strata that the node prefix closes."""
+    return sum(rows[t][h - t - 2] for t, h in zip(prefix, prefix[1:]))

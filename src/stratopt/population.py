@@ -75,8 +75,13 @@ def load_population(
             a cell is not a finite number (the message names the row if it can).
         EmptyPopulationError: the input has no data rows.
     """
-    reader = csv.reader(source, delimiter=delimiter)
+    # strict: a quoted field still open at the end of the input is an error,
+    # not a field that swallows the rest of the file
+    reader = csv.reader(source, delimiter=delimiter, strict=True)
     groups: dict[float, list[float]] = {}
+    # a record starts on the line after the one the previous record ended
+    # on, so a quoted field spanning lines does not shift later row numbers
+    end = 0
     try:
         header = next(reader, None)
         if header is None:
@@ -85,8 +90,6 @@ def load_population(
         x_index = _column_index(header, x_column)
         y_index = None if y_column is None else _column_index(header, y_column)
 
-        # a record starts on the line after the one the previous record ended
-        # on, so a quoted field spanning lines does not shift later row numbers
         end = reader.line_num
         for row in reader:
             # float() strips the same whitespace as str.strip(), and a row
@@ -109,7 +112,7 @@ def load_population(
         # text decodes ahead of the parser in buffered chunks, so no row is named
         raise DataError("input is not UTF-8 text") from None
     except csv.Error as exc:
-        raise DataError(f"row {reader.line_num}: malformed CSV: {exc}") from None
+        raise DataError(f"row {end + 1}: malformed CSV: {exc}") from None
 
     if not groups:
         raise EmptyPopulationError("input has a header but no data rows")

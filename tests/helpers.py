@@ -13,6 +13,7 @@ import math
 import random
 import statistics
 from fractions import Fraction
+from itertools import combinations, repeat
 from operator import add
 from typing import Iterable, Iterator
 
@@ -225,6 +226,55 @@ def units_table(table: CostTable) -> tuple[list[list[int]], list[int | None]]:
         [[exact_cost_units(cost) for cost in row] for row in rows],
         [None if cost is None else exact_cost_units(cost) for cost in final],
     )
+
+
+def reference_walk_compositions(
+    rows: list[list[int]], final: list[int | None], K: int, L: int
+) -> tuple[tuple[int, ...], int, int]:
+    """The exhaustive walk as it ran before the oracle grouped its prefixes,
+    over a units_table: cheapest node sequence, its total in 2^-1074 units,
+    and the number of compositions scored.
+
+    The prefixes 1 = n_0 < ... < n_{L-3} come in lexicographic order, each
+    with its total summed from the table, and n_{L-2} = i runs over every
+    position after each of them. For each i, one pass over rows[i] scores
+    every split j of the last two strata as rows[i][j-i-2] + final[j]; a
+    strict < and the leftmost min keep the first composition enumerated
+    among ties.
+    """
+    if L == 1:
+        return (1, K + 1), final[1], 1
+    if L == 2:
+        prefixes: Iterable[tuple[int, ...]] = [()]
+        reach = range(1, 2)
+    else:
+        # n_h - h for h = 1..L-3 rises strictly from 2 to at most K-L-2
+        prefixes = (
+            (1, *(m + h for h, m in enumerate(shifted, start=1)))
+            for shifted in combinations(range(2, K - L - 1), L - 3)
+        )
+        reach = range(2 * L - 3, K - 2)
+    finals = {i: final[i + 2 : K] for i in reach}
+    best_nodes: tuple[int, ...] = ()
+    best_total: int | None = None
+    scored = 0
+    for prefix in prefixes:
+        if prefix:
+            a = prefix[-1]
+            base = sum(rows[t][h - t - 2] for t, h in zip(prefix, prefix[1:]))
+            # zip stops at the range before map reads past head K-3
+            tails = zip(range(a + 2, K - 2), map(add, repeat(base), rows[a]))
+        else:
+            tails = ((1, 0),)
+        for i, total in tails:
+            sub = list(map(add, rows[i], finals[i]))
+            low = min(sub)
+            scored += len(sub)
+            if best_total is None or total + low < best_total:
+                best_total = total + low
+                best_nodes = (*prefix, i, i + 2 + sub.index(low), K + 1)
+    assert best_total is not None
+    return best_nodes, best_total, scored
 
 
 def reference_cheapest_path(

@@ -383,6 +383,14 @@ class TestExitCodes:
             ),
             pytest.param(b"x\n1\n2\x003\n4\n", "row 3", id="nul-byte"),
             pytest.param(b'x\n1\n"2\n3\n', "row 3", id="unterminated-quote"),
+            pytest.param(
+                b'x\n1\n2\n3\n4\n"5\n', "row 6: malformed CSV: unexpected end of data",
+                id="quote-open-at-end",
+            ),
+            pytest.param(
+                b'x\n1\n"2"3\n', "row 3: malformed CSV: ',' expected after '\"'",
+                id="text-after-closing-quote",
+            ),
             pytest.param(None, "cannot read input", id="directory"),
         ],
     )

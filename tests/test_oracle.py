@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import random
+import sys
 import tracemalloc
+from fractions import Fraction
 
 import pytest
 
@@ -12,15 +14,20 @@ import stratopt.moments
 import stratopt.oracle
 from stratopt import (
     ConsistencyError,
+    DataError,
     InfeasibleProblemError,
     InvalidSpecError,
     OracleTooLargeError,
     ProblemSpec,
     brute_force_solve,
+    build_prefix_moments,
     count_solutions,
     enumerate_compositions,
     solve_problem,
 )
+from stratopt.graph import cost_table, layer_bounds
+from stratopt.moments import cost_units_to_float
+from stratopt.oracle import _exact_units, _walk_compositions
 
 from helpers import (
     desk_table,
@@ -29,8 +36,10 @@ from helpers import (
     random_pairs,
     reference_brute_force_solve,
     reference_variance,
+    reference_walk_compositions,
     table_from_pairs,
     tie_heavy_pairs,
+    units_table,
 )
 
 
@@ -256,3 +265,121 @@ class TestBruteForceSolve:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+
+def _full_rows(K: int, L: int, cost):
+    """A cost table in the cost_table layout with every row running to head
+    K-1 and every last-stratum tail filled, each entry cost."""
+    rows = [[cost] * max(0, K - t - 2) for t in range(K + 1)]
+    final = [cost if 2 * L - 1 <= j <= K - 1 else None for j in range(K + 1)]
+    return rows, final
+
+
+class TestGroupedWalk:
+    """The walk groups prefixes by their last node and scores narrow units;
+    the per-prefix walk over 2^-1074 units in tests/helpers.py is its
+    reference."""
+
+    def test_matches_the_per_prefix_walk(self):
+        """2,100 seeded tables, random and tie-heavy, L from 1 to 7 and K
+        from 2L to 30 (26 for L >= 6): the same nodes, the same number of
+        compositions scored and the same exact total as a rational."""
+        rng = random.Random(2026)
+        for case in range(2100):
+            L = case % 7 + 1
+            K = rng.randint(2 * L, 30 if L < 6 else 26)
+            if case % 2:
+                pairs = random_pairs(rng, L, k_max=K, k_min=K)
+            else:
+                pairs = tie_heavy_pairs(rng, K)
+            ft = table_from_pairs(pairs)
+            table = cost_table(build_prefix_moments(ft), layer_bounds(K, L))
+            ref_nodes, ref_total, ref_scored = reference_walk_compositions(
+                *units_table(table), K, L
+            )
+            rows, final, scale = _exact_units(*table)
+            nodes, total, scored = _walk_compositions(rows, final, K, L)
+            assert (nodes, scored) == (ref_nodes, ref_scored), (case, K, L)
+            assert Fraction(total, scale) == Fraction(ref_total, 2**1074), (case, K, L)
+            assert scale <= 2**1074
+
+    def test_tie_across_groups_goes_to_the_smaller_nodes(self):
+        """(1, 3, 9, 11, 13, 15) and (1, 5, 7, 11, 13, 15) tie at the
+        minimum. The prefix (1, 5, 7) is scored first, in the group of last
+        node 7; the lexicographically smaller (1, 3, 9) comes later, in the
+        group of 9, and must still win."""
+        K, L = 14, 5
+        rows, final = _full_rows(K, L, 100)
+        for (t, h), cost in {
+            (1, 3): 3, (3, 9): 4, (9, 11): 2,
+            (1, 5): 1, (5, 7): 6, (7, 11): 2,
+            (11, 13): 5,
+        }.items():
+            rows[t][h - t - 2] = cost
+        final[13] = 7
+        expected = ((1, 3, 9, 11, 13, 15), 21, count_solutions(K, L))
+        assert reference_walk_compositions(rows, final, K, L) == expected
+        assert _walk_compositions(rows, final, K, L) == expected
+
+    @pytest.mark.parametrize(
+        "K,L,costs",
+        [
+            pytest.param(9, 3, (0.0, -0.0, 5e-324, 1e300, 9.9e299, 1.5e300), id="subnormal-and-1e300"),
+            pytest.param(12, 4, (1e-10, 1e300, 0.0, 7e299, 3.0), id="too-wide-for-floats"),
+            pytest.param(10, 2, (5e-324, 1e-320, 0.0, -0.0, 2.5e-323), id="subnormal-only"),
+            pytest.param(13, 5, (0.0, -0.0, 0.1, 0.2, 0.3), id="plain"),
+        ],
+    )
+    def test_exact_at_the_extremes(self, K, L, costs):
+        """Costs cycling through zeros, the least subnormal and values near
+        1e300: the nodes of the reference walk, and a total that rounds the
+        exact rational sum of the winning path's costs correctly."""
+        rows, final = _full_rows(K, L, 0.0)
+        cycle = iter(costs * (K * K))
+        rows = [[next(cycle) for _ in row] for row in rows]
+        final = [None if cost is None else next(cycle) for cost in final]
+        units, final_units, scale = _exact_units(rows, final)
+        if 5e-324 in costs:
+            assert scale == 2**1074
+        nodes, total, scored = _walk_compositions(units, final_units, K, L)
+        ref_nodes, ref_total, ref_scored = reference_walk_compositions(
+            *units_table((rows, final)), K, L
+        )
+        assert (nodes, scored) == (ref_nodes, ref_scored)
+        path = [rows[t][h - t - 2] for t, h in zip(nodes, nodes[1:-1])]
+        exact = sum(map(Fraction, [*path, final[nodes[-2]]]))
+        assert Fraction(total, scale) == exact == Fraction(ref_total, 2**1074)
+        assert cost_units_to_float(total, scale).hex() == float(exact).hex()
+
+    def test_total_past_the_float_range_raises(self):
+        """y = -B, B, -B, B with B = sqrt(0.225 * max float): each of the
+        two strata costs 0.9 * max float, so their total lies beyond the
+        float range. Tables of 1e308 per stratum take L = 3 and 5 there too."""
+        message = "^y values too large: a total cost overflows a float$"
+        B = (0.225 * sys.float_info.max) ** 0.5
+        ft = table_from_pairs([(float(x), B if x % 2 else -B) for x in range(4)])
+        with pytest.raises(DataError, match=message):
+            brute_force_solve(ft, ProblemSpec(L=2, n=1, N=4))
+        for L in (3, 5):
+            units, final_units, scale = _exact_units(*_full_rows(2 * L + 3, L, 1e308))
+            _, total, _ = _walk_compositions(units, final_units, 2 * L + 3, L)
+            with pytest.raises(DataError, match=message):
+                cost_units_to_float(total, scale)
+
+    def test_three_strata_memory(self):
+        """At K = 400, L = 3 the walk holds the units table, the last-two
+        lists and one flat list, each about K^2/2 narrow integers. Its
+        tracemalloc peak must stay below that of the per-prefix walk over
+        2^-1074 units on this input: 16,857,616 bytes on CPython 3.11."""
+        rng = random.Random(400)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(400) for _ in range(2)]
+        )
+        spec = ProblemSpec(L=3, n=100, N=ft.N)
+        tracemalloc.start()
+        try:
+            brute_force_solve(ft, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16_857_616

@@ -88,6 +88,24 @@ class TestLoadPopulation:
         with pytest.raises(DataError, match="^row 4: "):
             load_population(io.StringIO(text), *columns)
 
+    @pytest.mark.parametrize(
+        "text,expected",
+        [
+            pytest.param('"x"y\n1\n', "row 1: malformed CSV: ',' expected after '\"'", id="header"),
+            pytest.param('x\n1\n"2"3\n', "row 3: malformed CSV: ',' expected after '\"'", id="after-quote"),
+            pytest.param('x\n1\n2\n"3\n', "row 4: malformed CSV: unexpected end of data", id="open-at-end"),
+            pytest.param('x\n1\n"2\n3\n4\n', "row 3: malformed CSV: unexpected end of data", id="open-early"),
+            pytest.param('x\n"1\n"\n"2"3\n', "row 4: malformed CSV: ',' expected after '\"'", id="after-multiline"),
+        ],
+    )
+    def test_malformed_quoting_names_the_record_start(self, text, expected):
+        """A quote left open runs to the end of the input and text after a
+        closing quote is not a field: both are malformed, reported at the
+        line the record starts on, never loaded as a value."""
+        with pytest.raises(DataError) as info:
+            load_population(io.StringIO(text))
+        assert str(info.value) == expected
+
     def test_empty_input(self):
         with pytest.raises(EmptyPopulationError):
             load_population(io.StringIO(""))
