@@ -31,6 +31,9 @@ from .population import FrequencyTable
 
 # relative gap between the prefix and direct segment routes that flags a bug
 _SELF_CHECK_RTOL = 1e-7
+# a gap within this multiple of 2^-53 * n_h/(n_h - 1) * cum_y2[j - 1], the
+# largest magnitude the prefix route subtracts, is rounding it cannot avoid
+_SELF_CHECK_FLOOR = 8 * 2.0**-53
 
 
 @dataclass(frozen=True, slots=True)
@@ -99,8 +102,11 @@ def path_to_solution(
     """Expand a path into boundaries, per-stratum figures, variance, and CV.
 
     Every stratum is recomputed through the direct per-group route, the one
-    consistency check of the cost route: a unit-count mismatch or a relative
-    cost gap beyond 1e-7 raises ConsistencyError. The costs are summed once,
+    consistency check of the cost route: a unit-count mismatch, or a cost
+    gap beyond both 1e-7 relative and the rounding floor of the prefix route
+    (8 * 2^-53 * n_h/(n_h - 1) times the running sum of y^2 up to the
+    stratum's last group, the largest magnitude that route subtracts),
+    raises ConsistencyError. The costs are summed once,
     and the variance is variance_factor(spec) times that total. Raises
     DataError when the total or the variance overflows a float,
     InvalidSpecError when spec.N differs from the table's N, and the errors
@@ -127,7 +133,10 @@ def path_to_solution(
         fast_cost = unit_cost(fast)
         slow_cost = unit_cost(slow)
         gap = abs(fast_cost - slow_cost)
-        if gap > _SELF_CHECK_RTOL * max(abs(fast_cost), abs(slow_cost)):
+        if gap > max(
+            _SELF_CHECK_RTOL * max(abs(fast_cost), abs(slow_cost)),
+            _SELF_CHECK_FLOOR * fast.n_pop / (fast.n_pop - 1) * pm.cum_y2[j - 1],
+        ):
             raise ConsistencyError(
                 f"segment cost mismatch for groups {i}..{j - 1}: "
                 f"{fast_cost} vs {slow_cost}"
@@ -195,80 +204,82 @@ def _cheapest_path(
     """Least total over paths from node 1 to K+1 taking one arc per layer,
     and that total in exact 2^-1074 integer units.
 
-    rows and final are a cost_table over bounds. completion[i] is the float
-    cost from node i to the terminal along its optimal chain through the
-    layers already processed, from the last one back; final is that for the
-    last layer alone. Each earlier layer pairs a tail i with the heads i+2,
-    i+3, ... up to its head stop, whose costs open rows[i]. Each (layer,
-    tail) keeps its leftmost exactly cheapest head, so following the choices
-    forward yields the lexicographically smallest optimal node sequence.
+    rows and final are a cost_table over bounds. Each layer but the last
+    pairs a tail i with the heads i+2, i+3, ... up to its head stop, whose
+    costs open rows[i]; final holds the cost of the last layer's one arc
+    from each of its tails. Three passes:
 
-    The sums run in floats, and an exact tie certificate decides the head.
-    Costs are >= 0, so a float sum of at most L of them lies within a factor
-    1 +- gamma_L of its exact value, gamma_L = L*u / (1 - L*u) with
-    u = 2^-53 (Higham, Accuracy and Stability of Numerical Algorithms, ch.
-    4); additions that land in the subnormal range are exact. A head whose
+    - Backward, values only: each tail's float completion is the least of
+      its row plus the next layer's completions at those heads.
+    - Top-down, floats only: from node 1, each node the answer can pass
+      through certifies its one row. Its candidate heads are those whose
+      float total is within bound (below) of the row's best; they are the
+      next layer's needed nodes.
+    - Bottom-up, exact: each needed node takes the candidate with the least
+      exact total, its own cost plus the exact completion of that
+      candidate, leftmost among exact ties; the path is read forward.
+
+    The kept choices are the leftmost exactly cheapest heads, so the nodes
+    are the lexicographically smallest optimal sequence.
+
+    The certificate. Costs are >= 0, so a float sum of m <= L of them lies
+    within a factor (1 +- u)^m, inside 1 +- gamma_L, of its exact value,
+    gamma_L = L*u / (1 - L*u) with u = 2^-53 (Higham, Accuracy and
+    Stability of Numerical Algorithms, ch. 4); additions that land in the
+    subnormal range are exact. A float completion is the float sum along
+    the chain of its float argmins, so it is at least (1 - u)^m times that
+    chain's exact sum, hence times the exact optimum. Rounding is
+    monotone, so it is also at most the float sum along an exactly optimal
+    chain, at most (1 + u)^m times the optimum. Every head's float total is
+    therefore within 1 +- gamma_L of its exact total, and a head whose
     float total exceeds bound, a rounded-up best * (1 + gamma_L) /
-    (1 - gamma_L), is exactly dearer than the best head. When no head but
-    the float argmin is within bound, it is the answer; otherwise every head
-    within bound is resolved in exact units: its own cost plus the exact
-    completion of its head, computed once per (layer, node) along the chosen
-    chains. Each completion is the float sum along an exactly optimal chain,
-    so the bound holds at every layer. A total that overflowed to inf, or a
-    bound that did, leaves every head within bound.
+    (1 - gamma_L), is exactly dearer than the best head. Every exactly
+    cheapest head is thus a candidate, and each needed node's exact
+    completion is exact along its candidates. A total that overflowed to
+    inf, or a bound that did, leaves every head a candidate.
     """
     *inner, (_, terminal, _) = bounds
     # (1 + gamma_L) / (1 - gamma_L) = 1 / (1 - 2Lu) <= 1 + 4Lu while Lu <= 1/4
     widen = 1.0 + len(bounds) * 2.0**-51
-    inf, nextafter = math.inf, math.nextafter
-    completion = final
-    # choices[level - 1] and known[level] belong to the tails of the layer
-    # `level` places before the last one; level 0 is the last layer
-    choices: list[dict[int, int]] = []
-    known: list[dict[int, int]] = [{}]
-
-    def exact_completion(level: int, j: int) -> int:
-        """Exact units of the chosen chain from node j, a tail at level."""
-        walked = []
-        while level and j not in known[level]:
-            head = choices[level - 1][j]
-            walked.append((level, j, head))
-            level, j = level - 1, head
-        units = known[level].get(j)
-        if units is None:
-            units = known[0][j] = exact_cost_units(final[j])
-        for level, t, head in reversed(walked):
-            units += exact_cost_units(rows[t][head - t - 2])
-            known[level][t] = units
-        return units
-
+    # completions[h] is (first, values): values[j - first] is the float
+    # completion of node j, a tail of the layer h places after the first;
+    # the last entry is final
+    completions = [(0, final)]
     for tails, _, head_stop in reversed(inner):
-        level = len(choices)
-        here: list[float | None] = [None] * terminal
-        choice: dict[int, int] = {}
-        for i in tails:
-            # rows[i] may run past this layer's head stop; map stops there
-            totals = list(map(add, rows[i], completion[i + 2 : head_stop]))
-            best = min(totals)
-            k = totals.index(best)
-            bound = nextafter(best * widen, inf)
-            totals[k] = inf
-            second = min(totals)
-            totals[k] = best
-            if second <= bound:
-                row = rows[i]
-                k = min(
-                    (index for index, total in enumerate(totals) if total <= bound),
-                    key=lambda index: exact_cost_units(row[index])
-                    + exact_completion(level, i + 2 + index),
-                )
-            here[i] = totals[k]
-            choice[i] = i + 2 + k
-        completion = here
+        first, completion = completions[-1]
+        # rows[i] may run past this layer's head stop; map stops there
+        completions.append((tails.start, [
+            min(map(add, rows[i], completion[i + 2 - first : head_stop - first]))
+            for i in tails
+        ]))
+    completions.reverse()
+
+    needed = {1}
+    # candidates[h] maps each needed tail of layer h to its candidate heads
+    candidates: list[dict[int, list[int]]] = []
+    for (_, _, head_stop), (first, completion) in zip(inner, completions[1:]):
+        heads_of = {}
+        for i in needed:
+            at_heads = completion[i + 2 - first : head_stop - first]
+            totals = list(map(add, rows[i], at_heads))
+            bound = math.nextafter(min(totals) * widen, math.inf)
+            heads_of[i] = [j for j, total in enumerate(totals, i + 2) if total <= bound]
+        candidates.append(heads_of)
+        needed = {j for heads in heads_of.values() for j in heads}
+
+    exact = {j: exact_cost_units(final[j]) for j in needed}
+    choices = []
+    for heads_of in reversed(candidates):
+        choice, units = {}, {}
+        for i, heads in heads_of.items():
+            row = rows[i]
+            totals = [exact_cost_units(row[j - i - 2]) + exact[j] for j in heads]
+            units[i] = min(totals)
+            choice[i] = heads[totals.index(units[i])]
         choices.append(choice)
-        known.append({})
+        exact = units
     nodes = [1]
     for choice in reversed(choices):
         nodes.append(choice[nodes[-1]])
     nodes.append(terminal)
-    return tuple(nodes), exact_completion(len(choices), 1)
+    return tuple(nodes), exact[1]

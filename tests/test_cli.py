@@ -210,6 +210,24 @@ class TestJsonReport:
         assert payload["boundaries"] == boundaries
         assert payload["oracle_checked"] is True
 
+    def test_exact_zero_stratum_is_solved(self, capsys, tmp_path):
+        """The middle stratum (x = 4, 5, 5, y = 1e-20 each) costs exactly 0,
+        and the prefix route leaves 6.1e-56 of rounding there, below the
+        self-check's floor at the scale of the running sum of y^2 (~5e-40):
+        not an internal error, and the oracle agrees."""
+        rows = ("3,1e-20", "4,1e-20", "7,-1e-20", "5,1e-20", "5,1e-20", "2,-1e-20", "6,1e-20")
+        path = write_rows(tmp_path, rows)
+        code, out, err = run_cli(
+            capsys,
+            "--input", path, "--y-col", "y", "--strata", "3", "--sample-size", "1",
+            "--json", "--check-oracle",
+        )
+        assert code == 0
+        assert "mismatch" not in err
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["boundaries"] == [3.0, 5.0]
+        assert payload["oracle_checked"] is True
+
 
 class TestColumnsAndDelimiters:
     def test_y_column(self, capsys, tmp_path):

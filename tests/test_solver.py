@@ -113,13 +113,14 @@ class TestCertifiedPath:
     the nodes and exact unit total of the dynamic program run wholly in
     exact units."""
 
-    @pytest.mark.parametrize("block", range(20))
+    @pytest.mark.parametrize("block", range(30))
     def test_matches_unit_dp(self, block):
-        """1000 seeded instances, random and tie-heavy, K <= 60, L 2-6,
-        through solve_problem and through solve on the costed graph."""
+        """1500 seeded instances, random and tie-heavy, K <= 60, through
+        solve_problem and through solve on the costed graph: L 2-6 in
+        blocks 0-19, L 2-12 in blocks 20-29."""
         for seed in range(50 * block, 50 * block + 50):
             rng = random.Random(606_000 + seed)
-            L = rng.randint(2, 6)
+            L = rng.randint(2, 6 if block < 20 else 12)
             if seed % 2:
                 ft = random_instance(rng, L, 60)
             else:
@@ -222,6 +223,42 @@ class TestCertifiedPath:
         assert calls <= (spec.L + 1) * ft.K
         monkeypatch.undo()
         bounds = layer_bounds(ft.K, spec.L)
+        table = cost_table(build_prefix_moments(ft), bounds)
+        assert sol.nodes == reference_cheapest_path(bounds, *units_table(table))[0]
+
+    def test_certifies_only_the_rows_the_path_needs(self, monkeypatch):
+        """On random data the tie certificate (one math.nextafter per
+        certified row) runs on the few rows the answer path can pass
+        through, not on every (layer, tail): at most 2L rows, against 790
+        (layer, tail) pairs on this table. test_exact_conversions_linear_in_K
+        checks the nodes on the same table."""
+        calls = 0
+        nextafter = math.nextafter
+
+        def counting(x, y):
+            nonlocal calls
+            calls += 1
+            return nextafter(x, y)
+
+        rng = random.Random(272)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(272) for _ in range(3)]
+        )
+        spec = ProblemSpec(L=5, n=100, N=ft.N)
+        monkeypatch.setattr(math, "nextafter", counting)
+        solve_problem(ft, spec)
+        monkeypatch.undo()
+        assert 1 <= calls <= 2 * spec.L
+
+    def test_resolution_depth_does_not_grow_with_L(self):
+        """L = 700 strata over equally spaced x with y = x, where many heads
+        tie: resolving them in exact units stays iterative, so no
+        RecursionError, and the nodes are the unit dynamic program's."""
+        L = 700
+        K = 2 * L + 10
+        ft = table_from_pairs([(float(x), float(x)) for x in range(K) for _ in range(2)])
+        sol = solve_problem(ft, ProblemSpec(L=L, n=L, N=ft.N))
+        bounds = layer_bounds(K, L)
         table = cost_table(build_prefix_moments(ft), bounds)
         assert sol.nodes == reference_cheapest_path(bounds, *units_table(table))[0]
 
