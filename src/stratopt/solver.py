@@ -31,8 +31,8 @@ from .population import FrequencyTable
 
 # relative gap between the prefix and direct segment routes that flags a bug
 _SELF_CHECK_RTOL = 1e-7
-# a gap within this multiple of 2^-53 * n_h/(n_h - 1) * cum_y2[j - 1], the
-# largest magnitude the prefix route subtracts, is rounding it cannot avoid
+# a gap within this multiple of 2^-53 * n_h/(n_h - 1) times the stratum's own
+# sum of y^2 is rounding the prefix route cannot avoid
 _SELF_CHECK_FLOOR = 8 * 2.0**-53
 
 
@@ -104,9 +104,10 @@ def path_to_solution(
     Every stratum is recomputed through the direct per-group route, the one
     consistency check of the cost route: a unit-count mismatch, or a cost
     gap beyond both 1e-7 relative and the rounding floor of the prefix route
-    (8 * 2^-53 * n_h/(n_h - 1) times the running sum of y^2 up to the
-    stratum's last group, the largest magnitude that route subtracts),
-    raises ConsistencyError. The costs are summed once,
+    (8 * 2^-53 * n_h/(n_h - 1) times the stratum's own sum of y^2), raises
+    ConsistencyError. The floor scales with the stratum, not with the
+    running sum: a large y^2 in an earlier stratum must not hide a cost
+    that cancellation wiped out later. The costs are summed once,
     and the variance is variance_factor(spec) times that total. Raises
     DataError when the total or the variance overflows a float,
     InvalidSpecError when spec.N differs from the table's N, and the errors
@@ -135,7 +136,10 @@ def path_to_solution(
         gap = abs(fast_cost - slow_cost)
         if gap > max(
             _SELF_CHECK_RTOL * max(abs(fast_cost), abs(slow_cost)),
-            _SELF_CHECK_FLOOR * fast.n_pop / (fast.n_pop - 1) * pm.cum_y2[j - 1],
+            _SELF_CHECK_FLOOR
+            * fast.n_pop
+            / (fast.n_pop - 1)
+            * math.fsum(ft.y_sumsq[i - 1 : j - 1]),
         ):
             raise ConsistencyError(
                 f"segment cost mismatch for groups {i}..{j - 1}: "

@@ -213,8 +213,8 @@ class TestJsonReport:
     def test_exact_zero_stratum_is_solved(self, capsys, tmp_path):
         """The middle stratum (x = 4, 5, 5, y = 1e-20 each) costs exactly 0,
         and the prefix route leaves 6.1e-56 of rounding there, below the
-        self-check's floor at the scale of the running sum of y^2 (~5e-40):
-        not an internal error, and the oracle agrees."""
+        self-check's floor at the scale of the stratum's own sum of y^2
+        (~4e-55): not an internal error, and the oracle agrees."""
         rows = ("3,1e-20", "4,1e-20", "7,-1e-20", "5,1e-20", "5,1e-20", "2,-1e-20", "6,1e-20")
         path = write_rows(tmp_path, rows)
         code, out, err = run_cli(
@@ -227,6 +227,26 @@ class TestJsonReport:
         payload = json.loads(out, parse_constant=reject_constant)
         assert payload["boundaries"] == [3.0, 5.0]
         assert payload["oracle_checked"] is True
+
+    @pytest.mark.parametrize("strata", [2, 3])
+    def test_cost_cancelled_after_a_large_stratum_exits_4(self, capsys, tmp_path, strata):
+        """After y = 5e153 at x = 1, 2, the +-1e20 terms fall below the ulp
+        of the running sums, so the prefix route reads every later stratum
+        as costing 0 against ~1e40 directly. The large y^2 of the first
+        stratum must not raise the self-check's floor for the later ones:
+        an internal error, not a report of variance 0."""
+        rows = ["1,5e153", "2,5e153"] + [
+            f"{x},{'1e20' if x % 2 else '-1e20'}" for x in range(3, 9)
+        ]
+        path = write_rows(tmp_path, rows)
+        code, out, err = run_cli(
+            capsys,
+            "--input", path, "--y-col", "y", "--strata", str(strata),
+            "--sample-size", "2", "--json",
+        )
+        assert code == 4
+        assert out == ""
+        assert "segment cost mismatch" in err
 
 
 class TestColumnsAndDelimiters:
