@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DataError, InfeasibleProblemError
-from .moments import PrefixMoments, segment_row
+from .moments import PrefixMoments, segment_stats, unit_cost
 
 
 @dataclass(frozen=True, slots=True)
@@ -138,10 +138,14 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
     those layers starts its heads at i + 2, so a row has no gaps. final[i]
     is the cost of the last stratum i..K for each tail of layer L, whose one
     head is K+1, and None at every other node. Memory thus follows the arc
-    count (linear in K for L <= 2). Each tail's segments are costed by one
-    segment_row call, and no segment outside the graph is ever costed.
-    Every cost is a finite float >= 0, which the solver's tie certificate
-    relies on: raises DataError when one overflows.
+    count (linear in K for L <= 2), and no segment outside the graph is ever
+    costed. Each tail's segments, final one included, are costed in one
+    float pass over its slices of the prefix moments (_cost_row), with the
+    unit counts as floats, built once per table; every cost is the float
+    that segment_stats and unit_cost give, bit for bit. Every cost is a
+    finite float >= 0, which the solver's tie certificate relies on: raises
+    DataError when a squared y total overflows anywhere in a row, else when
+    one of its costs does.
     """
     K = pm.K
     *inner, (last_tails, _, _) = bounds
@@ -149,23 +153,54 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
     for tails, _, head_stop in inner:
         for i in tails:
             row_stop[i] = max(row_stop.get(i, 0), head_stop)
+    # exact: a unit count stays below 2^53
+    counts = tuple(map(float, pm.cum_count))
     rows: list[list[float]] = [[] for _ in range(K + 1)]
     final: list[float | None] = [None] * (K + 1)
     for i in sorted(row_stop.keys() | set(last_tails)):
-        heads = list(range(i + 2, row_stop.get(i, i + 2)))
-        if i in last_tails:
-            heads.append(K + 1)
-        row = [n_pop * s2 for n_pop, s2, _ in segment_row(pm, i, heads)]
+        stop = row_stop.get(i, i + 2)
+        last = i in last_tails
+        row = _cost_row(counts, pm, i, stop, last)
         if math.inf in row:
-            j = heads[row.index(math.inf)]
-            raise DataError(
-                f"y values too large: the cost of groups {i}..{j - 1} "
-                "overflows a float"
-            )
-        if i in last_tails:
+            # an overflow: recost the row one segment at a time, where a
+            # squared y total that overflows raises before any cost does
+            heads = [*range(i + 2, stop), *((K + 1,) if last else ())]
+            row = [unit_cost(segment_stats(pm, i, j)) for j in heads]
+            if math.inf in row:
+                j = heads[row.index(math.inf)]
+                raise DataError(
+                    f"y values too large: the cost of groups {i}..{j - 1} "
+                    "overflows a float"
+                )
+        if last:
             final[i] = row.pop()
         rows[i] = row
     return rows, final
+
+
+def _cost_row(
+    counts: tuple[float, ...], pm: PrefixMoments, i: int, stop: int, last: bool
+) -> list[float]:
+    """N_h * S2_h of the segments i..j-1 for the heads j = i+2 .. stop-1,
+    then for j = K+1 when last, with counts the prefix unit counts as floats.
+
+    The float operations of segment_stats in the same order, so each cost
+    matches it bit for bit, a negative sum of squares clamped to 0 alike.
+    A sum of squares of -inf (a squared y total that overflowed) or NaN
+    costs inf here, for cost_table to recost through segment_stats.
+    """
+    c0, y0, q0 = counts[i - 1], pm.cum_y[i - 1], pm.cum_y2[i - 1]
+    ends = slice(i + 1, stop - 1)
+    ns, ts, qs = counts[ends], pm.cum_y[ends], pm.cum_y2[ends]
+    if last:
+        ns, ts, qs = ns + counts[-1:], ts + pm.cum_y[-1:], qs + pm.cum_y2[-1:]
+    inf = math.inf
+    return [
+        m * (ss / (m - 1.0))
+        if (ss := q - q0 - (u := t - y0) * u / (m := n - c0)) >= 0.0
+        else 0.0 if ss > -inf else inf
+        for n, t, q in zip(ns, ts, qs)
+    ]
 
 
 def attach_costs(graph: LayeredGraph, pm: PrefixMoments) -> LayeredGraph:

@@ -100,47 +100,32 @@ def build_prefix_moments(ft: FrequencyTable) -> PrefixMoments:
 def segment_stats(pm: PrefixMoments, i: int, j: int) -> SegmentStats:
     """Stats of the segment covering groups i..j-1 (1-based, j <= K+1).
 
-    The one-head case of segment_row. Raises ValueError for a segment
+    One subtraction per prefix moment, then the sum of squares about the
+    mean as the squares' total less y_total^2 / n_pop: the float operations
+    that cost_table runs on each of its rows. A sum of squares that
+    cancellation drives negative is clamped to 0: that only lowers a cost
+    whose exact value is >= 0, and path_to_solution recomputes every chosen
+    segment through an independent route. Raises ValueError for a segment
     outside the table, UndefinedVarianceError when the segment holds a
     single unit, and DataError when its squared y total overflows a float.
     """
     if not 1 <= i < j <= pm.K + 1:
         raise ValueError(f"segment ({i}, {j}) outside 1 <= i < j <= {pm.K + 1}")
-    if pm.cum_count[j - 1] - pm.cum_count[i - 1] == 1:
+    n_pop = pm.cum_count[j - 1] - pm.cum_count[i - 1]
+    if n_pop == 1:
         raise UndefinedVarianceError(
             f"segment of groups {i}..{j - 1} holds a single unit"
         )
-    return SegmentStats(*segment_row(pm, i, (j,))[0])
-
-
-def segment_row(
-    pm: PrefixMoments, i: int, heads: Iterable[int]
-) -> list[tuple[int, float, float]]:
-    """(n_pop, s2, y_total) of the segments i..j-1 for each head j in heads.
-
-    Every segment of one tail reads the tail's prefixes once; the callers
-    keep 1 <= i < j <= K+1 and at least two units per segment. Raises
-    DataError when a squared y total overflows a float. A sum of squares
-    that cancellation drives negative is clamped to 0: that only lowers a
-    cost whose exact value is >= 0, and path_to_solution recomputes every
-    chosen segment through an independent route.
-    """
-    cum_count, cum_y, cum_y2 = pm.cum_count, pm.cum_y, pm.cum_y2
-    count_before, y_before, y2_before = cum_count[i - 1], cum_y[i - 1], cum_y2[i - 1]
-    row = []
-    for j in heads:
-        n_pop = cum_count[j - 1] - count_before
-        y_total = cum_y[j - 1] - y_before
-        ss = cum_y2[j - 1] - y2_before - y_total * y_total / n_pop
-        if ss < 0.0:
-            if math.isinf(y_total * y_total):
-                raise DataError(
-                    f"y values too large: the squared y total of groups "
-                    f"{i}..{j - 1} overflows a float"
-                )
-            ss = 0.0
-        row.append((n_pop, ss / (n_pop - 1), y_total))
-    return row
+    y_total = pm.cum_y[j - 1] - pm.cum_y[i - 1]
+    ss = pm.cum_y2[j - 1] - pm.cum_y2[i - 1] - y_total * y_total / n_pop
+    if ss < 0.0:
+        if math.isinf(y_total * y_total):
+            raise DataError(
+                f"y values too large: the squared y total of groups "
+                f"{i}..{j - 1} overflows a float"
+            )
+        ss = 0.0
+    return SegmentStats(n_pop, ss / (n_pop - 1), y_total)
 
 
 def segment_stats_direct(ft: FrequencyTable, i: int, j: int) -> SegmentStats:
@@ -287,16 +272,17 @@ def allocate_neyman(
 
 
 def coefficient_of_variation(variance: float, total: float) -> float:
-    """Relative precision of the estimator, in percent: 100 * sqrt(V) / total.
+    """Relative precision of the estimator, in percent: 100 * sqrt(V) / |total|.
 
-    Raises UndefinedCVError when the total is zero, or so close to zero
-    that the CV overflows a float.
+    Never negative: a negative total gives the CV of its mirror image -y,
+    whose variance is the same. Raises UndefinedCVError when the total is
+    zero, or so close to zero that the CV overflows a float.
     """
     if variance < 0.0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     if total == 0.0:
         raise UndefinedCVError("population total is zero, CV undefined")
-    cv = 100.0 * math.sqrt(variance) / total
+    cv = 100.0 * math.sqrt(variance) / abs(total)
     if not math.isfinite(cv):
         raise UndefinedCVError(
             f"population total {total!r} is too close to zero, CV overflows a float"

@@ -25,6 +25,7 @@ from stratopt import (
     LayeredGraph,
     PathSolution,
     Population,
+    PrefixMoments,
     ProblemSpec,
     StratificationSolution,
     build_frequency_table,
@@ -217,6 +218,68 @@ def count_paths(graph: LayeredGraph) -> int:
                 onward[arc.head] = onward.get(arc.head, 0) + weight
         ways = onward
     return ways.get(graph.sink, 0)
+
+
+def reference_cost_table(
+    pm: PrefixMoments, bounds: Bounds, clamped: list[tuple[int, int]] | None = None
+) -> CostTable:
+    """cost_table as it ran before each row was costed in one float pass:
+    one (n_pop, s2, y_total) tuple per segment from the int unit counts,
+    then n_pop * s2 of each, row by row in tail order. A squared y total
+    that overflows anywhere in a row raises before a cost of that row that
+    overflows. cost_table must match it bit for bit, error for error.
+    clamped, when given, collects the (i, j) of every segment whose sum of
+    squares was clamped to 0."""
+    K = pm.K
+    *inner, (last_tails, _, _) = bounds
+    row_stop: dict[int, int] = {}
+    for tails, _, head_stop in inner:
+        for i in tails:
+            row_stop[i] = max(row_stop.get(i, 0), head_stop)
+    rows: list[list[float]] = [[] for _ in range(K + 1)]
+    final: list[float | None] = [None] * (K + 1)
+    for i in sorted(row_stop.keys() | set(last_tails)):
+        heads = list(range(i + 2, row_stop.get(i, i + 2)))
+        if i in last_tails:
+            heads.append(K + 1)
+        segments = _reference_segment_row(pm, i, heads, clamped)
+        row = [n_pop * s2 for n_pop, s2, _ in segments]
+        if math.inf in row:
+            j = heads[row.index(math.inf)]
+            raise DataError(
+                f"y values too large: the cost of groups {i}..{j - 1} "
+                "overflows a float"
+            )
+        if i in last_tails:
+            final[i] = row.pop()
+        rows[i] = row
+    return rows, final
+
+
+def _reference_segment_row(
+    pm: PrefixMoments,
+    i: int,
+    heads: Iterable[int],
+    clamped: list[tuple[int, int]] | None,
+) -> list[tuple[int, float, float]]:
+    cum_count, cum_y, cum_y2 = pm.cum_count, pm.cum_y, pm.cum_y2
+    count_before, y_before, y2_before = cum_count[i - 1], cum_y[i - 1], cum_y2[i - 1]
+    row = []
+    for j in heads:
+        n_pop = cum_count[j - 1] - count_before
+        y_total = cum_y[j - 1] - y_before
+        ss = cum_y2[j - 1] - y2_before - y_total * y_total / n_pop
+        if ss < 0.0:
+            if math.isinf(y_total * y_total):
+                raise DataError(
+                    f"y values too large: the squared y total of groups "
+                    f"{i}..{j - 1} overflows a float"
+                )
+            ss = 0.0
+            if clamped is not None:
+                clamped.append((i, j))
+        row.append((n_pop, ss / (n_pop - 1), y_total))
+    return row
 
 
 def units_table(table: CostTable) -> tuple[list[list[int]], list[int | None]]:

@@ -139,6 +139,32 @@ class TestJsonReport:
         assert strip(first) == strip(second)
         assert first.count("elapsed_s") == 1
 
+    @pytest.mark.parametrize("seed", [None, *range(5)])
+    def test_mirrored_y_gives_the_same_report(self, capsys, tmp_path, seed):
+        """Negating y negates every y total exactly and leaves every cost,
+        node and variance as it was, so the report up to elapsed_s is the
+        same byte for byte: the CV of a negative population total is not
+        negative."""
+        if seed is None:
+            ys = [-5.0, -6.0, -7.0, -9.0, -1.0, -3.0]
+        else:
+            rng = random.Random(seed)
+            ys = [rng.choice((-1, 1)) * rng.lognormvariate(0.0, 1.0) for _ in range(12)]
+        reports = []
+        for sign in (1.0, -1.0):
+            path = write_rows(tmp_path, [f"{x},{sign * y!r}" for x, y in enumerate(ys)])
+            code, out, err = run_cli(
+                capsys,
+                "--input", path, "--y-col", "y", "--strata", "2", "--sample-size", "2",
+                "--json",
+            )
+            assert (code, err) == (0, "")
+            assert json.loads(out)["cv"] >= 0.0
+            reports.append(re.sub(r'"elapsed_s": [^,\n]+', '"elapsed_s": X', out))
+        assert reports[0] == reports[1]
+        if seed is None:
+            assert json.loads(out)["cv"] == pytest.approx(18.0568, abs=5e-5)
+
     def test_no_fpc(self, capsys, desk_csv):
         code, out, _ = run_cli(
             capsys,

@@ -2,12 +2,15 @@
 
 from __future__ import annotations
 
+import math
 import random
+import sys
 
 import pytest
 
 import stratopt.graph
 from stratopt import (
+    DataError,
     InfeasibleProblemError,
     arc_counts,
     attach_costs,
@@ -19,13 +22,14 @@ from stratopt import (
     solve,
     unit_cost,
 )
-from stratopt.graph import layer_bounds
+from stratopt.graph import cost_table, layer_bounds
 from stratopt.moments import cost_units_to_float, exact_cost_units
 
 from helpers import (
     count_paths,
     desk_table,
     random_pairs,
+    reference_cost_table,
     skewed_table,
     table_from_pairs,
     tie_heavy_pairs,
@@ -182,6 +186,110 @@ class TestAttachCosts:
         assert solve(graph).nodes == (1, 38, 83, 132, 196, 273)
         with pytest.raises(AssertionError, match="an Arc was built"):
             graph.layers
+
+
+# from the least subnormal to 1e300, thick around 1.34e154 where y^2 overflows
+EXTREME_SCALES = (
+    5e-324, 1e-310, 1e-200, 1e-160, 1e-20, 1.0, 3.0, 1e20, 1e150,
+    1e153, 6e153, 1e154, 1.2e154, 1e155, 1e200, 1e300,
+)
+
+# group 1..2 costs 4 * 6.8e153^2, past the float range; group 1..5 holds
+# y total 1.59e154, whose square is too; the squared total must win
+BOTH_OVERFLOWS = (
+    (1, -6.8e153), (2, 6.8e153), (3, 5.3e153), (4, 5.3e153), (5, 5.3e153),
+    (6, 0.0), (7, 0.0),
+)
+
+
+def cost_table_corpus():
+    """Seeded (label, pairs, L) inputs: random and tie-heavy tables, y
+    shifted by 1e6 to 1e15 so that sums of squares cancel, y of every float
+    magnitude and both signs, y whose squares sum to just under the float
+    range so that costs and squared totals overflow, and one table that
+    overflows both ways in one row."""
+    rng = random.Random(20261018)
+    for _ in range(60):
+        L = rng.randint(1, 6)
+        K = rng.randint(2 * L, 40)
+        yield "random", random_pairs(rng, L, k_max=K, k_min=K), L
+        yield "tie-heavy", tie_heavy_pairs(rng, K), L
+    for _ in range(120):
+        L = rng.randint(1, 4)
+        K = rng.randint(2 * L, 30)
+        shift = rng.choice((1e6, 1e9, 1e12, 1e15))
+        pairs = random_pairs(rng, L, k_max=K, k_min=K)
+        yield "shifted", [(x, shift + y) for x, y in pairs], L
+    for _ in range(300):
+        L = rng.randint(1, 3)
+        K = rng.randint(2 * L, 12)
+        pool = rng.choices(EXTREME_SCALES, k=rng.randint(1, 3))
+        pairs = [
+            (x, rng.choice((-1, 1)) * rng.choice(pool) * rng.choice((1.0, 0.5, 0.25)))
+            for x in range(1, K + 1)
+            for _ in range(rng.randint(1, 2))
+        ]
+        yield "extreme", pairs, L
+    for _ in range(60):
+        L = rng.randint(1, 3)
+        K = rng.randint(2 * L, 10)
+        weights = [rng.random() for _ in range(K)]
+        scale = 0.999 * sys.float_info.max / sum(weights)
+        pairs = [
+            (x, rng.choice((-1, 1)) * math.sqrt(w * scale))
+            for x, w in enumerate(weights, start=1)
+        ]
+        yield "near-overflow", pairs, L
+    yield "both-overflows", BOTH_OVERFLOWS, 2
+
+
+def table_bits(costing):
+    """The table costing() returns as .hex() strings, so that signed zeros
+    count, or the error it raised as (type, text)."""
+    try:
+        rows, final = costing()
+    except DataError as exc:
+        return type(exc), str(exc)
+    return (
+        [[cost.hex() for cost in row] for row in rows],
+        [None if cost is None else cost.hex() for cost in final],
+    )
+
+
+class TestCostTableBits:
+    def test_every_cost_and_error_is_the_per_segment_routes(self):
+        """One float pass per row changes no bit of any cost and no error:
+        the corpus must clamp sums of squares, cost subnormals, and raise
+        both overflow messages, one with a squared total that overflows
+        after a cost that does in the same row."""
+        seen = {"clamped": 0, "subnormal": 0, "squared": 0, "cost": 0}
+        mismatches = []
+        for label, pairs, L in cost_table_corpus():
+            try:
+                pm = build_prefix_moments(table_from_pairs(pairs))
+            except DataError:
+                continue
+            bounds = layer_bounds(pm.K, L)
+            clamped: list[tuple[int, int]] = []
+            expected = table_bits(lambda: reference_cost_table(pm, bounds, clamped))
+            if table_bits(lambda: cost_table(pm, bounds)) != expected:
+                mismatches.append((label, pairs, L))
+            seen["clamped"] += len(clamped)
+            if expected[0] is DataError:
+                seen["squared" if "squared" in expected[1] else "cost"] += 1
+                if label == "both-overflows":
+                    assert expected[1] == (
+                        "y values too large: the squared y total of groups "
+                        "1..5 overflows a float"
+                    )
+            else:
+                rows, final = expected
+                seen["subnormal"] += sum(
+                    0.0 < float.fromhex(cost) < sys.float_info.min
+                    for cost in (*(c for row in rows for c in row), *filter(None, final))
+                )
+        assert mismatches == []
+        assert min(seen.values()) > 0, seen
 
 
 class TestDumpArcs:

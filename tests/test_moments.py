@@ -320,6 +320,10 @@ class TestCoefficientOfVariation:
     def test_simple_value(self):
         assert coefficient_of_variation(4.0, 200.0) == pytest.approx(1.0)
 
+    def test_negative_total_gives_the_mirror_cv(self):
+        """y and -y have the same variance, so the same CV, never negative."""
+        assert coefficient_of_variation(112.0, -78.0) == coefficient_of_variation(112.0, 78.0)
+
     def test_zero_variance(self):
         assert coefficient_of_variation(0.0, 78.0) == 0.0
 

@@ -10,7 +10,6 @@ from fractions import Fraction
 import pytest
 
 import stratopt.graph
-import stratopt.moments
 import stratopt.oracle
 from stratopt import (
     ConsistencyError,
@@ -220,20 +219,23 @@ class TestBruteForceSolve:
         assert sol.variance == reference.variance
 
     def test_costs_each_table_row_once(self, monkeypatch):
-        """One segment_row call per cost-table row plus one per stratum for
-        the self-check, at most K + L, instead of one per distinct segment."""
-        calls = []
-        row = stratopt.moments.segment_row
-
-        def counting(pm, i, heads):
-            calls.append(i)
-            return row(pm, i, heads)
-
-        for module in (stratopt.moments, stratopt.graph):
-            monkeypatch.setattr(module, "segment_row", counting)
+        """One float pass per cost-table row, at most K + L of them, instead
+        of one call per distinct segment; the self-check costs its strata
+        through segment_stats, not through that pass."""
         ft = random_instance(random.Random(40), 3, k_max=40, k_min=40)
+        rows, final = cost_table(build_prefix_moments(ft), layer_bounds(ft.K, 3))
+        tails = [i for i in range(ft.K + 1) if rows[i] or final[i] is not None]
+        calls = []
+        cost_row = stratopt.graph._cost_row
+
+        def counting(counts, pm, i, stop, last):
+            calls.append(i)
+            return cost_row(counts, pm, i, stop, last)
+
+        monkeypatch.setattr(stratopt.graph, "_cost_row", counting)
         brute_force_solve(ft, ProblemSpec(L=3, n=10, N=ft.N))
-        assert 0 < len(calls) <= ft.K + 3
+        assert calls == tails
+        assert 0 < len(tails) <= ft.K + 3
 
     def test_two_strata_on_many_distinct_values(self):
         """L = 2 scores K - 3 compositions; the oracle handles K = 20,000
