@@ -151,7 +151,8 @@ def emit_text(
     oracle_checked: bool = False,
     neyman: tuple[float, ...] | None = None,
 ) -> str:
-    """Human-readable report, CV to two decimals."""
+    """Human-readable report, CV to two decimals, each boundary as its
+    shortest round-trip repr with a trailing ".0" dropped."""
     lines = [
         f"N           {solution.N}",
         f"|I|         {solution.K}",
@@ -162,7 +163,8 @@ def emit_text(
         f"unit cost   {solution.total_unit_cost:.6g}",
         f"variance    {solution.variance:.6g}",
         f"CV (%)      {solution.cv:.2f}",
-        "boundaries  " + (" ".join(f"{b:g}" for b in solution.boundaries) or "-"),
+        "boundaries  "
+        + (" ".join(repr(b).removesuffix(".0") for b in solution.boundaries) or "-"),
     ]
     if cfg.oracle_check:
         lines.append(f"oracle      {'agreed' if oracle_checked else 'skipped'}")

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import DataError, InfeasibleProblemError
-from .moments import PrefixMoments, segment_stats, unit_cost
+from .moments import PrefixMoments
 
 
 @dataclass(frozen=True, slots=True)
@@ -144,15 +144,14 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
     unit counts as floats, built once per table; every cost is the float
     that segment_stats and unit_cost give, bit for bit. Every cost is a
     finite float >= 0, which the solver's tie certificate relies on: raises
-    DataError when a squared y total overflows anywhere in a row, else when
-    one of its costs does.
+    DataError at the first segment of a row whose squared y total
+    overflows, else at the first whose cost does.
     """
     K = pm.K
     *inner, (last_tails, _, _) = bounds
-    row_stop: dict[int, int] = {}
-    for tails, _, head_stop in inner:
-        for i in tails:
-            row_stop[i] = max(row_stop.get(i, 0), head_stop)
+    # head stops rise with the layer, so the last layer holding a tail sets
+    # the end of its row
+    row_stop = {i: head_stop for tails, _, head_stop in inner for i in tails}
     # exact: a unit count stays below 2^53
     counts = tuple(map(float, pm.cum_count))
     rows: list[list[float]] = [[] for _ in range(K + 1)]
@@ -161,17 +160,17 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
         stop = row_stop.get(i, i + 2)
         last = i in last_tails
         row = _cost_row(counts, pm, i, stop, last)
-        if math.inf in row:
-            # an overflow: recost the row one segment at a time, where a
-            # squared y total that overflows raises before any cost does
+        # without an overflow mark, a row's finite costs summed past the
+        # float range, which is no error
+        if not math.isfinite(sum(row)):
             heads = [*range(i + 2, stop), *((K + 1,) if last else ())]
-            row = [unit_cost(segment_stats(pm, i, j)) for j in heads]
-            if math.inf in row:
-                j = heads[row.index(math.inf)]
-                raise DataError(
-                    f"y values too large: the cost of groups {i}..{j - 1} "
-                    "overflows a float"
-                )
+            for mark, what in ((-math.inf, "squared y total"), (math.inf, "cost")):
+                if mark in row:
+                    j = heads[row.index(mark)]
+                    raise DataError(
+                        f"y values too large: the {what} of groups {i}..{j - 1} "
+                        "overflows a float"
+                    )
         if last:
             final[i] = row.pop()
         rows[i] = row
@@ -186,8 +185,9 @@ def _cost_row(
 
     The float operations of segment_stats in the same order, so each cost
     matches it bit for bit, a negative sum of squares clamped to 0 alike.
-    A sum of squares of -inf (a squared y total that overflowed) or NaN
-    costs inf here, for cost_table to recost through segment_stats.
+    A segment whose squared y total overflowed, which makes its sum of
+    squares -inf, is marked -inf; a cost that overflows stays inf.
+    cost_table names the overflow from these marks alone.
     """
     c0, y0, q0 = counts[i - 1], pm.cum_y[i - 1], pm.cum_y2[i - 1]
     ends = slice(i + 1, stop - 1)
@@ -198,7 +198,7 @@ def _cost_row(
     return [
         m * (ss / (m - 1.0))
         if (ss := q - q0 - (u := t - y0) * u / (m := n - c0)) >= 0.0
-        else 0.0 if ss > -inf else inf
+        else 0.0 if ss > -inf else -inf
         for n, t, q in zip(ns, ts, qs)
     ]
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -85,16 +86,12 @@ def build_prefix_moments(ft: FrequencyTable) -> PrefixMoments:
     Float prefixes use compensated accumulation so long tables do not drift.
     Raises DataError when a running sum of y or y^2 overflows a float.
     """
-    cum_count = [0]
-    running = 0
-    for c in ft.count:
-        running += c
-        cum_count.append(running)
+    cum_count = tuple(accumulate(ft.count, initial=0))
     cum_y = _compensated_prefix(ft.y_sum)
     cum_y2 = _compensated_prefix(ft.y_sumsq)
     if not all(map(math.isfinite, cum_y + cum_y2)):
         raise DataError("y values too large: a running sum of y or y^2 overflows a float")
-    return PrefixMoments(tuple(cum_count), cum_y, cum_y2)
+    return PrefixMoments(cum_count, cum_y, cum_y2)
 
 
 def segment_stats(pm: PrefixMoments, i: int, j: int) -> SegmentStats:

@@ -166,7 +166,7 @@ def _walk_compositions(
         low = min(totals)
         return (1, 3 + totals.index(low), K + 1), low, len(totals)
     best_nodes: tuple[int, ...] = ()
-    best_total: int | None = None
+    best_total: float = math.inf
     scored = 0
     for a, prefixes in _prefix_groups(K, L):
         folded = len(prefixes) == 1
@@ -181,15 +181,14 @@ def _walk_compositions(
             base = 0 if folded else _prefix_units(rows, prefix)
             low = min(flat) if folded else min(map(add, repeat(base), flat))
             scored += len(flat)
-            if best_total is None or low <= best_total:
+            if low <= best_total:
                 at = flat.index(low - base)
                 block = bisect_right(starts, at) - 1
                 i = a + 2 + block
                 nodes = (*prefix, i, i + 2 + at - starts[block], K + 1)
-                if best_total is None or low < best_total or nodes < best_nodes:
+                if low < best_total or nodes < best_nodes:
                     best_nodes, best_total = nodes, low
         del flat
-    assert best_total is not None
     return best_nodes, best_total, scored
 
 

@@ -259,7 +259,8 @@ def _cheapest_path(
     completions.reverse()
 
     needed = {1}
-    # candidates[h] maps each needed tail of layer h to its candidate heads
+    # candidates[h] maps each needed tail of layer h to its candidate heads,
+    # and then, once the bottom-up pass has chosen, to its chosen head
     candidates: list[dict[int, list[int]]] = []
     for (_, _, head_stop), (first, completion) in zip(inner, completions[1:]):
         heads_of = {}
@@ -272,18 +273,16 @@ def _cheapest_path(
         needed = {j for heads in heads_of.values() for j in heads}
 
     exact = {j: exact_cost_units(final[j]) for j in needed}
-    choices = []
     for heads_of in reversed(candidates):
-        choice, units = {}, {}
+        units = {}
         for i, heads in heads_of.items():
             row = rows[i]
             totals = [exact_cost_units(row[j - i - 2]) + exact[j] for j in heads]
             units[i] = min(totals)
-            choice[i] = heads[totals.index(units[i])]
-        choices.append(choice)
+            heads_of[i] = heads[totals.index(units[i])]
         exact = units
     nodes = [1]
-    for choice in reversed(choices):
-        nodes.append(choice[nodes[-1]])
+    for chosen in candidates:
+        nodes.append(chosen[nodes[-1]])
     nodes.append(terminal)
     return tuple(nodes), exact[1]
