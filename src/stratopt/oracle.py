@@ -11,7 +11,7 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import replace
-from itertools import combinations, repeat
+from itertools import chain, combinations, repeat
 from operator import add, mul
 from typing import Iterator
 
@@ -113,10 +113,9 @@ def _exact_units(
     range for that takes 2**-1074 units, which hold any float.
     """
     costs = [cost for cost in final if cost is not None]
-    filled = [row for row in (*rows, costs) if row]
-    least = min(min(filter(None, row), default=math.inf) for row in filled)
+    least = min(filter(None, chain(*rows, costs)), default=math.inf)
     shift = 0 if least == math.inf else max(0, 53 - math.frexp(least)[1])
-    if shift <= 1023 and max(map(max, filled)) * 2.0**shift < math.inf:
+    if shift <= 1023 and max(chain(*rows, costs)) * 2.0**shift < math.inf:
         factor = 2.0**shift
         scale = 1 << shift
 
@@ -146,16 +145,17 @@ def _walk_compositions(
     The last two strata, i..j-1 and j..K, cost rows[i][j-i-2] + final[j];
     that list over j is formed once per i. For L >= 3 the prefixes
     1 = n_0 < ... < n_{L-3} = a are grouped by a, and one flat list per
-    group holds rows[a][i-a-2] plus the last-two list of i for every i, in
-    (i, j) order. Each prefix of the group then forms every full total, its
-    own total plus each flat entry, in one C-level pass and keeps the
-    least. A group of one prefix has its total added while the list is
-    built, so it takes no pass of its own. Totals are exact integers, so
-    ties are genuine: min keeps the leftmost within a prefix, and across
-    prefixes, whose groups leave lexicographic order once L >= 5, the
-    smaller node sequence wins, so the answer is the first composition
-    enumerated among ties. Memory stays within a constant factor of the
-    table's, as each flat list is freed before the next is built.
+    group holds the group's first prefix total plus rows[a][i-a-2] plus the
+    last-two list of i for every i, in (i, j) order: that prefix's full
+    totals, whose least it keeps with no pass of its own. Every other prefix
+    forms its full totals, its difference from the first prefix total plus
+    each flat entry, in one C-level pass and keeps the least. Totals are
+    exact integers, so ties are genuine: min keeps the leftmost within a
+    prefix, and across prefixes, whose groups leave lexicographic order
+    once L >= 5, the smaller node sequence wins, so the answer is the first
+    composition enumerated among ties. Memory stays within a constant
+    factor of the table's, as each flat list is freed before the next is
+    built.
     """
     if L == 1:
         return (1, K + 1), final[1], 1
@@ -169,8 +169,7 @@ def _walk_compositions(
     best_total: float = math.inf
     scored = 0
     for a, prefixes in _prefix_groups(K, L):
-        folded = len(prefixes) == 1
-        lead = _prefix_units(rows, prefixes[0]) if folded else 0
+        lead = _prefix_units(rows, prefixes[0])
         flat: list[int] = []
         starts: list[int] = []
         # zip stops at the range before reading past head K-3 of rows[a]
@@ -178,8 +177,8 @@ def _walk_compositions(
             starts.append(len(flat))
             flat += map(add, repeat(lead + cost), last_two[i])
         for prefix in prefixes:
-            base = 0 if folded else _prefix_units(rows, prefix)
-            low = min(flat) if folded else min(map(add, repeat(base), flat))
+            base = _prefix_units(rows, prefix) - lead
+            low = min(map(add, repeat(base), flat)) if base else min(flat)
             scored += len(flat)
             if low <= best_total:
                 at = flat.index(low - base)

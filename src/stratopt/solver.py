@@ -34,6 +34,9 @@ _SELF_CHECK_RTOL = 1e-7
 # a gap within this multiple of 2^-53 * n_h/(n_h - 1) times the stratum's own
 # sum of y^2 is rounding the prefix route cannot avoid
 _SELF_CHECK_FLOOR = 8 * 2.0**-53
+# below 2^-1022 floats are this far apart, and a product or quotient landing
+# there is off by up to half of it whatever its size
+_SUBNORMAL_SPACING = 2.0**-1074
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,11 +110,19 @@ def path_to_solution(
     (8 * 2^-53 * n_h/(n_h - 1) times the stratum's own sum of y^2), raises
     ConsistencyError. The floor scales with the stratum, not with the
     running sum: a large y^2 in an earlier stratum must not hide a cost
-    that cancellation wiped out later. The costs are summed once,
-    and the variance is variance_factor(spec) times that total. Raises
-    DataError when the total or the variance overflows a float,
-    InvalidSpecError when spec.N differs from the table's N, and the errors
-    of segment_stats and coefficient_of_variation.
+    that cancellation wiped out later. Where a stratum's y^2 falls below
+    2^-1022, floats are 2^-1074 apart: a product or quotient landing there
+    can be off by 2^-1075 whatever its size, while sums there are exact
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 2.1). So the floor adds (3 (j - i) + n_h + 3) * 2^-1074 for a
+    stratum of groups i..j-1. The direct route rounds three products per
+    group and the prefix route two operations in all; the cost carries
+    that sum-of-squares error times n_h/(n_h - 1) <= 2, plus each route's
+    quotient by n_h - 1 times n_h and its last product. The costs are
+    summed once, and the variance is variance_factor(spec) times that
+    total. Raises DataError when the total or the variance overflows a
+    float, InvalidSpecError when spec.N differs from the table's N, and the
+    errors of segment_stats and coefficient_of_variation.
     """
     nodes = path.nodes
     if nodes[0] != 1 or nodes[-1] != ft.K + 1:
@@ -139,7 +150,8 @@ def path_to_solution(
             _SELF_CHECK_FLOOR
             * fast.n_pop
             / (fast.n_pop - 1)
-            * math.fsum(ft.y_sumsq[i - 1 : j - 1]),
+            * math.fsum(ft.y_sumsq[i - 1 : j - 1])
+            + (3 * (j - i) + fast.n_pop + 3) * _SUBNORMAL_SPACING,
         ):
             raise ConsistencyError(
                 f"segment cost mismatch for groups {i}..{j - 1}: "

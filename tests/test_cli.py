@@ -308,6 +308,29 @@ class TestJsonReport:
         assert payload["boundaries"] == [3.0, 5.0]
         assert payload["oracle_checked"] is True
 
+    def test_subnormal_squares_are_solved(self, capsys, tmp_path):
+        """Every y^2 here falls below 2^-1022, where the two routes' products
+        and quotients each round to a step of 2^-1074, and the one stratum's
+        costs differ in their 8th digit (1.74642107e-316 vs 1.7464214e-316):
+        rounding, not a fault, and the oracle agrees. The same y times 1e159
+        solve too."""
+        rows = (
+            "0,1.75880397530431e-159", "0,1.4851631889062334e-158",
+            "1,1.0543971948172641e-158", "2,2.9766936406665137e-159",
+            "2,3.439173361454593e-159", "3,2.3092786664080426e-159",
+            "3,3.9914353387362836e-159",
+        )
+        path = write_rows(tmp_path, rows)
+        code, out, err = run_cli(
+            capsys,
+            "--input", path, "--y-col", "y", "--strata", "1", "--sample-size", "1",
+            "--json", "--check-oracle",
+        )
+        assert (code, err) == (0, "")
+        payload = json.loads(out, parse_constant=reject_constant)
+        assert payload["unit_cost"] == 1.74642107e-316
+        assert payload["oracle_checked"] is True
+
     @pytest.mark.parametrize("strata", [2, 3])
     def test_cost_cancelled_after_a_large_stratum_exits_4(self, capsys, tmp_path, strata):
         """After y = 5e153 at x = 1, 2, the +-1e20 terms fall below the ulp

@@ -121,6 +121,11 @@ class TestArcCounts:
         with pytest.raises(InfeasibleProblemError):
             arc_counts(5, 3)
 
+    def test_single_stratum_rejected(self):
+        with pytest.raises(ValueError) as info:
+            arc_counts(10, 1)
+        assert str(info.value) == "arc counts are defined for L >= 2, got L=1"
+
 
 class TestAttachCosts:
     def test_worked_example_costs(self):

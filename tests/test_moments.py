@@ -9,11 +9,12 @@ from __future__ import annotations
 
 import math
 import random
+import statistics
 
-import numpy as np
 import pytest
 
 from stratopt import (
+    DataError,
     InfeasibleAllocationError,
     DegenerateAllocationError,
     InvalidSpecError,
@@ -60,8 +61,9 @@ class TestPrefixMoments:
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_two_pass_over_raw_values(self, seed):
-        """Prefix differences agree with numpy's ddof=1 variance on the raw
-        segment, to 1e-9 relative, for tables of up to 500 groups."""
+        """Prefix differences agree with the sample variance of the raw
+        segment, which statistics.variance forms in exact rationals and
+        rounds once, to 1e-9 relative, for tables of up to 500 groups."""
         rng = random.Random(seed)
         k = rng.randint(50, 500)
         groups = []
@@ -81,7 +83,7 @@ class TestPrefixMoments:
             assert stats.n_pop == len(raw)
             assert stats.y_total == pytest.approx(sum(raw), rel=1e-12)
             if len(raw) > 1:
-                expected = float(np.var(np.array(raw), ddof=1))
+                expected = statistics.variance(raw)
                 assert stats.s2 == pytest.approx(expected, rel=1e-9)
 
 
@@ -139,6 +141,23 @@ class TestSegmentStats:
         ft, _ = desk
         with pytest.raises(UndefinedVarianceError):
             segment_stats_direct(ft, 1, 2)
+
+    def test_squared_total_overflow_raises(self):
+        """Each y^2 (~3.6e307) and their sum fit a float, but the square of
+        the segment's y total (~5.8e308) does not."""
+        ft = table_from_pairs(zip((1, 2, 3, 4), (6e153, 6.01e153, 6.02e153, 6.03e153)))
+        pm = build_prefix_moments(ft)
+        with pytest.raises(DataError) as info:
+            segment_stats(pm, 1, 5)
+        assert str(info.value) == (
+            "y values too large: the squared y total of groups 1..4 overflows a float"
+        )
+
+    def test_direct_route_bounds_validated(self):
+        ft = table_from_pairs((x, x) for x in (1, 2, 3, 4))
+        with pytest.raises(ValueError) as info:
+            segment_stats_direct(ft, 0, 3)
+        assert str(info.value) == "segment (0, 3) outside 1 <= i < j <= 5"
 
 
 class TestUnitCost:
@@ -238,6 +257,12 @@ class TestVarianceFormulas:
         spec = ProblemSpec(L=1, n=3, N=9)
         with pytest.raises(InfeasibleAllocationError):
             variance_general([(4, 1.0, 5.0)], spec)
+
+    def test_no_strata_rejected(self):
+        spec = ProblemSpec(L=1, n=3, N=9)
+        with pytest.raises(ValueError) as info:
+            variance_general([], spec)
+        assert str(info.value) == "per_stratum must be nonempty"
 
 
 class TestAllocateProportional:

@@ -98,6 +98,13 @@ class TestEnumerateCompositions:
     def test_five_into_two(self):
         assert list(enumerate_compositions(5, 2)) == [(2, 3), (3, 2)]
 
+    def test_bad_stratum_count_rejected_on_first_next(self):
+        """A generator: the call itself raises nothing."""
+        compositions = enumerate_compositions(10, 0)
+        with pytest.raises(ValueError) as info:
+            next(compositions)
+        assert str(info.value) == "stratum count must be at least 1, got L=0"
+
     def test_minimal(self):
         assert list(enumerate_compositions(4, 2)) == [(2, 2)]
 

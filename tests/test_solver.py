@@ -601,6 +601,59 @@ class TestSolveProblem:
                 wrong.append((K, L, nodes))
         assert wrong == []
 
+    @pytest.mark.parametrize("e", [-500, -300, 300, 450])
+    def test_power_of_two_scaling_of_y_is_exact(self, e):
+        """Scaling y by 2^e scales every float in the cost route by 2^(2e)
+        exactly while it stays in the normal range, so 300 instances give
+        the unscaled nodes and CV, and a total and variance of exactly 2^(2e)
+        times the unscaled ones."""
+        rng = random.Random(9)
+        mismatched = []
+        for _ in range(300):
+            K = rng.randint(4, 40)
+            L = rng.randint(1, min(6, K // 2))
+            pairs = [
+                (x, rng.lognormvariate(4.0, 0.75))
+                for x in range(K)
+                for _ in range(rng.randint(1, 3))
+            ]
+            spec = ProblemSpec(L=L, n=max(1, len(pairs) // 4), N=len(pairs))
+            base = solve_problem(table_from_pairs(pairs), spec)
+            scaled = solve_problem(
+                table_from_pairs((x, math.ldexp(y, e)) for x, y in pairs), spec
+            )
+            if (
+                scaled.nodes != base.nodes
+                or scaled.cv != base.cv
+                or scaled.total_unit_cost != math.ldexp(base.total_unit_cost, 2 * e)
+                or scaled.variance != math.ldexp(base.variance, 2 * e)
+            ):
+                mismatched.append((K, L, base.nodes, scaled.nodes))
+        assert mismatched == []
+
+    @pytest.mark.parametrize("scale", [1e-160, 1e-162])
+    def test_subnormal_squares_pass_the_self_check(self, scale):
+        """At y ~ 1e-160 every y^2 falls below 2^-1022, where products and
+        quotients round to absolute steps of 2^-1074 that no relative
+        tolerance covers. 400 such inputs solve without a consistency
+        error."""
+        rng = random.Random(5)
+        failed = []
+        for _ in range(400):
+            K = rng.randint(4, 12)
+            pairs = [
+                (x, rng.lognormvariate(4.0, 0.75) * scale)
+                for x in range(K)
+                for _ in range(rng.randint(1, 3))
+            ]
+            L = rng.randint(1, K // 2)
+            ft = table_from_pairs(pairs)
+            try:
+                solve_problem(ft, ProblemSpec(L=L, n=1, N=ft.N))
+            except ConsistencyError as exc:
+                failed.append(str(exc))
+        assert failed == []
+
     def test_boundaries_are_interior_distinct_values(self):
         rng = random.Random(99)
         ft = random_instance(rng, 3)
