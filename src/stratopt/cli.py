@@ -210,7 +210,10 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--strata", type=int, required=True, metavar="L", help="number of strata")
     parser.add_argument("--sample-size", type=int, required=True, metavar="n", help="total sample size")
     parser.add_argument("--no-fpc", dest="fpc", action="store_false", help="drop the without-replacement correction")
-    parser.add_argument("--check-oracle", dest="oracle_check", action="store_true", help="cross-check against exhaustive enumeration")
+    parser.add_argument("--check-oracle", dest="oracle_check", action="store_true", help=(
+        "certify by exhaustive enumeration that no feasible stratification scores lower "
+        "on the same float cost table, ties going to the smallest node sequence; the "
+        "costs themselves are not recomputed"))
     parser.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, metavar="M", help=f"largest enumeration allowed (default: {DEFAULT_ORACLE_CAP})")
     parser.add_argument("--json", dest="output_format", action="store_const", const="json", default="text", help="emit JSON instead of text")
     parser.add_argument("--tab", dest="delimiter", action="store_const", const="\t", default=",", help="input is tab separated")

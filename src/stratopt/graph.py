@@ -140,12 +140,10 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
     head is K+1, and None at every other node. Memory thus follows the arc
     count (linear in K for L <= 2), and no segment outside the graph is ever
     costed. Each tail's segments, final one included, are costed in one
-    float pass over its slices of the prefix moments (_cost_row), with the
-    unit counts as floats, built once per table; every cost is the float
-    that segment_stats and unit_cost give, bit for bit. Every cost is a
-    finite float >= 0, which the solver's tie certificate relies on: raises
-    DataError at the first segment of a row whose squared y total
-    overflows, else at the first whose cost does.
+    float pass (_cost_row). Every cost is a finite float >= 0, which the
+    solver's tie certificate relies on: raises DataError at the first
+    segment of a row whose squared y total overflows, else at the first
+    whose cost does.
     """
     K = pm.K
     *inner, (last_tails, _, _) = bounds

@@ -100,11 +100,12 @@ def segment_stats(pm: PrefixMoments, i: int, j: int) -> SegmentStats:
     One subtraction per prefix moment, then the sum of squares about the
     mean as the squares' total less y_total^2 / n_pop: the float operations
     that cost_table runs on each of its rows. A sum of squares that
-    cancellation drives negative is clamped to 0: that only lowers a cost
-    whose exact value is >= 0, and path_to_solution recomputes every chosen
-    segment through an independent route. Raises ValueError for a segment
-    outside the table, UndefinedVarianceError when the segment holds a
-    single unit, and DataError when its squared y total overflows a float.
+    cancellation drives negative is clamped to 0. That only lowers a cost
+    whose exact value is >= 0, so off the chosen path it cannot change the
+    answer; on it, path_to_solution's independent route sees the gap unless
+    it lies below that stratum's rounding floor. Raises ValueError for a
+    segment outside the table, UndefinedVarianceError when the segment holds
+    a single unit, and DataError when its squared y total overflows a float.
     """
     if not 1 <= i < j <= pm.K + 1:
         raise ValueError(f"segment ({i}, {j}) outside 1 <= i < j <= {pm.K + 1}")

@@ -53,9 +53,7 @@ def enumerate_compositions(K: int, L: int) -> Iterator[Composition]:
     lexicographic order give compositions in lexicographic order. The stream
     is empty when K < 2L. Its length always equals count_solutions(K, L).
     """
-    if L < 1:
-        raise ValueError(f"stratum count must be at least 1, got L={L}")
-    if K < 2 * L:
+    if not count_solutions(K, L):
         return
     for cuts in combinations(range(1, K - L), L - 1):
         ends = (0, *cuts, K - L)
@@ -67,18 +65,18 @@ def brute_force_solve(
 ) -> StratificationSolution:
     """Score every feasible stratification and report the best.
 
-    Segment costs come from the solver's cost table, turned into exact
-    integer units whose size the table's least positive cost sets, so
-    totals do not depend on summation order, cost ties are genuine, and
-    they resolve to the first composition enumerated: the lexicographically
-    smallest node sequence. The units are 2**-s for some s <= 1074, and
-    dividing the best total by 2**s rounds correctly, so its float does not
-    depend on s. Nothing else is shared with the solver's dynamic program;
-    since the table is shared, its layout is checked only against a
-    per-segment reference scorer in the test suite. Raises
-    OracleTooLargeError when the enumeration would exceed cap, and
-    ConsistencyError when the walk scores a number of compositions other
-    than count_solutions(K, L).
+    A match with solve_problem certifies that no feasible stratification
+    scores lower on the same float cost table, and that ties went to the
+    smallest node sequence. The costs are not recomputed, so a costing
+    error reaches both sides; the test suite checks the table's layout
+    against a per-segment reference scorer. Nothing else is shared with the
+    solver's dynamic program. The costs become exact integer units whose
+    size the table's least positive cost sets, so totals do not depend on
+    summation order and cost ties are genuine. The units are 2**-s for some
+    s <= 1074, and dividing the best total by 2**s rounds correctly, so its
+    float does not depend on s. Raises OracleTooLargeError when the
+    enumeration would exceed cap, and ConsistencyError when the walk scores
+    a number of compositions other than count_solutions(K, L).
     """
     start = time.perf_counter()
     bounds = layer_bounds(ft.K, spec.L)
@@ -149,7 +147,8 @@ def _walk_compositions(
     last-two list of i for every i, in (i, j) order: that prefix's full
     totals, whose least it keeps with no pass of its own. Every other prefix
     forms its full totals, its difference from the first prefix total plus
-    each flat entry, in one C-level pass and keeps the least. Totals are
+    each flat entry, in one C-level pass and keeps the least. Nothing is
+    pruned: every composition's total is formed once and compared. Totals are
     exact integers, so ties are genuine: min keeps the leftmost within a
     prefix, and across prefixes, whose groups leave lexicographic order
     once L >= 5, the smaller node sequence wins, so the answer is the first

@@ -60,6 +60,11 @@ def load_population(
 ) -> Population:
     """Read delimiter-separated text with a header row into a Population.
 
+    Each row is parsed in one step, one float() per column. Only a row that
+    step refuses (blank, short, or with a cell that is not a finite number)
+    goes through the per-cell checks, which skip blank rows and raise the
+    same messages, naming the same row, as checking every row would.
+
     Args:
         source: iterable of text lines (an open file works).
         x_column: header name of the size variable.
@@ -92,9 +97,8 @@ def load_population(
 
         end = reader.line_num
         for row in reader:
-            # float() strips the same whitespace as str.strip(), and a row
-            # with a cell it accepts is not blank, so a clean row needs no
-            # per-cell check; x - x is nonzero only for inf and nan
+            # a row with a cell float() accepts is not blank, so a clean row
+            # needs no per-cell check; x - x is nonzero only for inf and nan
             try:
                 x = float(row[x_index])
                 y = x if y_index is None else float(row[y_index])

@@ -29,13 +29,9 @@ from .moments import (
 )
 from .population import FrequencyTable
 
-# relative gap between the prefix and direct segment routes that flags a bug
+# the self-check's tolerances, which path_to_solution derives
 _SELF_CHECK_RTOL = 1e-7
-# a gap within this multiple of 2^-53 * n_h/(n_h - 1) times the stratum's own
-# sum of y^2 is rounding the prefix route cannot avoid
 _SELF_CHECK_FLOOR = 8 * 2.0**-53
-# below 2^-1022 floats are this far apart, and a product or quotient landing
-# there is off by up to half of it whatever its size
 _SUBNORMAL_SPACING = 2.0**-1074
 
 
@@ -108,21 +104,25 @@ def path_to_solution(
     consistency check of the cost route: a unit-count mismatch, or a cost
     gap beyond both 1e-7 relative and the rounding floor of the prefix route
     (8 * 2^-53 * n_h/(n_h - 1) times the stratum's own sum of y^2), raises
-    ConsistencyError. The floor scales with the stratum, not with the
-    running sum: a large y^2 in an earlier stratum must not hide a cost
-    that cancellation wiped out later. Where a stratum's y^2 falls below
+    ConsistencyError. A gap below the floor is rounding the stratum's own
+    values cannot avoid: a stratum whose exact cost is 0 still reads a
+    little noise. The floor scales with the stratum, not with the running
+    sum: a large y^2 in an earlier stratum must not hide a cost that
+    cancellation wiped out later. Where a stratum's y^2 falls below
     2^-1022, floats are 2^-1074 apart: a product or quotient landing there
     can be off by 2^-1075 whatever its size, while sums there are exact
     (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
     section 2.1). So the floor adds (3 (j - i) + n_h + 3) * 2^-1074 for a
-    stratum of groups i..j-1. The direct route rounds three products per
+    stratum of groups i..j-1: the direct route rounds three products per
     group and the prefix route two operations in all; the cost carries
     that sum-of-squares error times n_h/(n_h - 1) <= 2, plus each route's
-    quotient by n_h - 1 times n_h and its last product. The costs are
-    summed once, and the variance is variance_factor(spec) times that
-    total. Raises DataError when the total or the variance overflows a
-    float, InvalidSpecError when spec.N differs from the table's N, and the
-    errors of segment_stats and coefficient_of_variation.
+    quotient by n_h - 1 times n_h and its last product. As j - i <= n_h,
+    the allowance stays below N * 2e-323, far below the cancellation gaps
+    the check must catch. The costs are summed once, and the variance is
+    variance_factor(spec) times that exactly rounded total. Raises
+    DataError when the total or the variance overflows a float,
+    InvalidSpecError when spec.N differs from the table's N, and the errors
+    of segment_stats and coefficient_of_variation.
     """
     nodes = path.nodes
     if nodes[0] != 1 or nodes[-1] != ft.K + 1:
@@ -190,20 +190,16 @@ def path_to_solution(
 def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSolution:
     """Solve one stratification problem end to end.
 
-    Costs every segment that is an arc of some layer once, into a
-    cost_table of floats, and runs the layered dynamic program over node
-    indexes; no Arc or LayeredGraph is built (build_layered_graph,
-    attach_costs and solve are inspection views over the same table and
-    dynamic program). L = 1 is the one-layer case. The result carries
-    wall-clock elapsed seconds.
+    Runs _cheapest_path over the cost_table of every arc's segment; no Arc
+    or LayeredGraph is built. L = 1 is the one-layer case. The result
+    carries wall-clock elapsed seconds.
 
-    Raises InfeasibleProblemError when K < 2L (each stratum must get at
-    least two distinct values, so a lone distinct value cannot even fill a
-    single stratum), InvalidSpecError from path_to_solution when spec.N
-    differs from the table's N, DataError when a segment cost, the optimal
-    total or the variance overflows a float, UndefinedCVError when the
-    population total is zero or too close to zero for a finite CV, and
-    ConsistencyError when path_to_solution's self-check fails.
+    Raises InfeasibleProblemError when K < 2L, InvalidSpecError from
+    path_to_solution when spec.N differs from the table's N, DataError when
+    a segment cost, the optimal total or the variance overflows a float,
+    UndefinedCVError when the population total is zero or too close to zero
+    for a finite CV, and ConsistencyError when path_to_solution's self-check
+    fails.
     """
     start = time.perf_counter()
     bounds = layer_bounds(ft.K, spec.L)
@@ -220,10 +216,7 @@ def _cheapest_path(
     """Least total over paths from node 1 to K+1 taking one arc per layer,
     and that total in exact 2^-1074 integer units.
 
-    rows and final are a cost_table over bounds. Each layer but the last
-    pairs a tail i with the heads i+2, i+3, ... up to its head stop, whose
-    costs open rows[i]; final holds the cost of the last layer's one arc
-    from each of its tails. Three passes:
+    rows and final are a cost_table over bounds. Three passes:
 
     - Backward, values only: each tail's float completion is the least of
       its row plus the next layer's completions at those heads.
@@ -234,6 +227,8 @@ def _cheapest_path(
     - Bottom-up, exact: each needed node takes the candidate with the least
       exact total, its own cost plus the exact completion of that
       candidate, leftmost among exact ties; the path is read forward.
+      Without near-ties each needed node has one candidate, so only the
+      winning path is converted.
 
     The kept choices are the leftmost exactly cheapest heads, so the nodes
     are the lexicographically smallest optimal sequence.

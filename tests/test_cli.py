@@ -678,10 +678,13 @@ EXTREME_SCALES = (
 
 
 class TestNoTraceback:
-    def test_extreme_magnitudes_exit_with_a_code(self, capsys, tmp_path):
+    @pytest.mark.parametrize("oracle", [False, True], ids=["plain", "check-oracle"])
+    def test_extreme_magnitudes_exit_with_a_code(self, capsys, tmp_path, oracle):
         """Seeded small inputs whose y spans every float magnitude, both
         signs: each run exits 0, 2, 3 or 4. On 0 stdout is valid JSON (no
-        Infinity or NaN); otherwise stdout is empty and stderr one error."""
+        Infinity or NaN); otherwise stdout is empty and stderr one error.
+        With --check-oracle each run exits as the plain run does, and each
+        exit 0 reports that the oracle agreed."""
         rng = random.Random(20261018)
         path = tmp_path / "extreme.csv"
         failures = []
@@ -698,6 +701,10 @@ class TestNoTraceback:
             n = rng.randint(1, rows)
             args = ["--input", str(path), "--y-col", "y", "--strata", str(strata),
                     "--sample-size", str(n), "--json"]
+            if oracle:
+                plain = cli.main(args)
+                capsys.readouterr()
+                args.append("--check-oracle")
             try:
                 code = cli.main(args)
             except Exception as exc:  # noqa: BLE001 - any escape is the failure
@@ -705,11 +712,16 @@ class TestNoTraceback:
                 failures.append((case, pairs, strata, n, repr(exc)))
                 continue
             out, err = capsys.readouterr()
-            if code == 0:
+            if oracle and code != plain:
+                failures.append((case, pairs, strata, n, plain, code, err))
+            elif code == 0:
                 try:
-                    json.loads(out, parse_constant=reject_constant)
+                    payload = json.loads(out, parse_constant=reject_constant)
                 except ValueError as exc:
                     failures.append((case, pairs, strata, n, str(exc)))
+                else:
+                    if payload["oracle_checked"] is not oracle:
+                        failures.append((case, pairs, strata, n, payload))
             elif code not in (2, 3, 4) or out or not (
                 err.startswith("error: ") and err.count("\n") == 1
             ):

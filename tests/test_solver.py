@@ -32,6 +32,7 @@ from stratopt import (
 )
 from stratopt.graph import cost_table, layer_bounds
 from stratopt.moments import cost_units_to_float, exact_cost_units
+from stratopt.oracle import _exact_units
 from stratopt.solver import _cheapest_path
 
 from helpers import (
@@ -636,7 +637,9 @@ class TestSolveProblem:
         """At y ~ 1e-160 every y^2 falls below 2^-1022, where products and
         quotients round to absolute steps of 2^-1074 that no relative
         tolerance covers. 400 such inputs solve without a consistency
-        error."""
+        error. Their least positive costs are too small for the oracle's
+        narrow units, so it scores every table in 2^-1074 units, and finds
+        the solver's nodes and total."""
         rng = random.Random(5)
         failed = []
         for _ in range(400):
@@ -648,10 +651,20 @@ class TestSolveProblem:
             ]
             L = rng.randint(1, K // 2)
             ft = table_from_pairs(pairs)
+            spec = ProblemSpec(L=L, n=1, N=ft.N)
             try:
-                solve_problem(ft, ProblemSpec(L=L, n=1, N=ft.N))
+                solved = solve_problem(ft, spec)
+                checked = brute_force_solve(ft, spec)
             except ConsistencyError as exc:
                 failed.append(str(exc))
+                continue
+            table = cost_table(build_prefix_moments(ft), layer_bounds(ft.K, L))
+            if (
+                _exact_units(*table)[2] != 1 << 1074
+                or checked.nodes != solved.nodes
+                or checked.total_unit_cost != solved.total_unit_cost
+            ):
+                failed.append((K, L, solved.nodes, checked.nodes))
         assert failed == []
 
     def test_boundaries_are_interior_distinct_values(self):
