@@ -214,11 +214,22 @@ def build_parser() -> argparse.ArgumentParser:
         "certify by exhaustive enumeration that no feasible stratification scores lower "
         "on the same float cost table, ties going to the smallest node sequence; the "
         "costs themselves are not recomputed"))
-    parser.add_argument("--oracle-cap", type=int, default=DEFAULT_ORACLE_CAP, metavar="M", help=f"largest enumeration allowed (default: {DEFAULT_ORACLE_CAP})")
+    parser.add_argument("--oracle-cap", type=_cap, default=DEFAULT_ORACLE_CAP, metavar="M", help=f"largest enumeration allowed (default: {DEFAULT_ORACLE_CAP})")
     parser.add_argument("--json", dest="output_format", action="store_const", const="json", default="text", help="emit JSON instead of text")
     parser.add_argument("--tab", dest="delimiter", action="store_const", const="\t", default=",", help="input is tab separated")
     parser.add_argument("--neyman", action="store_true", help="also report dispersion-weighted allocations")
     return parser
+
+
+def _cap(text: str) -> int:
+    """--oracle-cap's value: an int, read as argparse reads one, >= 0."""
+    try:
+        cap = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if cap < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {cap}")
+    return cap
 
 
 def main(argv: list[str] | None = None) -> int:

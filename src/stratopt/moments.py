@@ -154,10 +154,6 @@ def unit_cost(stats: SegmentStats) -> float:
     return stats.n_pop * stats.s2
 
 
-# 2**1074 clears the power-of-two denominator of every finite float
-_EXACT_SCALE = 1 << 1074
-
-
 def exact_cost_units(cost: float) -> int:
     """Embed a float exactly as an integer count of 2**-1074 units.
 
@@ -168,20 +164,6 @@ def exact_cost_units(cost: float) -> int:
     numerator, denominator = cost.as_integer_ratio()
     # denominator is 2**k, so the product numerator * 2**(1074 - k) is a shift
     return numerator << (1075 - denominator.bit_length())
-
-
-def cost_units_to_float(units: int, scale: int = _EXACT_SCALE) -> float:
-    """Collapse an exact count of 1/scale units back to the nearest float.
-
-    Integer true division rounds correctly, so any power-of-two scale that
-    keeps the count an integer gives the same float. Raises DataError when
-    the count lies beyond the float range, which a sum of finite costs can
-    reach.
-    """
-    try:
-        return units / scale
-    except OverflowError:
-        raise DataError("y values too large: a total cost overflows a float") from None
 
 
 def variance_factor(spec: ProblemSpec) -> float:

@@ -17,14 +17,9 @@ from typing import Iterator
 
 from .errors import ConsistencyError, OracleTooLargeError
 from .graph import cost_table, layer_bounds
-from .moments import (
-    ProblemSpec,
-    build_prefix_moments,
-    cost_units_to_float,
-    exact_cost_units,
-)
+from .moments import ProblemSpec, build_prefix_moments, exact_cost_units
 from .population import FrequencyTable
-from .solver import PathSolution, StratificationSolution, path_to_solution
+from .solver import StratificationSolution, _report
 
 Composition = tuple[int, ...]
 """Distinct-value counts per stratum: every entry >= 2, entries summing to K."""
@@ -72,11 +67,9 @@ def brute_force_solve(
     against a per-segment reference scorer. Nothing else is shared with the
     solver's dynamic program. The costs become exact integer units whose
     size the table's least positive cost sets, so totals do not depend on
-    summation order and cost ties are genuine. The units are 2**-s for some
-    s <= 1074, and dividing the best total by 2**s rounds correctly, so its
-    float does not depend on s. Raises OracleTooLargeError when the
-    enumeration would exceed cap, and ConsistencyError when the walk scores
-    a number of compositions other than count_solutions(K, L).
+    summation order and cost ties are genuine. Raises OracleTooLargeError
+    when the enumeration would exceed cap, and ConsistencyError when the
+    walk scores a number of compositions other than count_solutions(K, L).
     """
     start = time.perf_counter()
     bounds = layer_bounds(ft.K, spec.L)
@@ -87,41 +80,39 @@ def brute_force_solve(
         )
     pm = build_prefix_moments(ft)
     # scored in exact units, independent of the solver's tie certificate
-    rows, final, scale = _exact_units(*cost_table(pm, bounds))
-    nodes, total, scored = _walk_compositions(rows, final, ft.K, spec.L)
+    rows, final = _exact_units(*cost_table(pm, bounds))
+    nodes, scored = _walk_compositions(rows, final, ft.K, spec.L)
     if scored != m:
         raise ConsistencyError(
             f"exhaustive walk scored {scored} compositions, expected {m}"
         )
-    path = PathSolution(nodes, cost_units_to_float(total, scale))
-    solution = path_to_solution(path, pm, ft, spec)
+    solution = _report(nodes, pm, ft, spec)
     return replace(solution, elapsed=time.perf_counter() - start)
 
 
 def _exact_units(
     rows: list[list[float]], final: list[float | None]
-) -> tuple[list[list[int]], list[int | None], int]:
-    """The cost table as exact integer counts of 1/scale units, and scale.
+) -> tuple[list[list[int]], list[int | None]]:
+    """The cost table as exact integer counts of one unit, 2**-s.
 
     A float c > 0 is a 53-bit integer times 2**(e - 53), e = frexp(c)[1], so
-    scale = 2**(53 - e) with e that of the least positive cost makes every
-    cost an integer, and c * scale forms it exactly as a float while that
-    product stays in range. The table's own precision thus sets the scale,
-    which keeps the integers narrow. A table whose costs span too wide a
-    range for that takes 2**-1074 units, which hold any float.
+    s = 53 - e with e that of the least positive cost makes every cost an
+    integer, and c * 2**s forms it exactly as a float while that product
+    stays in range. The table's own precision thus sets the unit, which
+    keeps the integers narrow. A table whose costs span too wide a range for
+    that takes 2**-1074 units, which hold any float. Totals in these units
+    are only compared, never converted back, so s is not kept.
     """
     costs = [cost for cost in final if cost is not None]
     least = min(filter(None, chain(*rows, costs)), default=math.inf)
     shift = 0 if least == math.inf else max(0, 53 - math.frexp(least)[1])
     if shift <= 1023 and max(chain(*rows, costs)) * 2.0**shift < math.inf:
         factor = 2.0**shift
-        scale = 1 << shift
 
         def units(row: list[float]) -> Iterator[int]:
             return map(int, map(mul, row, repeat(factor)))
 
     else:
-        scale = 1 << 1074
 
         def units(row: list[float]) -> Iterator[int]:
             return map(exact_cost_units, row)
@@ -130,15 +121,14 @@ def _exact_units(
     return (
         [list(units(row)) for row in rows],
         [None if cost is None else next(final_units) for cost in final],
-        scale,
     )
 
 
 def _walk_compositions(
     rows: list[list[int]], final: list[int | None], K: int, L: int
-) -> tuple[tuple[int, ...], int, int]:
-    """Cheapest node sequence by scoring every composition, its total in
-    units, and the number of compositions scored.
+) -> tuple[tuple[int, ...], int]:
+    """Cheapest node sequence by scoring every composition, and the number
+    of compositions scored.
 
     The last two strata, i..j-1 and j..K, cost rows[i][j-i-2] + final[j];
     that list over j is formed once per i. For L >= 3 the prefixes
@@ -157,13 +147,12 @@ def _walk_compositions(
     built.
     """
     if L == 1:
-        return (1, K + 1), final[1], 1
+        return (1, K + 1), 1
     reach = range(1, 2) if L == 2 else range(2 * L - 3, K - 2)
     last_two = {i: list(map(add, rows[i], final[i + 2 : K])) for i in reach}
     if L == 2:
         totals = last_two[1]
-        low = min(totals)
-        return (1, 3 + totals.index(low), K + 1), low, len(totals)
+        return (1, 3 + totals.index(min(totals)), K + 1), len(totals)
     best_nodes: tuple[int, ...] = ()
     best_total: float = math.inf
     scored = 0
@@ -187,7 +176,7 @@ def _walk_compositions(
                 if low < best_total or nodes < best_nodes:
                     best_nodes, best_total = nodes, low
         del flat
-    return best_nodes, best_total, scored
+    return best_nodes, scored
 
 
 def _prefix_groups(K: int, L: int) -> Iterator[tuple[int, list[tuple[int, ...]]]]:

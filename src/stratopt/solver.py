@@ -20,7 +20,6 @@ from .moments import (
     allocate_proportional,
     build_prefix_moments,
     coefficient_of_variation,
-    cost_units_to_float,
     exact_cost_units,
     segment_stats,
     segment_stats_direct,
@@ -84,12 +83,16 @@ def solve(graph: LayeredGraph) -> PathSolution:
     """Cheapest path from source to terminal using one arc per layer.
 
     An inspection view: runs solve_problem's dynamic program over the
-    cost_table that attach_costs attached, without building any arc.
+    cost_table that attach_costs attached, without building any arc, and
+    totals the path's costs from that table as path_to_solution does.
     """
     if graph.table is None:
         raise ValueError("graph has no costs attached")
-    nodes, units = _cheapest_path(layer_bounds(graph.K, graph.L), *graph.table)
-    return PathSolution(nodes, cost_units_to_float(units))
+    rows, final = graph.table
+    nodes = _cheapest_path(layer_bounds(graph.K, graph.L), rows, final)
+    # only the last arc reaches the terminal, so its cost sits in final
+    costs = [rows[i][j - i - 2] for i, j in zip(nodes, nodes[1:-1])]
+    return PathSolution(nodes, _total_cost([*costs, final[nodes[-2]]]))
 
 
 def path_to_solution(
@@ -124,7 +127,13 @@ def path_to_solution(
     InvalidSpecError when spec.N differs from the table's N, and the errors
     of segment_stats and coefficient_of_variation.
     """
-    nodes = path.nodes
+    return _report(path.nodes, pm, ft, spec)
+
+
+def _report(
+    nodes: tuple[int, ...], pm: PrefixMoments, ft: FrequencyTable, spec: ProblemSpec
+) -> StratificationSolution:
+    """path_to_solution on the bare nodes that the searches return."""
     if nodes[0] != 1 or nodes[-1] != ft.K + 1:
         raise ValueError(f"path {nodes} does not span groups 1..{ft.K}")
     if len(nodes) - 1 != spec.L:
@@ -163,10 +172,7 @@ def path_to_solution(
     fractional, rounded = allocate_proportional(
         [s.n_pop for s in stats_by_stratum], spec
     )
-    try:
-        total = math.fsum(costs)
-    except OverflowError:
-        raise DataError("y values too large: a total cost overflows a float") from None
+    total = _total_cost(costs)
     variance = variance_factor(spec) * total
     if not math.isfinite(variance):
         raise DataError("y values too large: the variance overflows a float")
@@ -187,6 +193,15 @@ def path_to_solution(
     )
 
 
+def _total_cost(costs: list[float]) -> float:
+    """A path's costs summed exactly and rounded once to a float; raises
+    DataError when that total lies beyond the float range."""
+    try:
+        return math.fsum(costs)
+    except OverflowError:
+        raise DataError("y values too large: a total cost overflows a float") from None
+
+
 def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSolution:
     """Solve one stratification problem end to end.
 
@@ -204,17 +219,15 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     start = time.perf_counter()
     bounds = layer_bounds(ft.K, spec.L)
     pm = build_prefix_moments(ft)
-    nodes, total = _cheapest_path(bounds, *cost_table(pm, bounds))
-    path = PathSolution(nodes, cost_units_to_float(total))
-    solution = path_to_solution(path, pm, ft, spec)
+    solution = _report(_cheapest_path(bounds, *cost_table(pm, bounds)), pm, ft, spec)
     return replace(solution, elapsed=time.perf_counter() - start)
 
 
 def _cheapest_path(
     bounds: Bounds, rows: list[list[float]], final: list[float | None]
-) -> tuple[tuple[int, ...], int]:
-    """Least total over paths from node 1 to K+1 taking one arc per layer,
-    and that total in exact 2^-1074 integer units.
+) -> tuple[int, ...]:
+    """Nodes of the least-total path from node 1 to K+1 taking one arc per
+    layer.
 
     rows and final are a cost_table over bounds. Three passes:
 
@@ -292,4 +305,4 @@ def _cheapest_path(
     for chosen in candidates:
         nodes.append(chosen[nodes[-1]])
     nodes.append(terminal)
-    return tuple(nodes), exact[1]
+    return tuple(nodes)

@@ -38,7 +38,7 @@ from stratopt import (
     variance_factor,
 )
 from stratopt.graph import Bounds, CostTable
-from stratopt.moments import cost_units_to_float, exact_cost_units
+from stratopt.moments import exact_cost_units
 
 # sorts to the worked example multiset (2, 4, 4, 8, 10, 10, 10, 15, 15)
 DESK_X = (10, 2, 4, 8, 10, 4, 15, 10, 15)
@@ -180,7 +180,7 @@ def reference_brute_force_solve(
             best_total = total
             best_nodes = nodes
     assert best_nodes is not None and best_total is not None
-    path = PathSolution(best_nodes, cost_units_to_float(best_total))
+    path = PathSolution(best_nodes, units_to_float(best_total))
     return path_to_solution(path, pm, ft, spec)
 
 
@@ -280,6 +280,13 @@ def _reference_segment_row(
                 clamped.append((i, j))
         row.append((n_pop, ss / (n_pop - 1), y_total))
     return row
+
+
+def units_to_float(units: int) -> float:
+    """A count of 2^-1074 units rounded once to the nearest float: integer
+    true division rounds correctly, and raises OverflowError past the float
+    range."""
+    return units / (1 << 1074)
 
 
 def units_table(table: CostTable) -> tuple[list[list[int]], list[int | None]]:

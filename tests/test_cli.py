@@ -435,6 +435,15 @@ class TestParser:
             neyman=True,
         )
 
+    @pytest.mark.parametrize("cap", ["-1", "abc"])
+    def test_oracle_cap_below_zero_or_not_an_int_exits_2(self, capsys, cap):
+        """Exit 2 as for --strata abc; a cap of 0 stays valid."""
+        with pytest.raises(SystemExit) as exc:
+            self.parse(*self.REQUIRED, "--oracle-cap", cap)
+        assert exc.value.code == 2
+        assert "argument --oracle-cap:" in capsys.readouterr().err
+        assert self.parse(*self.REQUIRED, "--oracle-cap", "0").oracle_cap == 0
+
     def test_help_names_each_flag_and_metavar(self):
         text = cli.build_parser().format_help()
         for usage in (

@@ -23,7 +23,7 @@ from stratopt import (
     unit_cost,
 )
 from stratopt.graph import cost_table, layer_bounds
-from stratopt.moments import cost_units_to_float, exact_cost_units
+from stratopt.moments import exact_cost_units
 
 from helpers import (
     count_paths,
@@ -33,6 +33,7 @@ from helpers import (
     skewed_table,
     table_from_pairs,
     tie_heavy_pairs,
+    units_to_float,
 )
 
 
@@ -326,7 +327,7 @@ class TestDumpArcs:
         pm = build_prefix_moments(table_from_pairs(pairs))
         listing = "\n".join(
             f"{h}\t{i}\t{j}\t"
-            f"{cost_units_to_float(exact_cost_units(unit_cost(segment_stats(pm, i, j))))!r}"
+            f"{units_to_float(exact_cost_units(unit_cost(segment_stats(pm, i, j))))!r}"
             for h, (tails, first_head, head_stop) in enumerate(layer_bounds(K, L), start=1)
             for i in tails
             for j in range(max(i + 2, first_head), head_stop)

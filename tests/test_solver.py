@@ -17,6 +17,7 @@ from stratopt import (
     DataError,
     InfeasibleProblemError,
     InvalidSpecError,
+    LayeredGraph,
     PathSolution,
     ProblemSpec,
     attach_costs,
@@ -31,7 +32,7 @@ from stratopt import (
     variance_factor,
 )
 from stratopt.graph import cost_table, layer_bounds
-from stratopt.moments import cost_units_to_float, exact_cost_units
+from stratopt.moments import exact_cost_units
 from stratopt.oracle import _exact_units
 from stratopt.solver import _cheapest_path
 
@@ -47,6 +48,7 @@ from helpers import (
     table_from_pairs,
     tie_heavy_pairs,
     units_table,
+    units_to_float,
 )
 
 # a pair of units at -B and B costs N_h * S2_h = 0.9 * sys.float_info.max
@@ -101,7 +103,7 @@ def assert_matches_unit_dp(K, L, table):
     bounds = layer_bounds(K, L)
     assert _cheapest_path(bounds, *table) == reference_cheapest_path(
         bounds, *units_table(table)
-    )
+    )[0]
 
 
 # costs that misorder or tie under float rounding, and subnormal costs
@@ -111,8 +113,8 @@ SUBNORMAL_COSTS = (0.0, 5e-324, 1e-323, 2**-1070, 2**-1022 - 2**-1074, 2**-1022,
 
 class TestCertifiedPath:
     """The float dynamic program with its exact tie certificate must return
-    the nodes and exact unit total of the dynamic program run wholly in
-    exact units."""
+    the nodes of the dynamic program run wholly in exact units, and the
+    reports carry its exact total rounded once."""
 
     @pytest.mark.parametrize("block", range(30))
     def test_matches_unit_dp(self, block):
@@ -131,7 +133,7 @@ class TestCertifiedPath:
             nodes, units = reference_cheapest_path(
                 bounds, *units_table(cost_table(pm, bounds))
             )
-            total = cost_units_to_float(units).hex()
+            total = units_to_float(units).hex()
             sol = solve_problem(ft, ProblemSpec(L=L, n=max(1, ft.N // 4), N=ft.N))
             path = solve(attach_costs(build_layered_graph(ft.K, L), pm))
             assert (sol.nodes, sol.total_unit_cost.hex()) == (nodes, total)
@@ -169,7 +171,7 @@ class TestCertifiedPath:
         sums; every other segment costs 10."""
         table = table_with_costs(K, L, lambda i, j: costs.get((i, j), 10.0))
         units = sum(exact_cost_units(costs[arc]) for arc in zip(nodes, nodes[1:]))
-        assert _cheapest_path(layer_bounds(K, L), *table) == (nodes, units)
+        assert solve(LayeredGraph(K, L, table)) == PathSolution(nodes, units_to_float(units))
         assert_matches_unit_dp(K, L, table)
 
     @pytest.mark.parametrize(
@@ -189,16 +191,15 @@ class TestCertifiedPath:
     @pytest.mark.parametrize("seed", range(5))
     def test_every_float_total_overflows(self, seed):
         """Finite costs whose every path total overflows to inf in floats:
-        every head is resolved in exact units."""
+        every head is resolved in exact units, and the total is refused."""
         rng = random.Random(626_000 + seed)
         L = rng.randint(3, 5)
         K = rng.randint(2 * L, 2 * L + 10)
         big = sys.float_info.max
         table = table_with_costs(K, L, lambda i, j: rng.uniform(0.6, 0.9) * big)
         assert_matches_unit_dp(K, L, table)
-        _, units = _cheapest_path(layer_bounds(K, L), *table)
         with pytest.raises(DataError, match="y values too large"):
-            cost_units_to_float(units)
+            solve(LayeredGraph(K, L, table))
 
     def test_exact_conversions_linear_in_K(self, monkeypatch):
         """On random data, only the chosen chains and the few heads the
@@ -660,7 +661,7 @@ class TestSolveProblem:
                 continue
             table = cost_table(build_prefix_moments(ft), layer_bounds(ft.K, L))
             if (
-                _exact_units(*table)[2] != 1 << 1074
+                _exact_units(*table)[0] != units_table(table)[0]
                 or checked.nodes != solved.nodes
                 or checked.total_unit_cost != solved.total_unit_cost
             ):
