@@ -12,6 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Integral
 from typing import Iterable, Sequence
 
 from .errors import (
@@ -70,6 +71,10 @@ class ProblemSpec:
     fpc: bool = True
 
     def __post_init__(self) -> None:
+        for name in ("L", "n", "N"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
         if self.L < 1:
             raise InvalidSpecError(f"stratum count must be at least 1, got {self.L}")
         if self.N < 1:

@@ -16,10 +16,10 @@ from operator import add, mul
 from typing import Iterator
 
 from .errors import ConsistencyError, OracleTooLargeError
-from .graph import cost_table, layer_bounds
+from .graph import cost_table
 from .moments import ProblemSpec, build_prefix_moments, exact_cost_units
 from .population import FrequencyTable
-from .solver import StratificationSolution, _report
+from .solver import StratificationSolution, _report, check_problem
 
 Composition = tuple[int, ...]
 """Distinct-value counts per stratum: every entry >= 2, entries summing to K."""
@@ -67,12 +67,15 @@ def brute_force_solve(
     against a per-segment reference scorer. Nothing else is shared with the
     solver's dynamic program. The costs become exact integer units whose
     size the table's least positive cost sets, so totals do not depend on
-    summation order and cost ties are genuine. Raises OracleTooLargeError
-    when the enumeration would exceed cap, and ConsistencyError when the
-    walk scores a number of compositions other than count_solutions(K, L).
+    summation order and cost ties are genuine. Raises InfeasibleProblemError
+    and InvalidSpecError from check_problem, before the cap is tested;
+    OracleTooLargeError when the enumeration would exceed cap;
+    ConsistencyError when the walk scores a number of compositions other
+    than count_solutions(K, L); and otherwise what solve_problem raises
+    after its check.
     """
     start = time.perf_counter()
-    bounds = layer_bounds(ft.K, spec.L)
+    bounds = check_problem(ft, spec)
     m = count_solutions(ft.K, spec.L)
     if m > cap:
         raise OracleTooLargeError(

@@ -123,9 +123,10 @@ def path_to_solution(
     the allowance stays below N * 2e-323, far below the cancellation gaps
     the check must catch. The costs are summed once, and the variance is
     variance_factor(spec) times that exactly rounded total. Raises
-    DataError when the total or the variance overflows a float,
-    InvalidSpecError when spec.N differs from the table's N, and the errors
-    of segment_stats and coefficient_of_variation.
+    ValueError when the path does not span the table in spec.L arcs,
+    InvalidSpecError from allocate_proportional when spec.N differs from
+    the table's N, DataError when the total or the variance overflows a
+    float, and the errors of segment_stats and coefficient_of_variation.
     """
     return _report(path.nodes, pm, ft, spec)
 
@@ -138,8 +139,6 @@ def _report(
         raise ValueError(f"path {nodes} does not span groups 1..{ft.K}")
     if len(nodes) - 1 != spec.L:
         raise ValueError(f"path has {len(nodes) - 1} arcs, spec wants {spec.L}")
-    if spec.N != ft.N:
-        raise InvalidSpecError(f"spec N={spec.N} does not match table N={ft.N}")
 
     costs: list[float] = []
     stats_by_stratum = []
@@ -202,6 +201,19 @@ def _total_cost(costs: list[float]) -> float:
         raise DataError("y values too large: a total cost overflows a float") from None
 
 
+def check_problem(ft: FrequencyTable, spec: ProblemSpec) -> Bounds:
+    """The layer bounds of a problem whose spec fits its table.
+
+    The one check of a spec against its table, which both searches run
+    before any work. Raises InfeasibleProblemError when K < 2L, then
+    InvalidSpecError when spec.N differs from the table's N.
+    """
+    bounds = layer_bounds(ft.K, spec.L)
+    if spec.N != ft.N:
+        raise InvalidSpecError(f"spec N={spec.N} does not match table N={ft.N}")
+    return bounds
+
+
 def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSolution:
     """Solve one stratification problem end to end.
 
@@ -209,15 +221,14 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     or LayeredGraph is built. L = 1 is the one-layer case. The result
     carries wall-clock elapsed seconds.
 
-    Raises InfeasibleProblemError when K < 2L, InvalidSpecError from
-    path_to_solution when spec.N differs from the table's N, DataError when
-    a segment cost, the optimal total or the variance overflows a float,
-    UndefinedCVError when the population total is zero or too close to zero
-    for a finite CV, and ConsistencyError when path_to_solution's self-check
-    fails.
+    Raises InfeasibleProblemError and InvalidSpecError from check_problem,
+    before any costing; DataError when a segment cost, the optimal total or
+    the variance overflows a float, UndefinedCVError when the population
+    total is zero or too close to zero for a finite CV, and ConsistencyError
+    when path_to_solution's self-check fails.
     """
     start = time.perf_counter()
-    bounds = layer_bounds(ft.K, spec.L)
+    bounds = check_problem(ft, spec)
     pm = build_prefix_moments(ft)
     solution = _report(_cheapest_path(bounds, *cost_table(pm, bounds)), pm, ft, spec)
     return replace(solution, elapsed=time.perf_counter() - start)

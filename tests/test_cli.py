@@ -354,7 +354,7 @@ class TestJsonReport:
     @pytest.mark.xfail(
         strict=True,
         reason="the prefix route cancels a small stratum after a large one "
-        "(ROADMAP item 1: exact moments)",
+        "(ROADMAP: exact moments)",
     )
     def test_small_stratum_after_a_large_one_is_solved(self, capsys, tmp_path):
         """Groups 3..4's sum of y^2 sits below the ulp of the running sum

@@ -183,11 +183,19 @@ class TestProblemSpec:
             {"L": 2, "n": 0, "N": 9},
             {"L": 2, "n": 10, "N": 9},
             {"L": 2, "n": 3, "N": 0},
+            {"L": 2.0, "n": 3, "N": 9},
+            {"L": 2, "n": 3.0, "N": 9},
+            {"L": 2, "n": 3, "N": 9.0},
+            {"L": 2, "n": "3", "N": 9},
         ],
     )
     def test_invalid(self, kwargs):
         with pytest.raises(InvalidSpecError):
             ProblemSpec(**kwargs)
+
+    def test_non_integer_names_its_field(self):
+        with pytest.raises(InvalidSpecError, match=r"^n must be an integer, got 3\.0$"):
+            ProblemSpec(L=2, n=3.0, N=9)
 
 
 class TestVarianceFormulas:

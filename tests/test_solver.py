@@ -7,10 +7,12 @@ import random
 import sys
 import tracemalloc
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
 import stratopt.graph
+import stratopt.oracle
 import stratopt.solver
 from stratopt import (
     ConsistencyError,
@@ -343,7 +345,7 @@ class TestPathToSolution:
     def test_population_size_must_match_spec(self, desk):
         ft, pm = desk
         spec = ProblemSpec(L=2, n=3, N=10)
-        with pytest.raises(InvalidSpecError):
+        with pytest.raises(InvalidSpecError, match=r"^stratum sizes sum to 9, expected N=10$"):
             path_to_solution(PathSolution((1, 3, 6), 56.0), pm, ft, spec)
 
     @pytest.mark.parametrize(
@@ -415,6 +417,26 @@ class TestSolveProblem:
         ft = desk_table()
         with pytest.raises(InvalidSpecError):
             solve_problem(ft, ProblemSpec(L=2, n=3, N=10))
+
+    @pytest.mark.parametrize(
+        "search", [solve_problem, partial(brute_force_solve, cap=0)], ids=["solver", "oracle"]
+    )
+    def test_spec_is_checked_against_its_table_before_any_work(self, monkeypatch, search):
+        """Both searches reject a spec that does not fit its table before
+        any prefix moments or cost table exist, the oracle before its cap
+        too; K < 2L is reported before a mismatched N."""
+
+        def no_work(*args):
+            raise AssertionError("work started before the spec was checked")
+
+        for module in (stratopt.solver, stratopt.oracle):
+            monkeypatch.setattr(module, "build_prefix_moments", no_work)
+            monkeypatch.setattr(module, "cost_table", no_work)
+        ft = desk_table()
+        with pytest.raises(InvalidSpecError, match=r"^spec N=10 does not match table N=9$"):
+            search(ft, ProblemSpec(L=2, n=3, N=10))
+        with pytest.raises(InfeasibleProblemError):
+            search(ft, ProblemSpec(L=3, n=3, N=10))
 
     @pytest.mark.parametrize("strata,nodes", [(2, (1, 9, 11)), (3, (1, 7, 9, 11))])
     def test_cancelled_sum_of_squares_is_not_a_consistency_error(self, strata, nodes):
@@ -578,7 +600,7 @@ class TestSolveProblem:
                 marks=pytest.mark.xfail(
                     strict=True,
                     reason="float prefix moments cancel under a large shift "
-                    "of y (ROADMAP item 1: exact moments)",
+                    "of y (ROADMAP: exact moments)",
                 ),
             ),
         ],

@@ -1,5 +1,5 @@
-"""The core package stays standard-library only, and the tests need only
-pytest besides it."""
+"""The core package stays standard-library only, the tests need only
+pytest besides it, and a problem is judged valid in one place."""
 
 from __future__ import annotations
 
@@ -44,3 +44,35 @@ def test_tests_import_only_pytest_and_the_project():
     pytest, stratopt or the tests' own helpers."""
     assert TESTS
     assert outside_imports(TESTS, frozenset({"pytest", "stratopt", "helpers"})) == []
+
+
+def raise_sites(paths, names):
+    """(file, function) of every raise of an exception named in names,
+    function being the innermost def around it."""
+    sites = set()
+
+    def visit(node, path, function):
+        if isinstance(node, ast.FunctionDef):
+            function = node.name
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if getattr(exc, "id", getattr(exc, "attr", None)) in names:
+                sites.add((path.name, function))
+        for child in ast.iter_child_nodes(node):
+            visit(child, path, function)
+
+    for path in paths:
+        visit(ast.parse(path.read_text(), filename=str(path)), path, None)
+    return sites
+
+
+def test_invalid_problems_are_rejected_in_four_places():
+    """A spec is checked on its own when built, against its table once
+    before any work, and by the allocation its report makes; nothing else
+    raises InvalidSpecError or InfeasibleProblemError."""
+    assert raise_sites(SOURCES, {"InvalidSpecError", "InfeasibleProblemError"}) == {
+        ("moments.py", "__post_init__"),
+        ("graph.py", "check_feasible"),
+        ("solver.py", "check_problem"),
+        ("moments.py", "allocate_proportional"),
+    }
