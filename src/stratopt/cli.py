@@ -7,7 +7,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 
 from .errors import (
     ConsistencyError,
@@ -195,7 +195,8 @@ def emit_text(
 
 
 def build_parser() -> argparse.ArgumentParser:
-    """Parser whose namespace holds exactly the RunConfig fields."""
+    """Parser whose namespace holds exactly the RunConfig fields, each
+    default taken from RunConfig itself."""
     parser = argparse.ArgumentParser(
         prog="stratopt",
         description=(
@@ -204,9 +205,12 @@ def build_parser() -> argparse.ArgumentParser:
             "proportional allocation."
         ),
     )
-    parser.add_argument("--input", dest="input_path", required=True, metavar="INPUT", help="delimited text file with a header row")
-    parser.add_argument("--x-col", default="x", help="size variable column (default: x)")
-    parser.add_argument("--y-col", default=None, help="study variable column (default: reuse --x-col)")
+    parser.set_defaults(
+        **{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
+    )
+    parser.add_argument("--input", dest="input_path", required=True, metavar="PATH", help="delimited text file with a header row")
+    parser.add_argument("--x-col", metavar="NAME", help="size variable column (default: %(default)s)")
+    parser.add_argument("--y-col", metavar="NAME", help="study variable column (default: reuse --x-col)")
     parser.add_argument("--strata", type=int, required=True, metavar="L", help="number of strata")
     parser.add_argument("--sample-size", type=int, required=True, metavar="n", help="total sample size")
     parser.add_argument("--no-fpc", dest="fpc", action="store_false", help="drop the without-replacement correction")
@@ -214,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
         "certify by exhaustive enumeration that no feasible stratification scores lower "
         "on the same float cost table, ties going to the smallest node sequence; the "
         "costs themselves are not recomputed"))
-    parser.add_argument("--oracle-cap", type=_cap, default=DEFAULT_ORACLE_CAP, metavar="M", help=f"largest enumeration allowed (default: {DEFAULT_ORACLE_CAP})")
-    parser.add_argument("--json", dest="output_format", action="store_const", const="json", default="text", help="emit JSON instead of text")
-    parser.add_argument("--tab", dest="delimiter", action="store_const", const="\t", default=",", help="input is tab separated")
+    parser.add_argument("--oracle-cap", type=_cap, metavar="M", help="largest enumeration allowed (default: %(default)s)")
+    parser.add_argument("--json", dest="output_format", action="store_const", const="json", help="emit JSON instead of text")
+    parser.add_argument("--tab", dest="delimiter", action="store_const", const="\t", help="input is tab separated")
     parser.add_argument("--neyman", action="store_true", help="also report dispersion-weighted allocations")
     return parser
 

@@ -17,15 +17,19 @@ class InputSchemaError(StratificationError):
 
 
 class DataError(StratificationError):
-    """A cell could not be parsed to a finite number, or sums of y overflow."""
+    """The input is not UTF-8 text or not well-formed CSV; a cell is missing
+    or does not parse to a finite number; or a sum of y or y^2, a squared y
+    total, a segment cost, a total cost or the variance overflows a float."""
 
 
 class EmptyPopulationError(StratificationError):
-    """The input contains no data rows."""
+    """The input has no header row, or no data rows below it."""
 
 
 class InvalidSpecError(StratificationError):
-    """Problem parameters violate 1 <= n <= N or L >= 1."""
+    """Problem parameters violate 1 <= n <= N or L >= 1, or L, n or N is not
+    an integer; the spec's N differs from its table's; or stratum sizes are
+    not integers or do not sum to N."""
 
 
 class InfeasibleProblemError(StratificationError):
@@ -45,7 +49,8 @@ class DegenerateAllocationError(StratificationError):
 
 
 class UndefinedCVError(StratificationError):
-    """The coefficient of variation is undefined when the population total is zero."""
+    """The coefficient of variation is undefined when the population total is
+    zero or too close to zero."""
 
 
 class OracleTooLargeError(StratificationError):

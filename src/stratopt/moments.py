@@ -219,24 +219,26 @@ def allocate_proportional(
 ) -> tuple[tuple[float, ...], tuple[int, ...]]:
     """Proportional sample allocation n_h = n * N_h / N.
 
-    Returns the exact fractional shares and an integer rounding by largest
-    remainder, ties broken toward the lower stratum index. The rounded sizes
-    always sum to n; a rounded size of zero is possible and left to the
-    caller to flag.
+    Returns the float shares and their rounding by largest remainder,
+    computed in integers: divmod(n * N_h, N) gives each stratum's floor and
+    remainder, so equal remainders are exact ties, which go to the lower
+    stratum index. The rounded sizes always sum to n; a rounded size of zero
+    is possible and left to the caller to flag. Raises InvalidSpecError when
+    a size is not an integer or the sizes do not sum to N.
     """
+    if not all(isinstance(size, Integral) for size in n_pops):
+        raise InvalidSpecError(f"stratum sizes must be integers, got {tuple(n_pops)!r}")
     if sum(n_pops) != spec.N:
         raise InvalidSpecError(
             f"stratum sizes sum to {sum(n_pops)}, expected N={spec.N}"
         )
-    fractional = [spec.n * size / spec.N for size in n_pops]
-    rounded = [math.floor(f) for f in fractional]
-    leftover = spec.n - sum(rounded)
-    by_remainder = sorted(
-        range(len(n_pops)), key=lambda h: (rounded[h] - fractional[h], h)
-    )
-    for h in by_remainder[:leftover]:
+    fractional = tuple(spec.n * size / spec.N for size in n_pops)
+    parts = [divmod(spec.n * size, spec.N) for size in n_pops]
+    rounded = [floor for floor, _ in parts]
+    by_remainder = sorted(range(len(parts)), key=lambda h: (-parts[h][1], h))
+    for h in by_remainder[: spec.n - sum(rounded)]:
         rounded[h] += 1
-    return tuple(fractional), tuple(rounded)
+    return fractional, tuple(rounded)
 
 
 def allocate_neyman(

@@ -447,11 +447,23 @@ class TestParser:
     def test_help_names_each_flag_and_metavar(self):
         text = cli.build_parser().format_help()
         for usage in (
-            "--input INPUT", "--x-col X_COL", "--y-col Y_COL", "--strata L",
+            "--input PATH", "--x-col NAME", "--y-col NAME", "--strata L",
             "--sample-size n", "[--no-fpc]", "[--check-oracle]", "[--oracle-cap M]",
             "[--json]", "[--tab]", "[--neyman]",
         ):
             assert usage in text
+
+    def test_help_shows_the_run_config_defaults(self):
+        text = " ".join(cli.build_parser().format_help().split())
+        assert "size variable column (default: x)" in text
+        assert f"largest enumeration allowed (default: {cli.DEFAULT_ORACLE_CAP})" in text
+
+    def test_readme_flag_table_matches_the_parser(self):
+        """The README's flag table names the parser's flags and metavars, in
+        the parser's order."""
+        table = re.findall(r"^\| `(--[^`]+)` \|", README.read_text(), re.M)
+        usage = re.findall(r"--[a-z-]+(?: [A-Za-z]\w*)?", cli.build_parser().format_usage())
+        assert table == usage
 
 
 class TestExitCodes:

@@ -7,6 +7,7 @@ counts (0,1,3,4,7,9), sums (0,2,10,18,48,78), squares (0,4,36,100,400,850).
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import statistics
@@ -321,6 +322,62 @@ class TestAllocateProportional:
     def test_size_sum_must_match_n(self):
         with pytest.raises(InvalidSpecError):
             allocate_proportional((3, 5), ProblemSpec(L=2, n=3, N=9))
+
+
+def largest_remainder(sizes, n):
+    """Hamilton's method in exact rationals: each stratum gets the floor of
+    its share n * N_h / N, and the seats left over go one each to the largest
+    remainders, equal remainders to the lower index."""
+    N = sum(sizes)
+    shares = [Fraction(n * size, N) for size in sizes]
+    seats = [math.floor(share) for share in shares]
+    order = sorted(range(len(sizes)), key=lambda h: (seats[h] - shares[h], h))
+    for h in order[: n - sum(seats)]:
+        seats[h] += 1
+    return tuple(seats)
+
+
+class TestLargestRemainderInIntegers:
+    def test_every_allocation_of_a_small_grid(self):
+        """L 2-4, each N_h in 2-7 and every n: 26,568 allocations, of which
+        float remainders misrounded 162 exact ties. The shares keep the
+        float expression n * N_h / N bit for bit."""
+        checked = 0
+        for L in (2, 3, 4):
+            for sizes in itertools.product(range(2, 8), repeat=L):
+                N = sum(sizes)
+                for n in range(1, N + 1):
+                    spec = ProblemSpec(L=L, n=n, N=N)
+                    fractional, rounded = allocate_proportional(sizes, spec)
+                    assert rounded == largest_remainder(sizes, n), (sizes, n)
+                    assert fractional == tuple(n * size / N for size in sizes)
+                    checked += 1
+        assert checked == 26_568
+
+    @pytest.mark.parametrize(
+        "sizes,n,expected",
+        [
+            # remainders 1/3 each; the float remainders put the third first
+            ((2, 2, 14), 3, (1, 0, 2)),
+            # remainders 1/3 each after floors (2, 5, 6, 2)
+            ((6, 16, 19, 7), 16, (2, 6, 6, 2)),
+            # n * N_h beyond 2^53: the float shares round the remainders
+            # 0.4999999995 and 0.5000000005 both to 1/2
+            ((1_000_000_007, 1_000_000_001), 666_666_669, (333_333_335, 333_333_334)),
+        ],
+        ids=["equal-thirds", "golden-57", "beyond-2^53"],
+    )
+    def test_float_misrounded_cases(self, sizes, n, expected):
+        spec = ProblemSpec(L=len(sizes), n=n, N=sum(sizes))
+        _, rounded = allocate_proportional(sizes, spec)
+        assert rounded == expected == largest_remainder(sizes, n)
+        assert all(type(size) is int for size in rounded)
+
+    def test_sizes_must_be_integers(self):
+        with pytest.raises(
+            InvalidSpecError, match=r"^stratum sizes must be integers, got \(3\.0, 6\)$"
+        ):
+            allocate_proportional((3.0, 6), ProblemSpec(L=2, n=3, N=9))
 
 
 class TestAllocateNeyman:
