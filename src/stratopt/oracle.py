@@ -11,8 +11,8 @@ import math
 import time
 from bisect import bisect_right
 from dataclasses import replace
-from itertools import chain, combinations, repeat
-from operator import add, mul
+from itertools import chain, combinations, compress, count, repeat
+from operator import add, eq, mul
 from typing import Iterator
 
 from .errors import ConsistencyError, OracleTooLargeError
@@ -134,20 +134,39 @@ def _walk_compositions(
     of compositions scored.
 
     The last two strata, i..j-1 and j..K, cost rows[i][j-i-2] + final[j];
-    that list over j is formed once per i. For L >= 3 the prefixes
-    1 = n_0 < ... < n_{L-3} = a are grouped by a, and one flat list per
-    group holds the group's first prefix total plus rows[a][i-a-2] plus the
-    last-two list of i for every i, in (i, j) order: that prefix's full
-    totals, whose least it keeps with no pass of its own. Every other prefix
-    forms its full totals, its difference from the first prefix total plus
-    each flat entry, in one C-level pass and keeps the least. Nothing is
-    pruned: every composition's total is formed once and compared. Totals are
-    exact integers, so ties are genuine: min keeps the leftmost within a
-    prefix, and across prefixes, whose groups leave lexicographic order
-    once L >= 5, the smaller node sequence wins, so the answer is the first
-    composition enumerated among ties. Memory stays within a constant
-    factor of the table's, as each flat list is freed before the next is
-    built.
+    that list over j is formed once per i. For L >= 3 the rest of a path is
+    a prefix 1 = n_0 < ... < n_{L-3} = a, and prefix totals are formed one
+    arc at a time: the list of every d-stratum prefix ending at node t is,
+    for each earlier end node s in ascending order, the list of (d-1)-stratum
+    prefixes ending at s plus rows[s][t-s-2]. A list holds integers only,
+    its first prefix's total and every prefix's difference from it; a
+    prefix's nodes are recovered from its position through the list
+    lengths, and only when its total reaches the best so far.
+
+    The prefixes ending at a form one group, built when it is scored. One
+    flat list holds the group's first prefix total plus rows[a][i-a-2] plus
+    the last-two list of i for every i, in (i, j) order: that prefix's full
+    totals. Each prefix's base is its difference from the first, so every
+    composition's total is a base plus a flat entry, formed once and
+    compared; nothing is pruned. The C-level passes run along the longer
+    side of the group: one pass per prefix over the flat list when the group
+    has no more prefixes than flat entries, otherwise one pass per flat entry
+    over the bases.
+
+    Totals are exact integers, so ties are genuine, and the smallest node
+    sequence among them wins: the answer is the first composition
+    enumerated among ties. A pass per prefix keeps its leftmost, smallest
+    (i, j). List order is not lexicographic once L >= 5, so a pass per flat
+    entry recovers every prefix that reaches its low and keeps the smallest,
+    once per tied base in the group. A tie with the best so far is followed
+    up only while the smallest prefix a group can hold, 1, 3, ..., a, is
+    below the best nodes; otherwise every prefix of the group is above them.
+
+    Memory holds the table, the last-two lists, the block offsets of every
+    prefix list, the integer lists of depth L-4 (and of depth L-5 while
+    those are built), and one group's bases and flat list, freed before the
+    next group is built. No node tuple is held beyond the best so far and
+    the smallest prefix of each tied base in the current group.
     """
     if L == 1:
         return (1, K + 1), 1
@@ -156,47 +175,88 @@ def _walk_compositions(
     if L == 2:
         totals = last_two[1]
         return (1, 3 + totals.index(min(totals)), K + 1), len(totals)
+    depth = L - 3
+    # a d-stratum prefix ends at a node t in 2d+1 .. K+1-2(L-d); in its
+    # list, the block of end node s starts at starts_at[d, t][s - 2d + 1]
+    level = {1: (0, [0])}
+    starts_at: dict[tuple[int, int], list[int]] = {}
+    for d in range(1, depth):
+        previous, level = level, {}
+        for t in range(2 * d + 1, K + 2 - 2 * (L - d)):
+            level[t], starts_at[d, t] = _prefix_totals(rows, previous, t)
+        del previous
+
+    def prefix_nodes(position: int) -> tuple[int, ...]:
+        nodes = [a]
+        for d in range(depth, 0, -1):
+            starts = starts_at[d, nodes[-1]]
+            block = bisect_right(starts, position) - 1
+            position -= starts[block]
+            nodes.append(2 * d - 1 + block)
+        return (*reversed(nodes),)
+
+    def suffix_nodes(at: int) -> tuple[int, int, int]:
+        block = bisect_right(splits, at) - 1
+        i = a + 2 + block
+        return i, i + 2 + at - splits[block], K + 1
+
     best_nodes: tuple[int, ...] = ()
     best_total: float = math.inf
     scored = 0
-    for a, prefixes in _prefix_groups(K, L):
-        lead = _prefix_units(rows, prefixes[0])
+    for a in range(1, 2) if depth == 0 else range(2 * depth + 1, K - 4):
+        if depth == 0:
+            lead, bases = level[a]
+        else:
+            (lead, bases), starts_at[depth, a] = _prefix_totals(rows, level, a)
         flat: list[int] = []
-        starts: list[int] = []
+        splits: list[int] = []
         # zip stops at the range before reading past head K-3 of rows[a]
         for i, cost in zip(range(a + 2, K - 2), rows[a]):
-            starts.append(len(flat))
+            splits.append(len(flat))
             flat += map(add, repeat(lead + cost), last_two[i])
-        for prefix in prefixes:
-            base = _prefix_units(rows, prefix) - lead
-            low = min(map(add, repeat(base), flat)) if base else min(flat)
-            scored += len(flat)
-            if low <= best_total:
-                at = flat.index(low - base)
-                block = bisect_right(starts, at) - 1
-                i = a + 2 + block
-                nodes = (*prefix, i, i + 2 + at - starts[block], K + 1)
-                if low < best_total or nodes < best_nodes:
-                    best_nodes, best_total = nodes, low
-        del flat
+        scored += len(bases) * len(flat)
+        # no prefix ending at a is smaller than this one, so a group whose
+        # floor is above the best nodes cannot win a tie
+        floor = (*range(1, 2 * depth, 2), a)
+        if len(bases) <= len(flat):
+            for position, base in enumerate(bases):
+                low = min(map(add, repeat(base), flat)) if base else min(flat)
+                if low < best_total or low == best_total and floor < best_nodes:
+                    at = flat.index(low - base)
+                    nodes = (*prefix_nodes(position), *suffix_nodes(at))
+                    if low < best_total or nodes < best_nodes:
+                        best_nodes, best_total = nodes, low
+        else:
+            smallest: dict[int, tuple[int, ...]] = {}
+            for at, entry in enumerate(flat):
+                low = min(map(add, bases, repeat(entry)))
+                if low < best_total or low == best_total and floor < best_nodes:
+                    base = low - entry
+                    if base not in smallest:
+                        tied = compress(count(), map(eq, bases, repeat(base)))
+                        smallest[base] = min(map(prefix_nodes, tied))
+                    nodes = (*smallest[base], *suffix_nodes(at))
+                    if low < best_total or nodes < best_nodes:
+                        best_nodes, best_total = nodes, low
+        del flat, bases
     return best_nodes, scored
 
 
-def _prefix_groups(K: int, L: int) -> Iterator[tuple[int, list[tuple[int, ...]]]]:
-    """Every prefix 1 = n_0 < ... < n_{L-3} of an L >= 3 stratification,
-    grouped by its last node a, lexicographic within each group."""
-    if L == 3:
-        yield 1, [(1,)]
-        return
-    # n_h - h for h = 1..L-3 rises strictly from 2 to at most K-L-2 (stars
-    # and bars, as in enumerate_compositions), so a runs over 2L-5..K-5
-    for a in range(2 * L - 5, K - 4):
-        yield a, [
-            (1, *(m + h for h, m in enumerate(shifted, start=1)), a)
-            for shifted in combinations(range(2, a - L + 3), L - 4)
-        ]
-
-
-def _prefix_units(rows: list[list[int]], prefix: tuple[int, ...]) -> int:
-    """Total units of the strata that the node prefix closes."""
-    return sum(rows[t][h - t - 2] for t, h in zip(prefix, prefix[1:]))
+def _prefix_totals(
+    rows: list[list[int]], level: dict[int, tuple[int, list[int]]], t: int
+) -> tuple[tuple[int, list[int]], list[int]]:
+    """Every prefix ending at node t with one stratum more than those of
+    level, which maps each end node, ascending, to its prefixes' first
+    total and their differences from it. Returns that pair for t, each
+    prefix formed by one arc from its end node s, and the position at which
+    each s's block starts."""
+    first = next(iter(level))
+    lead = level[first][0] + rows[first][t - first - 2]
+    differences: list[int] = []
+    starts: list[int] = []
+    for s, (units, before) in level.items():
+        if s > t - 2:
+            break
+        starts.append(len(differences))
+        differences += map(add, before, repeat(units + rows[s][t - s - 2] - lead))
+    return (lead, differences), starts

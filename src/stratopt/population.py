@@ -66,7 +66,8 @@ def load_population(
     same messages, naming the same row, as checking every row would.
 
     Args:
-        source: iterable of text lines (an open file works).
+        source: iterable of text lines (an open file works). One byte order
+            mark before the header is dropped.
         x_column: header name of the size variable.
         y_column: header name of the study variable, or None to reuse x.
         delimiter: field separator, "," or "\\t" in practice.
@@ -91,6 +92,8 @@ def load_population(
         header = next(reader, None)
         if header is None:
             raise EmptyPopulationError("input has no header row")
+        if header:  # a UTF-8 byte order mark read as text
+            header[0] = header[0].removeprefix("\ufeff")
         header = [cell.strip() for cell in header]
         x_index = _column_index(header, x_column)
         y_index = None if y_column is None else _column_index(header, y_column)

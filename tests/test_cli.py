@@ -13,7 +13,13 @@ from pathlib import Path
 
 import pytest
 
-from stratopt import cli
+from stratopt import (
+    ProblemSpec,
+    build_frequency_table,
+    cli,
+    load_population,
+    solve_problem,
+)
 
 from helpers import DESK_CSV
 
@@ -405,6 +411,27 @@ class TestColumnsAndDelimiters:
         )
         assert code == 0
         assert json.loads(out)["boundaries"] == [4.0]
+
+    def test_byte_order_mark_reads_the_same_through_the_library(self, capsys, tmp_path):
+        """A file opened as plain UTF-8 keeps its byte order mark in the
+        first header cell; the library drops it there, so the file loads as
+        when opened as utf-8-sig, and solves as on the command line."""
+        path = tmp_path / "bom.csv"
+        path.write_text(DESK_CSV, encoding="utf-8-sig")
+        populations = []
+        for encoding in ("utf-8", "utf-8-sig"):
+            with open(path, newline="", encoding=encoding) as handle:
+                populations.append(load_population(handle, "x"))
+        assert populations[0].groups == populations[1].groups
+        table = build_frequency_table(populations[0])
+        solution = solve_problem(table, ProblemSpec(L=2, n=3, N=table.N))
+        code, out, _ = run_cli(
+            capsys, "--input", str(path), "--strata", "2", "--sample-size", "3", "--json"
+        )
+        assert code == 0
+        report = json.loads(out)
+        assert list(solution.boundaries) == report["boundaries"] == [4.0]
+        assert solution.variance == report["variance"]
 
 
 class TestParser:

@@ -325,6 +325,53 @@ class TestGroupedWalk:
         assert reference_walk_compositions(rows, final, K, L) == (nodes, 21, scored)
         assert _walk_compositions(rows, final, K, L) == (nodes, scored)
 
+    def test_matches_the_per_prefix_walk_at_deep_L(self):
+        """320 seeded tables, random and tie-heavy, L from 7 to 10 and K
+        from 2L to 2L + 10: the same nodes, the same number of compositions
+        scored. Groups with more prefixes than flat entries, scored by one
+        pass per flat entry, are common only at this depth."""
+        rng = random.Random(1807)
+        for case in range(320):
+            L = case % 4 + 7
+            K = rng.randint(2 * L, 2 * L + 10)
+            if case % 2:
+                pairs = random_pairs(rng, L, k_max=K, k_min=K)
+            else:
+                pairs = tie_heavy_pairs(rng, K)
+            ft = table_from_pairs(pairs)
+            table = cost_table(build_prefix_moments(ft), layer_bounds(K, L))
+            ref_nodes, _, ref_scored = reference_walk_compositions(
+                *units_table(table), K, L
+            )
+            walked = _walk_compositions(*_exact_units(*table), K, L)
+            assert walked == (ref_nodes, ref_scored), (case, K, L)
+
+    @pytest.mark.parametrize(
+        "K,side",
+        [pytest.param(20, "pass-per-prefix"), pytest.param(17, "pass-per-flat-entry")],
+    )
+    def test_tie_within_a_group_goes_to_the_smaller_nodes(self, K, side):
+        """The prefixes (1, 5, 7, 11) and (1, 3, 9, 11) of the group of last
+        node 11 tie, and both continue through 13 and 15 at the minimum.
+        The group lists the prefixes through 7 before those through 9, so
+        the lexicographically smaller (1, 3, 9, 11) comes later and must
+        still win. The group holds 15 prefixes; the 15 flat entries of K = 20
+        are scored one pass per prefix, the 3 of K = 17 one pass per entry."""
+        L = 6
+        rows, final = _full_rows(K, L, 100)
+        for (t, h), cost in {
+            (1, 3): 3, (3, 9): 4, (9, 11): 2,
+            (1, 5): 1, (5, 7): 6, (7, 11): 2,
+            (11, 13): 5, (13, 15): 5,
+        }.items():
+            rows[t][h - t - 2] = cost
+        final[15] = 7
+        prefixes, flat_entries = count_solutions(10, 3), count_solutions(K - 10, 3)
+        assert (prefixes <= flat_entries) == (side == "pass-per-prefix")
+        nodes, scored = (1, 3, 9, 11, 13, 15, K + 1), count_solutions(K, L)
+        assert reference_walk_compositions(rows, final, K, L) == (nodes, 26, scored)
+        assert _walk_compositions(rows, final, K, L) == (nodes, scored)
+
     @pytest.mark.parametrize(
         "K,L,costs",
         [
@@ -376,3 +423,24 @@ class TestGroupedWalk:
         finally:
             tracemalloc.stop()
         assert peak < 16_857_616
+
+    def test_nine_strata_memory(self):
+        """At K = 34, L = 9 (735,471 compositions) the walk holds integer
+        prefix totals for one depth and one group, never every group or a
+        node tuple per prefix. Tracemalloc peaks on CPython 3.11: 1,859,352
+        bytes; 3,786,384 for the walk that listed every prefix as a tuple;
+        4,241,348 when every group's totals are kept; 5,610,928 when each
+        group also holds its prefixes' node tuples."""
+        rng = random.Random(34)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(34) for _ in range(2)]
+        )
+        spec = ProblemSpec(L=9, n=20, N=ft.N)
+        assert count_solutions(ft.K, spec.L) == 735_471
+        tracemalloc.start()
+        try:
+            brute_force_solve(ft, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20

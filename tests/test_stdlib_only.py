@@ -76,3 +76,20 @@ def test_invalid_problems_are_rejected_in_four_places():
         ("solver.py", "check_problem"),
         ("moments.py", "allocate_proportional"),
     }
+
+
+def test_the_oracle_shares_no_search_with_the_solver():
+    """The oracle certifies the solver's answers only as long as it finds
+    its own: oracle.py neither imports nor names the solver's search,
+    _cheapest_path, solve_problem or solve, under any alias."""
+    path = ROOT / "src" / "stratopt" / "oracle.py"
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+        if isinstance(node, ast.alias):
+            names |= {node.name.rpartition(".")[2], node.asname}
+        elif isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+    assert {"check_problem", "_report"} <= names
+    assert names & {"_cheapest_path", "solve_problem", "solve"} == set()
