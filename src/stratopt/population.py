@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import chain
 from operator import mul
 from typing import Iterable
 
@@ -65,6 +66,16 @@ def load_population(
     goes through the per-cell checks, which skip blank rows and raise the
     same messages, naming the same row, as checking every row would.
 
+    Each repeated x text is parsed at most twice, not once per row. A text
+    is cached with its group's y list when a row holding it joins a group
+    that already exists, that is the second time its value is seen, never
+    the first. An input with no repeated x never looks a text up; after
+    the first text is cached, a row with an uncached text pays one failed
+    lookup. A row with a cached text skips the x parse and the group
+    lookup and parses and checks only its y. With y = x it parses nothing
+    and appends the group's first y; a zero text whose sign differs from
+    that y's is not cached then, so -0.0 and 0.0 keep their signs.
+
     Args:
         source: iterable of text lines (an open file works). One byte order
             mark before the header is dropped.
@@ -81,20 +92,25 @@ def load_population(
             a cell is not a finite number (the message names the row if it can).
         EmptyPopulationError: the input has no data rows.
     """
-    # strict: a quoted field still open at the end of the input is an error,
-    # not a field that swallows the rest of the file
-    reader = csv.reader(source, delimiter=delimiter, strict=True)
     groups: dict[float, list[float]] = {}
+    # x cell text -> its group's y list; only finite x get here
+    texts: dict[str, list[float]] = {}
+    cached = texts.get
     # a record starts on the line after the one the previous record ended
     # on, so a quoted field spanning lines does not shift later row numbers
     end = 0
     try:
-        header = next(reader, None)
-        if header is None:
+        lines = iter(source)
+        # a UTF-8 byte order mark read as text goes before the csv module
+        # sees the line, so a quoted first header cell still parses
+        first = next(lines, "").removeprefix("\ufeff")
+        if not first:
             raise EmptyPopulationError("input has no header row")
-        if header:  # a UTF-8 byte order mark read as text
-            header[0] = header[0].removeprefix("\ufeff")
-        header = [cell.strip() for cell in header]
+        lines = chain((first,), lines)
+        # strict: a quoted field still open at the end of the input is an
+        # error, not a field that swallows the rest of the file
+        reader = csv.reader(lines, delimiter=delimiter, strict=True)
+        header = [cell.strip() for cell in next(reader)]
         x_index = _column_index(header, x_column)
         y_index = None if y_column is None else _column_index(header, y_column)
 
@@ -103,7 +119,16 @@ def load_population(
             # a row with a cell float() accepts is not blank, so a clean row
             # needs no per-cell check; x - x is nonzero only for inf and nan
             try:
-                x = float(row[x_index])
+                text = row[x_index]
+                # no lookup, nor a hash of the text, until some text is cached
+                group = cached(text) if texts else None
+                if group is not None:
+                    y = group[0] if y_index is None else float(row[y_index])
+                    if y - y == 0.0:
+                        group.append(y)
+                        end = reader.line_num
+                        continue
+                x = float(text)
                 y = x if y_index is None else float(row[y_index])
             except (ValueError, IndexError):
                 x = y = math.nan
@@ -113,7 +138,14 @@ def load_population(
                     continue
                 x = _parse_cell(row, x_index, x_column, end + 1)
                 y = x if y_index is None else _parse_cell(row, y_index, y_column, end + 1)
-            groups.setdefault(x, []).append(y)
+            ys = [y]
+            group = groups.setdefault(x, ys)
+            if group is not ys:  # the value's second sighting: cache its text
+                group.append(y)
+                # with y = x a cached text appends its group's first y, so
+                # it must share that y's sign (equal floats differ only there)
+                if y_index is not None or math.copysign(1.0, x) == math.copysign(1.0, group[0]):
+                    texts[text] = group
             end = reader.line_num
     except UnicodeDecodeError:
         # text decodes ahead of the parser in buffered chunks, so no row is named

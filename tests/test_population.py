@@ -9,6 +9,7 @@ import tracemalloc
 
 import pytest
 
+import stratopt.population as population
 from stratopt import (
     DataError,
     EmptyPopulationError,
@@ -238,6 +239,110 @@ class TestOneStepParse:
     def test_a_bad_row_still_reaches_the_per_cell_checks(self):
         with pytest.raises(DataError, match="^row 3: cannot parse x='bogus' as a number$"):
             load_population(io.StringIO("x,y\n1,2\nbogus,3\n"), "x", "y")
+
+
+def random_cached_text_input(rng):
+    """One input of the cached-text corpus: 100-400 records whose x texts
+    come from a pool of 2-6 padded NUMBERS (half the pools add both signed
+    zeros), so most texts repeat and are cached early. Named y draws from
+    a pool too. Blank rows are sprinkled in. In about half the inputs one
+    row fails: with named y, a rejected or missing y beside an x text seen
+    three times already, so cached; with y = x, a rejected x."""
+    named = rng.random() < 0.5
+    pool = [rng.choice(PADS) + rng.choice(NUMBERS) + rng.choice(PADS) for _ in range(rng.randint(2, 6))]
+    if rng.random() < 0.5:
+        pool += [rng.choice(("-0.0", " -0.0", "-0")), rng.choice(("0.0", "0", "0.0 "))]
+    y_pool = [rng.choice(PADS) + rng.choice(NUMBERS) for _ in range(4)]
+    records = rng.randint(100, 400)
+    bad_at = rng.randrange(records) if rng.random() < 0.5 else None
+    lines = ["x,y" if named else "x"]
+    seen: dict[str, int] = {}
+    for i in range(records):
+        text = rng.choice(pool)
+        if rng.random() < 0.02:
+            lines.append("")
+            continue
+        if bad_at is not None and i >= bad_at and seen.get(text, 0) >= 3:
+            if named:
+                lines.append(text + "," + rng.choice(REJECTS) if rng.random() < 0.7 else text)
+            else:
+                lines.append(rng.choice(REJECTS[:5]))
+            bad_at = None
+        else:
+            lines.append(text + "," + rng.choice(y_pool) if named else text)
+        seen[text] = seen.get(text, 0) + 1
+    return "\n".join(lines) + "\n", "y" if named else None
+
+
+class TestCachedTexts:
+    def test_matches_the_checked_loader_on_repeated_texts(self):
+        """300 seeded inputs whose x texts repeat: the loader that caches
+        repeated texts returns the same groups (key order, key and y hex)
+        or raises the same error, naming the same row, as the loader that
+        checks every cell."""
+        rng = random.Random(19)
+        outcomes = {"ok": 0, "error": 0}
+        for _ in range(300):
+            text, y_column = random_cached_text_input(rng)
+            expected = loader_outcome(reference_load_population, text, "x", y_column, ",")
+            got = loader_outcome(load_population, text, "x", y_column, ",")
+            assert got == expected, (text, y_column)
+            outcomes["ok" if isinstance(got, list) else "error"] += 1
+        assert outcomes["ok"] >= 100 and outcomes["error"] >= 50, outcomes
+
+    def test_each_repeated_text_is_parsed_at_most_twice(self, monkeypatch):
+        """1,000 rows over 3 x texts with y = x: the first two rows of each
+        text parse it, every later row reuses it. (A zero text of the sign
+        its group's key lacks is parsed on every row: see the next test.)"""
+        parsed: dict[str, int] = {}
+
+        def counting_float(text):
+            parsed[text] = parsed.get(text, 0) + 1
+            return float(text)
+
+        rng = random.Random(3)
+        rows = [rng.choice(("2.5", "-0.0", "1e3")) for _ in range(1000)]
+        expected = loader_outcome(reference_load_population, "x\n" + "\n".join(rows), "x", None, ",")
+        monkeypatch.setattr(population, "float", counting_float, raising=False)
+        got = loader_outcome(load_population, "x\n" + "\n".join(rows), "x", None, ",")
+        assert got == expected
+        assert set(parsed) == {"2.5", "-0.0", "1e3"}
+        assert max(parsed.values()) <= 2, parsed
+
+    @pytest.mark.parametrize("y_column", [None, "y"])
+    def test_signed_zero_texts_keep_their_own_sign(self, y_column):
+        cells = ["-0.0", "0", "0.0", "-0", "0", "-0.0", "0.0", "-0"] * 3
+        text = "x,y\n" + "".join(f"{cell},{i}\n" for i, cell in enumerate(cells))
+        pop = load_population(io.StringIO(text), "x", y_column)
+        (key, ys), = pop.groups.items()
+        assert key.hex() == "-0x0.0p+0"
+        if y_column is None:
+            assert [y.hex() for y in ys] == [float(cell).hex() for cell in cells]
+        else:
+            assert ys == [float(i) for i in range(len(cells))]
+
+
+class TestByteOrderMark:
+    @pytest.mark.parametrize(
+        "text,x_column,y_column",
+        [
+            pytest.param('"x",y\n1,2\n3,4\n1,5\n', "x", "y", id="quoted-x"),
+            pytest.param('"a,b",x\n1,2\n3,4\n', "x", None, id="quoted-delimiter"),
+            pytest.param("x,y\n1,2\n", "x", "y", id="plain"),
+        ],
+    )
+    def test_loads_as_without_the_mark(self, text, x_column, y_column):
+        expected = loader_outcome(load_population, text, x_column, y_column, ",")
+        assert isinstance(expected, list)
+        assert loader_outcome(load_population, "\ufeff" + text, x_column, y_column, ",") == expected
+
+    def test_row_numbers_are_unchanged(self):
+        with pytest.raises(DataError, match="^row 3: cannot parse x='bogus' as a number$"):
+            load_population(io.StringIO('\ufeff"x"\n1\nbogus\n'))
+
+    def test_mark_alone_is_an_empty_input(self):
+        with pytest.raises(EmptyPopulationError, match="^input has no header row$"):
+            load_population(io.StringIO("\ufeff"))
 
 
 class TestBuildFrequencyTable:
