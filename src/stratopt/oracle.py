@@ -12,7 +12,7 @@ import time
 from bisect import bisect_right
 from dataclasses import replace
 from itertools import chain, combinations, compress, count, repeat
-from operator import add, eq, mul
+from operator import add, eq, getitem, mul, sub
 from typing import Iterator
 
 from .errors import ConsistencyError, OracleTooLargeError
@@ -58,21 +58,29 @@ def enumerate_compositions(K: int, L: int) -> Iterator[Composition]:
 def brute_force_solve(
     ft: FrequencyTable, spec: ProblemSpec, cap: int = DEFAULT_ORACLE_CAP
 ) -> StratificationSolution:
-    """Score every feasible stratification and report the best.
+    """Find the cheapest feasible stratification by exhaustive search and
+    report it.
 
     A match with solve_problem certifies that no feasible stratification
     scores lower on the same float cost table, and that ties went to the
     smallest node sequence. The costs are not recomputed, so a costing
     error reaches both sides; the test suite checks the table's layout
-    against a per-segment reference scorer. Nothing else is shared with the
-    solver's dynamic program. The costs become exact integer units whose
-    size the table's least positive cost sets, so totals do not depend on
-    summation order and cost ties are genuine. Raises InfeasibleProblemError
-    and InvalidSpecError from check_problem, before the cap is tested;
-    OracleTooLargeError when the enumeration would exceed cap;
-    ConsistencyError when the walk scores a number of compositions other
-    than count_solutions(K, L); and otherwise what solve_problem raises
-    after its check.
+    against a per-segment reference scorer. The costs become exact integer
+    units whose size the table's least positive cost sets, so totals do not
+    depend on summation order and cost ties are genuine. The compositions
+    are grouped by the node a at which their third stratum from the end
+    starts. Every total of the strata before a and every total of the
+    strata from a on is formed, and a group's least total is the least of
+    the first plus the least of the second, exact in integer units. Its
+    smallest tied composition is the smallest tied prefix followed by the
+    first tied suffix. Nothing else is shared with the solver's dynamic
+    program.
+
+    Raises InfeasibleProblemError and InvalidSpecError from check_problem,
+    before the cap is tested; OracleTooLargeError when the enumeration
+    would exceed cap; ConsistencyError when the groups cover a number of
+    compositions other than count_solutions(K, L); and otherwise what
+    solve_problem raises after its check.
     """
     start = time.perf_counter()
     bounds = check_problem(ft, spec)
@@ -130,8 +138,8 @@ def _exact_units(
 def _walk_compositions(
     rows: list[list[int]], final: list[int | None], K: int, L: int
 ) -> tuple[tuple[int, ...], int]:
-    """Cheapest node sequence by scoring every composition, and the number
-    of compositions scored.
+    """Cheapest node sequence over every composition, and the number of
+    compositions covered.
 
     The last two strata, i..j-1 and j..K, cost rows[i][j-i-2] + final[j];
     that list over j is formed once per i. For L >= 3 the rest of a path is
@@ -139,34 +147,36 @@ def _walk_compositions(
     arc at a time: the list of every d-stratum prefix ending at node t is,
     for each earlier end node s in ascending order, the list of (d-1)-stratum
     prefixes ending at s plus rows[s][t-s-2]. A list holds integers only,
-    its first prefix's total and every prefix's difference from it; a
-    prefix's nodes are recovered from its position through the list
-    lengths, and only when its total reaches the best so far.
+    its first prefix's total and every prefix's difference from it.
 
-    The prefixes ending at a form one group, built when it is scored. One
-    flat list holds the group's first prefix total plus rows[a][i-a-2] plus
-    the last-two list of i for every i, in (i, j) order: that prefix's full
-    totals. Each prefix's base is its difference from the first, so every
-    composition's total is a base plus a flat entry, formed once and
-    compared; nothing is pruned. The C-level passes run along the longer
-    side of the group: one pass per prefix over the flat list when the group
-    has no more prefixes than flat entries, otherwise one pass per flat entry
-    over the bases.
+    The compositions through a form one group, built when it is scored: its
+    bases, every prefix total ending at a less the first, and its flat list,
+    every suffix total from a (the first prefix total plus rows[a][i-a-2]
+    plus the last-two list of i, for every i) in (i, j) order. Any prefix
+    ending at a and any suffix starting there make a composition, and its
+    total is a base plus a flat entry, so the group's least total is
+    min(bases) + min(flat), exact because the totals are integers. The
+    group covers len(bases) * len(flat) compositions. The path is split
+    once, at a, and no minimum is taken within either side: every prefix
+    total and every suffix total is formed, and nothing follows the
+    solver's recurrence.
 
-    Totals are exact integers, so ties are genuine, and the smallest node
-    sequence among them wins: the answer is the first composition
-    enumerated among ties. A pass per prefix keeps its leftmost, smallest
-    (i, j). List order is not lexicographic once L >= 5, so a pass per flat
-    entry recovers every prefix that reaches its low and keeps the smallest,
-    once per tied base in the group. A tie with the best so far is followed
-    up only while the smallest prefix a group can hold, 1, 3, ..., a, is
-    below the best nodes; otherwise every prefix of the group is above them.
+    Ties are genuine, and the smallest node sequence among them wins. A
+    composition of the group reaches its least total only with a least base
+    and a least flat entry, and every prefix ends at a, so the smallest is
+    the smallest prefix with a least base followed by the first least flat
+    entry, (i, j) order being lexicographic. List order is colexicographic,
+    so every prefix with a least base is unranked from its position through
+    the block offsets of the lists, one level for all of them at a time,
+    and the smallest is kept. A tie with the best so far is followed up
+    only while the smallest prefix a group can hold, 1, 3, ..., a, is below
+    the best nodes; otherwise every prefix of the group is above them.
 
     Memory holds the table, the last-two lists, the block offsets of every
     prefix list, the integer lists of depth L-4 (and of depth L-5 while
     those are built), and one group's bases and flat list, freed before the
-    next group is built. No node tuple is held beyond the best so far and
-    the smallest prefix of each tied base in the current group.
+    next group is built. Only while a group's tie is followed up does it
+    hold the positions and nodes of its prefixes with a least base.
     """
     if L == 1:
         return (1, K + 1), 1
@@ -177,23 +187,30 @@ def _walk_compositions(
         return (1, 3 + totals.index(min(totals)), K + 1), len(totals)
     depth = L - 3
     # a d-stratum prefix ends at a node t in 2d+1 .. K+1-2(L-d); in its
-    # list, the block of end node s starts at starts_at[d, t][s - 2d + 1]
+    # list, the block of end node s starts at starts_at[d][t][s - 2d + 1]
     level = {1: (0, [0])}
-    starts_at: dict[tuple[int, int], list[int]] = {}
+    starts_at: list[dict[int, list[int]]] = [{} for _ in range(depth + 1)]
     for d in range(1, depth):
         previous, level = level, {}
         for t in range(2 * d + 1, K + 2 - 2 * (L - d)):
-            level[t], starts_at[d, t] = _prefix_totals(rows, previous, t)
+            level[t], starts_at[d][t] = _prefix_totals(rows, previous, t)
         del previous
 
-    def prefix_nodes(position: int) -> tuple[int, ...]:
-        nodes = [a]
-        for d in range(depth, 0, -1):
-            starts = starts_at[d, nodes[-1]]
-            block = bisect_right(starts, position) - 1
-            position -= starts[block]
-            nodes.append(2 * d - 1 + block)
-        return (*reversed(nodes),)
+    def smallest_prefix(positions: list[int]) -> tuple[int, ...]:
+        # unrank every position one level at a time: the block holding it
+        # names its node one level down and its offset in that node's list;
+        # at depth 2 each block holds one prefix, so n_1 = position + 3
+        ends = [a] * len(positions)
+        columns = []
+        for d in range(depth, 2, -1):
+            starts = list(map(starts_at[d].__getitem__, ends))
+            blocks = list(map(bisect_right, starts, positions))
+            offsets = map(getitem, starts, map(add, blocks, repeat(-1)))
+            positions = list(map(sub, positions, offsets))
+            ends = list(map(add, blocks, repeat(2 * d - 2)))
+            columns.append(ends)
+        columns.append(map(add, positions, repeat(3)))
+        return (1, *min(zip(*reversed(columns))), a)
 
     def suffix_nodes(at: int) -> tuple[int, int, int]:
         block = bisect_right(splits, at) - 1
@@ -207,7 +224,7 @@ def _walk_compositions(
         if depth == 0:
             lead, bases = level[a]
         else:
-            (lead, bases), starts_at[depth, a] = _prefix_totals(rows, level, a)
+            (lead, bases), starts_at[depth][a] = _prefix_totals(rows, level, a)
         flat: list[int] = []
         splits: list[int] = []
         # zip stops at the range before reading past head K-3 of rows[a]
@@ -215,29 +232,21 @@ def _walk_compositions(
             splits.append(len(flat))
             flat += map(add, repeat(lead + cost), last_two[i])
         scored += len(bases) * len(flat)
+        base, entry = min(bases), min(flat)
+        low = base + entry
         # no prefix ending at a is smaller than this one, so a group whose
         # floor is above the best nodes cannot win a tie
         floor = (*range(1, 2 * depth, 2), a)
-        if len(bases) <= len(flat):
-            for position, base in enumerate(bases):
-                low = min(map(add, repeat(base), flat)) if base else min(flat)
-                if low < best_total or low == best_total and floor < best_nodes:
-                    at = flat.index(low - base)
-                    nodes = (*prefix_nodes(position), *suffix_nodes(at))
-                    if low < best_total or nodes < best_nodes:
-                        best_nodes, best_total = nodes, low
-        else:
-            smallest: dict[int, tuple[int, ...]] = {}
-            for at, entry in enumerate(flat):
-                low = min(map(add, bases, repeat(entry)))
-                if low < best_total or low == best_total and floor < best_nodes:
-                    base = low - entry
-                    if base not in smallest:
-                        tied = compress(count(), map(eq, bases, repeat(base)))
-                        smallest[base] = min(map(prefix_nodes, tied))
-                    nodes = (*smallest[base], *suffix_nodes(at))
-                    if low < best_total or nodes < best_nodes:
-                        best_nodes, best_total = nodes, low
+        if low < best_total or low == best_total and floor < best_nodes:
+            if len(bases) == 1:  # the group's one prefix is its floor
+                prefix = floor
+            else:
+                prefix = smallest_prefix(
+                    list(compress(count(), map(eq, bases, repeat(base))))
+                )
+            nodes = (*prefix, *suffix_nodes(flat.index(entry)))
+            if low < best_total or nodes < best_nodes:
+                best_nodes, best_total = nodes, low
         del flat, bases
     return best_nodes, scored
 

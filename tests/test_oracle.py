@@ -348,15 +348,22 @@ class TestGroupedWalk:
 
     @pytest.mark.parametrize(
         "K,side",
-        [pytest.param(20, "pass-per-prefix"), pytest.param(17, "pass-per-flat-entry")],
+        [
+            pytest.param(20, "pass-per-prefix"),
+            pytest.param(17, "pass-per-flat-entry"),
+            pytest.param(18, "two-least-flat-entries"),
+        ],
     )
     def test_tie_within_a_group_goes_to_the_smaller_nodes(self, K, side):
         """The prefixes (1, 5, 7, 11) and (1, 3, 9, 11) of the group of last
         node 11 tie, and both continue through 13 and 15 at the minimum.
         The group lists the prefixes through 7 before those through 9, so
         the lexicographically smaller (1, 3, 9, 11) comes later and must
-        still win. The group holds 15 prefixes; the 15 flat entries of K = 20
-        are scored one pass per prefix, the 3 of K = 17 one pass per entry."""
+        still win. The group holds 15 prefixes against 15 flat entries at
+        K = 20 and 3 at K = 17, the two sides an earlier walk chose between.
+        At K = 18 the continuation through 14 and 16 ties with that through
+        13 and 15, later in the group's (i, j) order, so the first least
+        flat entry must win as well."""
         L = 6
         rows, final = _full_rows(K, L, 100)
         for (t, h), cost in {
@@ -366,10 +373,24 @@ class TestGroupedWalk:
         }.items():
             rows[t][h - t - 2] = cost
         final[15] = 7
+        if side == "two-least-flat-entries":
+            rows[11][14 - 11 - 2], rows[14][16 - 14 - 2], final[16] = 5, 5, 7
         prefixes, flat_entries = count_solutions(10, 3), count_solutions(K - 10, 3)
         assert (prefixes <= flat_entries) == (side == "pass-per-prefix")
         nodes, scored = (1, 3, 9, 11, 13, 15, K + 1), count_solutions(K, L)
         assert reference_walk_compositions(rows, final, K, L) == (nodes, 26, scored)
+        assert _walk_compositions(rows, final, K, L) == (nodes, scored)
+
+    @pytest.mark.parametrize("K,L", [(22, 7), (30, 9), (32, 8)])
+    def test_every_composition_avoiding_one_arc_ties(self, K, L):
+        """Every arc costs 100 units but 1 -> 3, at 200: every composition
+        that does not start with that arc ties, in nearly every prefix of
+        every group, and (1, 4, 6, ..., 2L, K + 1) wins. The reference walks
+        the largest of these in about 0.2 s."""
+        rows, final = _full_rows(K, L, 100)
+        rows[1][0] = 200
+        nodes, scored = (1, *range(4, 2 * L + 1, 2), K + 1), count_solutions(K, L)
+        assert reference_walk_compositions(rows, final, K, L) == (nodes, 100 * L, scored)
         assert _walk_compositions(rows, final, K, L) == (nodes, scored)
 
     @pytest.mark.parametrize(
