@@ -68,13 +68,14 @@ def brute_force_solve(
     against a per-segment reference scorer. The costs become exact integer
     units whose size the table's least positive cost sets, so totals do not
     depend on summation order and cost ties are genuine. The compositions
-    are grouped by the node a at which their third stratum from the end
-    starts. Every total of the strata before a and every total of the
-    strata from a on is formed, and a group's least total is the least of
-    the first plus the least of the second, exact in integer units. Its
-    smallest tied composition is the smallest tied prefix followed by the
-    first tied suffix. Nothing else is shared with the solver's dynamic
-    program.
+    are grouped by the node a at which their last min(3, ceil(L/2)) strata
+    start: the last two at L = 3 and 4, the last three from L = 5 up, so
+    neither side of a short path holds most of its strata. Every total of
+    the strata before a and every total of the strata from a on is formed,
+    and a group's least total is the least of the first plus the least of
+    the second, exact in integer units. Its smallest tied composition is
+    the smallest tied prefix followed by the first tied suffix. Nothing
+    else is shared with the solver's dynamic program.
 
     Raises InfeasibleProblemError and InvalidSpecError from check_problem,
     before the cap is tested; OracleTooLargeError when the enumeration
@@ -142,21 +143,28 @@ def _walk_compositions(
     compositions covered.
 
     The last two strata, i..j-1 and j..K, cost rows[i][j-i-2] + final[j];
-    that list over j is formed once per i. For L >= 3 the rest of a path is
-    a prefix 1 = n_0 < ... < n_{L-3} = a, and prefix totals are formed one
-    arc at a time: the list of every d-stratum prefix ending at node t is,
-    for each earlier end node s in ascending order, the list of (d-1)-stratum
-    prefixes ending at s plus rows[s][t-s-2]. A list holds integers only,
-    its first prefix's total and every prefix's difference from it.
+    that list over j is formed once per i. For L >= 3 each path is split at
+    a node a into a suffix of its last e = min(3, ceil(L/2)) strata, two at
+    L = 3 and 4 and three from L = 5 up, and a prefix
+    1 = n_0 < ... < n_p = a of the other p = L - e. Every two-stratum prefix
+    ending at node t is formed in one pass down column t of the table,
+    rows[1][s-3] + rows[s][t-s-2] for s = 3..t-2. Deeper prefix totals are
+    formed one arc at a time: the list of every d-stratum prefix ending at
+    t is, for each earlier end node s in ascending order, the list of
+    (d-1)-stratum prefixes ending at s plus rows[s][t-s-2]. A list holds
+    integers only and comes with a lead, each prefix's total being the lead
+    plus its entry: the first total for a list built one arc at a time, 0
+    for a two-stratum list.
 
     The compositions through a form one group, built when it is scored: its
-    bases, every prefix total ending at a less the first, and its flat list,
-    every suffix total from a (the first prefix total plus rows[a][i-a-2]
-    plus the last-two list of i, for every i) in (i, j) order. Any prefix
-    ending at a and any suffix starting there make a composition, and its
-    total is a base plus a flat entry, so the group's least total is
-    min(bases) + min(flat), exact because the totals are integers. The
-    group covers len(bases) * len(flat) compositions. The path is split
+    lead and bases, the totals of every prefix ending at a, and its flat
+    list of every suffix total from a. With two suffix strata the flat list
+    is the last-two list of a itself; with three it is rows[a][i-a-2] plus
+    the last-two list of i, for every i, in (i, j) order. Any prefix ending
+    at a and any suffix starting there make a composition, and its total is
+    the lead plus a base plus a flat entry, so the group's least total is
+    lead + min(bases) + min(flat), exact because the totals are integers.
+    The group covers len(bases) * len(flat) compositions. The path is split
     once, at a, and no minimum is taken within either side: every prefix
     total and every suffix total is formed, and nothing follows the
     solver's recurrence.
@@ -173,10 +181,11 @@ def _walk_compositions(
     the best nodes; otherwise every prefix of the group is above them.
 
     Memory holds the table, the last-two lists, the block offsets of every
-    prefix list, the integer lists of depth L-4 (and of depth L-5 while
-    those are built), and one group's bases and flat list, freed before the
-    next group is built. Only while a group's tie is followed up does it
-    hold the positions and nodes of its prefixes with a least base.
+    prefix list of depth 3 and up, the integer lists of depth p-1 (and of
+    depth p-2 while those are built), and one group's bases and, with three
+    suffix strata, its flat list, freed before the next group is built.
+    Only while a group's tie is followed up does it hold the positions and
+    nodes of its prefixes with a least base.
     """
     if L == 1:
         return (1, K + 1), 1
@@ -185,15 +194,19 @@ def _walk_compositions(
     if L == 2:
         totals = last_two[1]
         return (1, 3 + totals.index(min(totals)), K + 1), len(totals)
-    depth = L - 3
+    e = 2 if L < 5 else 3
+    depth = L - e
     # a d-stratum prefix ends at a node t in 2d+1 .. K+1-2(L-d); in its
     # list, the block of end node s starts at starts_at[d][t][s - 2d + 1]
-    level = {1: (0, [0])}
+    level: dict[int, tuple[int, list[int]]] = {}
     starts_at: list[dict[int, list[int]]] = [{} for _ in range(depth + 1)]
-    for d in range(1, depth):
+    for d in range(2, depth):
         previous, level = level, {}
         for t in range(2 * d + 1, K + 2 - 2 * (L - d)):
-            level[t], starts_at[d][t] = _prefix_totals(rows, previous, t)
+            if d == 2:
+                level[t] = 0, _two_strata_totals(rows, t)
+            else:
+                level[t], starts_at[d][t] = _prefix_totals(rows, previous, t)
         del previous
 
     def smallest_prefix(positions: list[int]) -> tuple[int, ...]:
@@ -212,7 +225,9 @@ def _walk_compositions(
         columns.append(map(add, positions, repeat(3)))
         return (1, *min(zip(*reversed(columns))), a)
 
-    def suffix_nodes(at: int) -> tuple[int, int, int]:
+    def suffix_nodes(at: int) -> tuple[int, ...]:
+        if e == 2:
+            return a + 2 + at, K + 1
         block = bisect_right(splits, at) - 1
         i = a + 2 + block
         return i, i + 2 + at - splits[block], K + 1
@@ -220,20 +235,25 @@ def _walk_compositions(
     best_nodes: tuple[int, ...] = ()
     best_total: float = math.inf
     scored = 0
-    for a in range(1, 2) if depth == 0 else range(2 * depth + 1, K - 4):
-        if depth == 0:
-            lead, bases = level[a]
+    for a in range(2 * depth + 1, K + 2 - 2 * e):
+        if depth == 1:
+            lead, bases = rows[1][a - 3], [0]
+        elif depth == 2:
+            lead, bases = 0, _two_strata_totals(rows, a)
         else:
             (lead, bases), starts_at[depth][a] = _prefix_totals(rows, level, a)
-        flat: list[int] = []
-        splits: list[int] = []
-        # zip stops at the range before reading past head K-3 of rows[a]
-        for i, cost in zip(range(a + 2, K - 2), rows[a]):
-            splits.append(len(flat))
-            flat += map(add, repeat(lead + cost), last_two[i])
+        if e == 2:
+            flat = last_two[a]
+        else:
+            flat = []
+            splits: list[int] = []
+            # zip stops at the range before reading past head K-3 of rows[a]
+            for i, cost in zip(range(a + 2, K - 2), rows[a]):
+                splits.append(len(flat))
+                flat += map(add, repeat(cost), last_two[i])
         scored += len(bases) * len(flat)
         base, entry = min(bases), min(flat)
-        low = base + entry
+        low = lead + base + entry
         # no prefix ending at a is smaller than this one, so a group whose
         # floor is above the best nodes cannot win a tie
         floor = (*range(1, 2 * depth, 2), a)
@@ -251,16 +271,24 @@ def _walk_compositions(
     return best_nodes, scored
 
 
+def _two_strata_totals(rows: list[list[int]], t: int) -> list[int]:
+    """The total of every two-stratum prefix 1, s, t, with s ascending from
+    3: rows[1][s-3] + rows[s][t-s-2], read down column t in one pass."""
+    column = map(getitem, rows[3 : t - 1], range(t - 5, -1, -1))
+    return list(map(add, rows[1], column))
+
+
 def _prefix_totals(
     rows: list[list[int]], level: dict[int, tuple[int, list[int]]], t: int
 ) -> tuple[tuple[int, list[int]], list[int]]:
     """Every prefix ending at node t with one stratum more than those of
-    level, which maps each end node, ascending, to its prefixes' first
-    total and their differences from it. Returns that pair for t, each
-    prefix formed by one arc from its end node s, and the position at which
-    each s's block starts."""
+    level, which maps each end node, ascending, to a lead and its prefixes'
+    totals less that lead. Returns the first total at t and every total
+    less it, each prefix formed by one arc from its end node s, and the
+    position at which each s's block starts."""
     first = next(iter(level))
-    lead = level[first][0] + rows[first][t - first - 2]
+    units, before = level[first]
+    lead = units + before[0] + rows[first][t - first - 2]
     differences: list[int] = []
     starts: list[int] = []
     for s, (units, before) in level.items():

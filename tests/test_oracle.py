@@ -328,8 +328,8 @@ class TestGroupedWalk:
     def test_matches_the_per_prefix_walk_at_deep_L(self):
         """320 seeded tables, random and tie-heavy, L from 7 to 10 and K
         from 2L to 2L + 10: the same nodes, the same number of compositions
-        scored. Groups with more prefixes than flat entries, scored by one
-        pass per flat entry, are common only at this depth."""
+        scored. Groups with more prefixes than flat entries are common
+        only at this depth."""
         rng = random.Random(1807)
         for case in range(320):
             L = case % 4 + 7
@@ -381,6 +381,49 @@ class TestGroupedWalk:
         assert reference_walk_compositions(rows, final, K, L) == (nodes, 26, scored)
         assert _walk_compositions(rows, final, K, L) == (nodes, scored)
 
+    @pytest.mark.parametrize(
+        "arcs,finals,nodes",
+        [
+            pytest.param(
+                {(1, 3): 10, (3, 9): 20, (1, 5): 20, (5, 9): 10, (9, 11): 5},
+                {11: 5},
+                (1, 3, 9, 11, 15),
+                id="two-prefixes-of-one-group",
+            ),
+            pytest.param(
+                {(1, 3): 10, (3, 5): 20, (5, 7): 5, (5, 9): 5},
+                {7: 5, 9: 5},
+                (1, 3, 5, 7, 15),
+                id="two-least-suffixes-of-one-group",
+            ),
+            pytest.param(
+                {(1, 5): 10, (5, 7): 20, (7, 11): 5, (1, 3): 10, (3, 9): 20, (9, 11): 5},
+                {11: 5},
+                (1, 3, 9, 11, 15),
+                id="two-groups",
+            ),
+        ],
+    )
+    def test_four_strata_ties_go_to_the_smaller_nodes(self, arcs, finals, nodes):
+        """K = 14, L = 4, every arc 100 units but a few: two compositions
+        tie at 40 units, every other one costs more. At L = 4 a group is
+        the two-stratum prefixes ending at a, in ascending order of their
+        middle node, and the last-two list of a. Within the group of 9,
+        (1, 3, 9) comes before (1, 5, 9); within the group of 5, the split
+        at 7 comes before that at 9; and the group of 7, holding
+        (1, 5, 7, 11, 15), is scored before the group of 9, holding the
+        smaller (1, 3, 9, 11, 15). The smaller composition must win each
+        tie."""
+        K, L = 14, 4
+        rows, final = _full_rows(K, L, 100)
+        for (t, h), cost in arcs.items():
+            rows[t][h - t - 2] = cost
+        for j, cost in finals.items():
+            final[j] = cost
+        scored = count_solutions(K, L)
+        assert reference_walk_compositions(rows, final, K, L) == (nodes, 40, scored)
+        assert _walk_compositions(rows, final, K, L) == (nodes, scored)
+
     @pytest.mark.parametrize("K,L", [(22, 7), (30, 9), (32, 8)])
     def test_every_composition_avoiding_one_arc_ties(self, K, L):
         """Every arc costs 100 units but 1 -> 3, at 200: every composition
@@ -428,10 +471,11 @@ class TestGroupedWalk:
             brute_force_solve(ft, ProblemSpec(L=2, n=1, N=4))
 
     def test_three_strata_memory(self):
-        """At K = 400, L = 3 the walk holds the units table, the last-two
-        lists and one flat list, each about K^2/2 narrow integers. Its
-        tracemalloc peak must stay below that of the per-prefix walk over
-        2^-1074 units on this input: 16,857,616 bytes on CPython 3.11."""
+        """At K = 400, L = 3 the walk holds the units table and the
+        last-two lists, each about K^2/2 narrow integers; a group's suffix
+        list is the last-two list of its node, not a copy. Its tracemalloc
+        peak must stay below that of the per-prefix walk over 2^-1074 units
+        on this input: 16,857,616 bytes on CPython 3.11."""
         rng = random.Random(400)
         ft = table_from_pairs(
             [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(400) for _ in range(2)]
