@@ -9,12 +9,16 @@ of every candidate split, so each stratum must span at least two groups.
 The solver never materialises the graph. It runs over layer_bounds and the
 cost_table of segment costs, plain floats; LayeredGraph is a view of that
 same table that builds its Arc objects only when its layers are read.
+cost_table zips the prefix moments once into a list of (count, y total,
+squared y total) triples and costs each tail's row in one pass over a slice
+of it, the row's end read from layer_bounds through a node-indexed list.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from itertools import repeat
 
 from .errors import DataError, InfeasibleProblemError
 from .moments import PrefixMoments
@@ -139,25 +143,38 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
     is the cost of the last stratum i..K for each tail of layer L, whose one
     head is K+1, and None at every other node. Memory thus follows the arc
     count (linear in K for L <= 2), and no segment outside the graph is ever
-    costed. Each tail's segments, final one included, are costed in one
-    float pass (_cost_row). Every cost is a finite float >= 0, which the
-    solver's tie certificate relies on: raises DataError at the first
-    segment of a row whose squared y total overflows, else at the first
-    whose cost does.
+    costed.
+
+    The prefix moments are zipped once into one list of (count, y total,
+    squared y total) triples, index t for groups 1..t, the counts as floats.
+    A node-indexed list holds where each tail's row ends: i + 2 for a tail
+    of layer L alone, else the head stop of the last inner layer holding
+    it, head stops rising with the layer. Tails are costed in ascending
+    order, each row in one float pass over a slice of the triples, with the
+    terminal triple appended for a tail of layer L (_cost_row). Every cost
+    is a finite float >= 0, which the solver's tie certificate relies on:
+    raises DataError at the first segment of a row whose squared y total
+    overflows, else at the first whose cost does, the last stratum being
+    the row's last segment.
     """
     K = pm.K
     *inner, (last_tails, _, _) = bounds
-    # head stops rise with the layer, so the last layer holding a tail sets
-    # the end of its row
-    row_stop = {i: head_stop for tails, _, head_stop in inner for i in tails}
+    # 0 at a node that tails no layer
+    stops = [0] * (K + 1)
+    stops[last_tails.start : last_tails.stop] = range(
+        last_tails.start + 2, last_tails.stop + 2
+    )
+    for tails, _, head_stop in inner:
+        stops[tails.start : tails.stop] = repeat(head_stop, len(tails))
     # exact: a unit count stays below 2^53
-    counts = tuple(map(float, pm.cum_count))
+    prefix = list(zip(map(float, pm.cum_count), pm.cum_y, pm.cum_y2))
     rows: list[list[float]] = [[] for _ in range(K + 1)]
     final: list[float | None] = [None] * (K + 1)
-    for i in sorted(row_stop.keys() | set(last_tails)):
-        stop = row_stop.get(i, i + 2)
+    for i, stop in enumerate(stops):
+        if not stop:
+            continue
         last = i in last_tails
-        row = _cost_row(counts, pm, i, stop, last)
+        row = _cost_row(prefix, i, stop, last)
         # without an overflow mark, a row's finite costs summed past the
         # float range, which is no error
         if not math.isfinite(sum(row)):
@@ -176,10 +193,10 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
 
 
 def _cost_row(
-    counts: tuple[float, ...], pm: PrefixMoments, i: int, stop: int, last: bool
+    prefix: list[tuple[float, float, float]], i: int, stop: int, last: bool
 ) -> list[float]:
     """N_h * S2_h of the segments i..j-1 for the heads j = i+2 .. stop-1,
-    then for j = K+1 when last, with counts the prefix unit counts as floats.
+    then for j = K+1 when last, from the prefix triples of cost_table.
 
     The float operations of segment_stats in the same order, so each cost
     matches it bit for bit, a negative sum of squares clamped to 0 alike.
@@ -187,17 +204,16 @@ def _cost_row(
     squares -inf, is marked -inf; a cost that overflows stays inf.
     cost_table names the overflow from these marks alone.
     """
-    c0, y0, q0 = counts[i - 1], pm.cum_y[i - 1], pm.cum_y2[i - 1]
-    ends = slice(i + 1, stop - 1)
-    ns, ts, qs = counts[ends], pm.cum_y[ends], pm.cum_y2[ends]
+    c0, y0, q0 = prefix[i - 1]
+    ends = prefix[i + 1 : stop - 1]
     if last:
-        ns, ts, qs = ns + counts[-1:], ts + pm.cum_y[-1:], qs + pm.cum_y2[-1:]
+        ends += prefix[-1:]
     inf = math.inf
     return [
         m * (ss / (m - 1.0))
         if (ss := q - q0 - (u := t - y0) * u / (m := n - c0)) >= 0.0
         else 0.0 if ss > -inf else -inf
-        for n, t, q in zip(ns, ts, qs)
+        for n, t, q in ends
     ]
 
 

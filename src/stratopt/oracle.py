@@ -143,9 +143,9 @@ def _walk_compositions(
     compositions covered.
 
     The last two strata, i..j-1 and j..K, cost rows[i][j-i-2] + final[j];
-    that list over j is formed once per i. For L >= 3 each path is split at
-    a node a into a suffix of its last e = min(3, ceil(L/2)) strata, two at
-    L = 3 and 4 and three from L = 5 up, and a prefix
+    that list over j is the last-two list of i. For L >= 3 each path is
+    split at a node a into a suffix of its last e = min(3, ceil(L/2))
+    strata, two at L = 3 and 4 and three from L = 5 up, and a prefix
     1 = n_0 < ... < n_p = a of the other p = L - e. Every two-stratum prefix
     ending at node t is formed in one pass down column t of the table,
     rows[1][s-3] + rows[s][t-s-2] for s = 3..t-2. Deeper prefix totals are
@@ -159,15 +159,16 @@ def _walk_compositions(
     The compositions through a form one group, built when it is scored: its
     lead and bases, the totals of every prefix ending at a, and its flat
     list of every suffix total from a. With two suffix strata the flat list
-    is the last-two list of a itself; with three it is rows[a][i-a-2] plus
-    the last-two list of i, for every i, in (i, j) order. Any prefix ending
-    at a and any suffix starting there make a composition, and its total is
-    the lead plus a base plus a flat entry, so the group's least total is
-    lead + min(bases) + min(flat), exact because the totals are integers.
-    The group covers len(bases) * len(flat) compositions. The path is split
-    once, at a, and no minimum is taken within either side: every prefix
-    total and every suffix total is formed, and nothing follows the
-    solver's recurrence.
+    is the last-two list of a, formed then, as no other group reads it;
+    with three it is rows[a][i-a-2] plus the last-two list of i, for every
+    i, in (i, j) order, each of those lists formed once before the first
+    group. Any prefix ending at a and any suffix starting there make a
+    composition, and its total is the lead plus a base plus a flat entry,
+    so the group's least total is lead + min(bases) + min(flat), exact
+    because the totals are integers. The group covers len(bases) *
+    len(flat) compositions. The path is split once, at a, and no minimum is
+    taken within either side: every prefix total and every suffix total is
+    formed, and nothing follows the solver's recurrence.
 
     Ties are genuine, and the smallest node sequence among them wins. A
     composition of the group reaches its least total only with a least base
@@ -180,22 +181,28 @@ def _walk_compositions(
     only while the smallest prefix a group can hold, 1, 3, ..., a, is below
     the best nodes; otherwise every prefix of the group is above them.
 
-    Memory holds the table, the last-two lists, the block offsets of every
-    prefix list of depth 3 and up, the integer lists of depth p-1 (and of
-    depth p-2 while those are built), and one group's bases and, with three
-    suffix strata, its flat list, freed before the next group is built.
+    Memory holds the table, every last-two list with three suffix strata,
+    the block offsets of every prefix list of depth 3 and up, the integer
+    lists of depth p-1 (and of depth p-2 while those are built), and one
+    group's bases and flat list, freed before the next group is built.
     Only while a group's tie is followed up does it hold the positions and
     nodes of its prefixes with a least base.
     """
     if L == 1:
         return (1, K + 1), 1
-    reach = range(1, 2) if L == 2 else range(2 * L - 3, K - 2)
-    last_two = {i: list(map(add, rows[i], final[i + 2 : K])) for i in reach}
+
+    def last_two(i: int) -> list[int]:
+        return list(map(add, rows[i], final[i + 2 : K]))
+
     if L == 2:
-        totals = last_two[1]
+        totals = last_two(1)
         return (1, 3 + totals.index(min(totals)), K + 1), len(totals)
     e = 2 if L < 5 else 3
     depth = L - e
+    # with three suffix strata every group reads the last-two lists past
+    # its node; with two, a group reads only its own
+    if e == 3:
+        suffixes = {i: last_two(i) for i in range(2 * L - 3, K - 2)}
     # a d-stratum prefix ends at a node t in 2d+1 .. K+1-2(L-d); in its
     # list, the block of end node s starts at starts_at[d][t][s - 2d + 1]
     level: dict[int, tuple[int, list[int]]] = {}
@@ -243,14 +250,14 @@ def _walk_compositions(
         else:
             (lead, bases), starts_at[depth][a] = _prefix_totals(rows, level, a)
         if e == 2:
-            flat = last_two[a]
+            flat = last_two(a)
         else:
             flat = []
             splits: list[int] = []
             # zip stops at the range before reading past head K-3 of rows[a]
             for i, cost in zip(range(a + 2, K - 2), rows[a]):
                 splits.append(len(flat))
-                flat += map(add, repeat(cost), last_two[i])
+                flat += map(add, repeat(cost), suffixes[i])
         scored += len(bases) * len(flat)
         base, entry = min(bases), min(flat)
         low = lead + base + entry

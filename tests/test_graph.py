@@ -207,13 +207,22 @@ BOTH_OVERFLOWS = (
     (6, 0.0), (7, 0.0),
 )
 
+# at L = 3 the row of tail 5 costs group 5..6 past the float range at an
+# inner head, and its one squared y total that overflows, 1.59e154 over
+# groups 5..9, is the last stratum's, appended after the inner heads; the
+# squared total must still win, and rows 1, 3 and 4 overflow nowhere
+LAST_STRATUM_OVERFLOWS = (
+    (1, 0.0), (2, 0.0), (3, 0.0), (4, 0.0), (5, -6.8e153), (6, 6.8e153),
+    (7, 5.3e153), (8, 5.3e153), (9, 5.3e153),
+)
+
 
 def cost_table_corpus():
     """Seeded (label, pairs, L) inputs: random and tie-heavy tables, y
     shifted by 1e6 to 1e15 so that sums of squares cancel, y of every float
     magnitude and both signs, y whose squares sum to just under the float
-    range so that costs and squared totals overflow, and one table that
-    overflows both ways in one row."""
+    range so that costs and squared totals overflow, and two tables that
+    overflow both ways in one row, one of them only in its last stratum."""
     rng = random.Random(20261018)
     for _ in range(60):
         L = rng.randint(1, 6)
@@ -247,6 +256,7 @@ def cost_table_corpus():
         ]
         yield "near-overflow", pairs, L
     yield "both-overflows", BOTH_OVERFLOWS, 2
+    yield "last-stratum-overflows", LAST_STRATUM_OVERFLOWS, 3
 
 
 def table_bits(costing):
@@ -287,6 +297,11 @@ class TestCostTableBits:
                     assert expected[1] == (
                         "y values too large: the squared y total of groups "
                         "1..5 overflows a float"
+                    )
+                if label == "last-stratum-overflows":
+                    assert expected[1] == (
+                        "y values too large: the squared y total of groups "
+                        "5..9 overflows a float"
                     )
             else:
                 rows, final = expected
