@@ -10,7 +10,6 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from dataclasses import replace
 from itertools import chain, combinations, compress, count, repeat
 from operator import add, eq, getitem, mul, sub
 from typing import Iterator
@@ -98,8 +97,7 @@ def brute_force_solve(
         raise ConsistencyError(
             f"exhaustive walk scored {scored} compositions, expected {m}"
         )
-    solution = _report(nodes, pm, ft, spec)
-    return replace(solution, elapsed=time.perf_counter() - start)
+    return _report(nodes, pm, ft, spec, start)
 
 
 def _exact_units(

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from operator import add
 
 from .errors import ConsistencyError, DataError, InvalidSpecError
@@ -127,14 +127,26 @@ def path_to_solution(
     InvalidSpecError from allocate_proportional when spec.N differs from
     the table's N, DataError when the total or the variance overflows a
     float, and the errors of segment_stats and coefficient_of_variation.
+
+    elapsed is 0.0, as no search is timed here. A search's elapsed is its
+    wall-clock seconds, which the text report prints as CPU (s).
     """
     return _report(path.nodes, pm, ft, spec)
 
 
 def _report(
-    nodes: tuple[int, ...], pm: PrefixMoments, ft: FrequencyTable, spec: ProblemSpec
+    nodes: tuple[int, ...],
+    pm: PrefixMoments,
+    ft: FrequencyTable,
+    spec: ProblemSpec,
+    start: float | None = None,
 ) -> StratificationSolution:
-    """path_to_solution on the bare nodes that the searches return."""
+    """path_to_solution on the bare nodes that the searches return.
+
+    elapsed is the search's wall-clock seconds from start, a
+    time.perf_counter() reading, to the report, or 0.0 without a start;
+    the text report prints it as CPU (s).
+    """
     if nodes[0] != 1 or nodes[-1] != ft.K + 1:
         raise ValueError(f"path {nodes} does not span groups 1..{ft.K}")
     if len(nodes) - 1 != spec.L:
@@ -181,15 +193,8 @@ def _report(
         StratumReport(s.n_pop, s.s2, s.y_total, frac, size)
         for s, frac, size in zip(stats_by_stratum, fractional, rounded)
     )
-    return StratificationSolution(
-        boundaries=boundaries,
-        strata=strata,
-        nodes=nodes,
-        total_unit_cost=total,
-        variance=variance,
-        cv=cv,
-        elapsed=0.0,
-    )
+    elapsed = 0.0 if start is None else time.perf_counter() - start
+    return StratificationSolution(boundaries, strata, nodes, total, variance, cv, elapsed)
 
 
 def _total_cost(costs: list[float]) -> float:
@@ -230,8 +235,8 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     start = time.perf_counter()
     bounds = check_problem(ft, spec)
     pm = build_prefix_moments(ft)
-    solution = _report(_cheapest_path(bounds, *cost_table(pm, bounds)), pm, ft, spec)
-    return replace(solution, elapsed=time.perf_counter() - start)
+    nodes = _cheapest_path(bounds, *cost_table(pm, bounds))
+    return _report(nodes, pm, ft, spec, start)
 
 
 def _cheapest_path(

@@ -128,6 +128,7 @@ class TestBruteForceSolve:
         assert sol.nodes == (1, 3, 6)
         assert sol.boundaries == (4.0,)
         assert sol.variance == pytest.approx(112.0, rel=1e-12)
+        assert 0.0 < sol.elapsed < 60.0
 
     def test_constant_y_ties_resolve_to_first_composition(self):
         ft = table_from_pairs([(x, 5.0) for x in range(1, 9)])
@@ -435,6 +436,26 @@ class TestGroupedWalk:
         nodes, scored = (1, *range(4, 2 * L + 1, 2), K + 1), count_solutions(K, L)
         assert reference_walk_compositions(rows, final, K, L) == (nodes, 100 * L, scored)
         assert _walk_compositions(rows, final, K, L) == (nodes, scored)
+
+    def test_tie_floor_skips_groups_above_the_best_nodes(self, monkeypatch):
+        """At K = 34, L = 9 every composition ties, and every group after
+        the first has a floor above the best nodes, so only the first is
+        followed up: its one prefix needs no unranking and its suffix one
+        bisect_right call. A walk that follows up every tie makes 298,465
+        calls and takes about 19 times as long."""
+        K, L = 34, 9
+        rows, final = _full_rows(K, L, 100)
+        calls = []
+        bisect_right = stratopt.oracle.bisect_right
+
+        def counting(*args):
+            calls.append(args)
+            return bisect_right(*args)
+
+        monkeypatch.setattr(stratopt.oracle, "bisect_right", counting)
+        nodes = (1, *range(3, 2 * L, 2), K + 1)
+        assert _walk_compositions(rows, final, K, L) == (nodes, count_solutions(K, L))
+        assert len(calls) <= 4
 
     @pytest.mark.parametrize(
         "K,L,costs",

@@ -366,6 +366,12 @@ class TestPathToSolution:
         with pytest.raises(ConsistencyError, match=match):
             path_to_solution(PathSolution((1, 3, 6), 56.0), corrupted, ft, spec)
 
+    def test_elapsed_is_zero_without_a_search(self, desk):
+        """path_to_solution times no search, so its elapsed is 0.0."""
+        ft, pm = desk
+        spec = ProblemSpec(L=2, n=3, N=9)
+        assert path_to_solution(PathSolution((1, 3, 6), 56.0), pm, ft, spec).elapsed == 0.0
+
     def test_path_total_beyond_float_range_is_a_data_error(self):
         """Each stratum (-B, B) costs 0.9 * sys.float_info.max; the two
         summed overflow a float."""
