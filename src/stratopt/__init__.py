@@ -41,13 +41,6 @@ from .moments import (
     variance_factor,
     variance_general,
 )
-from .oracle import (
-    DEFAULT_ORACLE_CAP,
-    Composition,
-    brute_force_solve,
-    count_solutions,
-    enumerate_compositions,
-)
 from .population import (
     FrequencyTable,
     Population,
@@ -64,6 +57,27 @@ from .solver import (
 )
 
 __version__ = "0.1.0"
+
+# solving never needs the exhaustive oracle, so it loads on first use
+_ORACLE_NAMES = frozenset(
+    {
+        "DEFAULT_ORACLE_CAP",
+        "Composition",
+        "brute_force_solve",
+        "count_solutions",
+        "enumerate_compositions",
+    }
+)
+
+
+def __getattr__(name: str) -> object:
+    """An oracle name, imported from .oracle on first access (PEP 562)."""
+    if name not in _ORACLE_NAMES:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import oracle
+
+    value = globals()[name] = getattr(oracle, name)
+    return value
 
 __all__ = [
     "Arc",

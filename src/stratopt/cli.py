@@ -7,7 +7,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import MISSING, dataclass, fields
+from typing import NamedTuple
 
 from .errors import (
     ConsistencyError,
@@ -31,8 +31,7 @@ EXIT_INFEASIBLE = 3
 EXIT_INTERNAL = 4
 
 
-@dataclass(frozen=True, slots=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Everything one invocation needs."""
 
     input_path: str
@@ -205,9 +204,7 @@ def build_parser() -> argparse.ArgumentParser:
             "proportional allocation."
         ),
     )
-    parser.set_defaults(
-        **{f.name: f.default for f in fields(RunConfig) if f.default is not MISSING}
-    )
+    parser.set_defaults(**RunConfig._field_defaults)
     parser.add_argument("--input", dest="input_path", required=True, metavar="PATH", help="delimited text file with a header row")
     parser.add_argument("--x-col", metavar="NAME", help="size variable column (default: %(default)s)")
     parser.add_argument("--y-col", metavar="NAME", help="study variable column (default: reuse --x-col)")

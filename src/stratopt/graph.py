@@ -17,15 +17,14 @@ of it, the row's end read from layer_bounds through a node-indexed list.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
 from itertools import repeat
+from typing import NamedTuple
 
 from .errors import DataError, InfeasibleProblemError
 from .moments import PrefixMoments
 
 
-@dataclass(frozen=True, slots=True)
-class Arc:
+class Arc(NamedTuple):
     """Candidate stratum covering groups tail..head-1, usable at one layer."""
 
     tail: int
@@ -41,8 +40,7 @@ CostTable = tuple[list[list[float]], list[float | None]]
 """(rows, final) segment costs N_h * S2_h, as cost_table lays them out."""
 
 
-@dataclass(frozen=True, slots=True)
-class LayeredGraph:
+class LayeredGraph(NamedTuple):
     """The graph for K distinct values and L strata, with its costs as a
     cost_table, or None while uncosted.
 
@@ -228,7 +226,7 @@ def attach_costs(graph: LayeredGraph, pm: PrefixMoments) -> LayeredGraph:
         raise ValueError(
             f"prefix moments cover {pm.K} groups, graph expects {graph.K}"
         )
-    return replace(graph, table=cost_table(pm, layer_bounds(graph.K, graph.L)))
+    return graph._replace(table=cost_table(pm, layer_bounds(graph.K, graph.L)))
 
 
 def dump_arcs(graph: LayeredGraph) -> str:

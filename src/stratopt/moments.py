@@ -10,10 +10,9 @@ per-stratum unit costs N_h * S2_h, which is what the path solver minimizes.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from numbers import Integral
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import (
     DataError,
@@ -26,8 +25,7 @@ from .errors import (
 from .population import FrequencyTable
 
 
-@dataclass(frozen=True, slots=True)
-class PrefixMoments:
+class PrefixMoments(NamedTuple):
     """Cumulative count, sum(y), and sum(y^2) over distinct-value groups.
 
     Index t holds the totals of groups 1..t, with index 0 all zero, so the
@@ -47,8 +45,7 @@ class PrefixMoments:
         return self.cum_count[-1]
 
 
-@dataclass(frozen=True, slots=True)
-class SegmentStats:
+class SegmentStats(NamedTuple):
     """Unit count, dispersion, and y total of one candidate stratum.
 
     s2 is the usual survey-sampling stratum variance with an n_pop - 1
@@ -60,29 +57,43 @@ class SegmentStats:
     y_total: float
 
 
-@dataclass(frozen=True, slots=True)
-class ProblemSpec:
-    """Stratum count L, sample size n, population size N, and the
-    without-replacement correction switch (fpc)."""
+class _ProblemFields(NamedTuple):
+    """The fields of ProblemSpec, which checks them."""
 
     L: int
     n: int
     N: int
     fpc: bool = True
 
-    def __post_init__(self) -> None:
-        for name in ("L", "n", "N"):
-            value = getattr(self, name)
+
+class ProblemSpec(_ProblemFields):
+    """Stratum count L, sample size n, population size N, and the
+    without-replacement correction switch (fpc).
+
+    Checked whenever one is made: built, copied by _replace or _make, or
+    unpickled.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, L: int, n: int, N: int, fpc: bool = True) -> ProblemSpec:
+        for name, value in (("L", L), ("n", n), ("N", N)):
             if not isinstance(value, Integral):
                 raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
-        if self.L < 1:
-            raise InvalidSpecError(f"stratum count must be at least 1, got {self.L}")
-        if self.N < 1:
-            raise InvalidSpecError(f"population size must be at least 1, got {self.N}")
-        if not 1 <= self.n <= self.N:
+        if L < 1:
+            raise InvalidSpecError(f"stratum count must be at least 1, got {L}")
+        if N < 1:
+            raise InvalidSpecError(f"population size must be at least 1, got {N}")
+        if not 1 <= n <= N:
             raise InvalidSpecError(
-                f"sample size must satisfy 1 <= n <= N, got n={self.n} with N={self.N}"
+                f"sample size must satisfy 1 <= n <= N, got n={n} with N={N}"
             )
+        return super().__new__(cls, L, n, N, fpc)
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> ProblemSpec:
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 def build_prefix_moments(ft: FrequencyTable) -> PrefixMoments:

@@ -10,16 +10,14 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
 from itertools import chain
 from operator import mul
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import DataError, EmptyPopulationError, InputSchemaError
 
 
-@dataclass(frozen=True, slots=True)
-class Population:
+class Population(NamedTuple):
     """All units grouped by exact x: each distinct x, in the order it first
     appears, maps to the y values of its units in input order."""
 
@@ -30,8 +28,7 @@ class Population:
         return sum(map(len, self.groups.values()))
 
 
-@dataclass(frozen=True, slots=True)
-class FrequencyTable:
+class FrequencyTable(NamedTuple):
     """Per-distinct-x aggregates, ascending in x.
 
     q holds the K distinct values, count their multiplicities, and y_sum and

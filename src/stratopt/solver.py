@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass
 from operator import add
+from typing import NamedTuple
 
 from .errors import ConsistencyError, DataError, InvalidSpecError
 from .graph import Bounds, LayeredGraph, cost_table, layer_bounds
@@ -34,16 +34,14 @@ _SELF_CHECK_FLOOR = 8 * 2.0**-53
 _SUBNORMAL_SPACING = 2.0**-1074
 
 
-@dataclass(frozen=True, slots=True)
-class PathSolution:
+class PathSolution(NamedTuple):
     """Node sequence of one source to terminal path and its summed cost."""
 
     nodes: tuple[int, ...]
     total_unit_cost: float
 
 
-@dataclass(frozen=True, slots=True)
-class StratumReport:
+class StratumReport(NamedTuple):
     """Reported figures for one stratum."""
 
     size: int
@@ -53,8 +51,7 @@ class StratumReport:
     sample_size: int
 
 
-@dataclass(frozen=True, slots=True)
-class StratificationSolution:
+class StratificationSolution(NamedTuple):
     """Complete answer for one problem.
 
     boundaries holds the L-1 upper stratum boundaries (distinct x values),

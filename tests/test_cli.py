@@ -658,13 +658,11 @@ class TestExitCodes:
 
     def test_oracle_disagreement_exits_4(self, capsys, desk_csv, monkeypatch):
         """If the exhaustive check ever disagreed, the run must fail loudly."""
-        from dataclasses import replace
-
         real = cli.brute_force_solve
 
         def doctored(ft, spec, cap):
             solution = real(ft, spec, cap)
-            return replace(solution, boundaries=(8.0,), nodes=(1, 4, 6))
+            return solution._replace(boundaries=(8.0,), nodes=(1, 4, 6))
 
         monkeypatch.setattr(cli, "brute_force_solve", doctored)
         code, out, err = run_cli(

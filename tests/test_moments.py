@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import pickle
 import random
 import statistics
 from fractions import Fraction
@@ -197,6 +198,37 @@ class TestProblemSpec:
     def test_non_integer_names_its_field(self):
         with pytest.raises(InvalidSpecError, match=r"^n must be an integer, got 3\.0$"):
             ProblemSpec(L=2, n=3.0, N=9)
+
+    @pytest.mark.parametrize(
+        "change",
+        [{"L": 2.0}, {"L": 0}, {"N": 0}, {"n": 0}, {"n": 10}],
+        ids=["non-integer-L", "L-below-1", "N-below-1", "n-below-1", "n-above-N"],
+    )
+    @pytest.mark.parametrize("route", ["_replace", "_make", "pickle"])
+    def test_copies_are_checked_as_construction_is(self, change, route):
+        """A spec copied by _replace or _make, or unpickled, is checked
+        again, raising the message that building it raises."""
+        spec = ProblemSpec(L=2, n=3, N=9)
+        values = {**spec._asdict(), **change}
+        with pytest.raises(InvalidSpecError) as built:
+            ProblemSpec(**values)
+        # bytes that hold a bad spec: its fields set without the checks
+        unchecked = tuple.__new__(ProblemSpec, values.values())
+        copy = {
+            "_replace": lambda: spec._replace(**change),
+            "_make": lambda: ProblemSpec._make(values.values()),
+            "pickle": lambda: pickle.loads(pickle.dumps(unchecked)),
+        }[route]
+        with pytest.raises(InvalidSpecError) as copied:
+            copy()
+        assert str(copied.value) == str(built.value)
+
+    def test_valid_copies_round_trip(self):
+        spec = ProblemSpec(L=2, n=3, N=9, fpc=False)
+        for copy in (spec._replace(), ProblemSpec._make(spec), pickle.loads(pickle.dumps(spec))):
+            assert type(copy) is ProblemSpec
+            assert copy == spec
+        assert spec._replace(n=9) == ProblemSpec(L=2, n=9, N=9, fpc=False)
 
 
 class TestVarianceFormulas:

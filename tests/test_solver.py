@@ -6,7 +6,6 @@ import math
 import random
 import sys
 import tracemalloc
-from dataclasses import replace
 from functools import partial
 
 import pytest
@@ -359,8 +358,8 @@ class TestPathToSolution:
         must trip the independent recomputation."""
         ft, pm = desk
         column = getattr(pm, field)
-        corrupted = replace(
-            pm, **{field: column[:2] + (column[2] + tamper,) + column[3:]}
+        corrupted = pm._replace(
+            **{field: column[:2] + (column[2] + tamper,) + column[3:]}
         )
         spec = ProblemSpec(L=2, n=3, N=9)
         with pytest.raises(ConsistencyError, match=match):

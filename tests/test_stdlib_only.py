@@ -1,9 +1,13 @@
 """The core package stays standard-library only, the tests need only
-pytest besides it, and a problem is judged valid in one place."""
+pytest besides it, a problem is judged valid in one place, and importing
+the package loads neither dataclasses nor the oracle."""
 
 from __future__ import annotations
 
 import ast
+import json
+import os
+import subprocess
 import sys
 from pathlib import Path
 
@@ -71,7 +75,7 @@ def test_invalid_problems_are_rejected_in_four_places():
     before any work, and by the allocation its report makes; nothing else
     raises InvalidSpecError or InfeasibleProblemError."""
     assert raise_sites(SOURCES, {"InvalidSpecError", "InfeasibleProblemError"}) == {
-        ("moments.py", "__post_init__"),
+        ("moments.py", "__new__"),
         ("graph.py", "check_feasible"),
         ("solver.py", "check_problem"),
         ("moments.py", "allocate_proportional"),
@@ -93,3 +97,61 @@ def test_the_oracle_shares_no_search_with_the_solver():
             names.add(node.attr)
     assert {"check_problem", "_report"} <= names
     assert names & {"_cheapest_path", "solve_problem", "solve"} == set()
+
+
+COLD_IMPORT = """
+import json, sys
+import stratopt
+seen = {"dataclasses": "dataclasses" in sys.modules, "oracle": "stratopt.oracle" in sys.modules}
+lazy = stratopt.brute_force_solve
+import stratopt.oracle
+seen["lazy_is_oracle"] = lazy is stratopt.oracle.brute_force_solve
+import stratopt.cli
+seen["cli_dataclasses"] = "dataclasses" in sys.modules
+try:
+    stratopt.no_such_name
+except AttributeError as exc:
+    seen["unknown"] = str(exc)
+print(json.dumps(seen))
+"""
+
+STAR_IMPORT = """
+import json
+import stratopt
+namespace = {}
+exec("from stratopt import *", namespace)
+print(json.dumps(
+    [name for name in stratopt.__all__ if namespace.get(name) is not getattr(stratopt, name)]
+))
+"""
+
+
+def fresh_interpreter(code):
+    """What code prints, as JSON, run by a fresh interpreter that reads the
+    package from src/ and compiles it without writing bytecode."""
+    env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+def test_import_loads_neither_dataclasses_nor_the_oracle():
+    """import stratopt leaves dataclasses and the oracle unloaded, and the
+    command line leaves dataclasses unloaded; an oracle name loads the
+    oracle module on first access, and an unknown name is still an
+    AttributeError that names it."""
+    assert fresh_interpreter(COLD_IMPORT) == {
+        "dataclasses": False,
+        "oracle": False,
+        "lazy_is_oracle": True,
+        "cli_dataclasses": False,
+        "unknown": "module 'stratopt' has no attribute 'no_such_name'",
+    }
+
+
+def test_star_import_binds_every_public_name():
+    """from stratopt import * binds each name in __all__, the lazily loaded
+    oracle names too, to the package's own object."""
+    assert fresh_interpreter(STAR_IMPORT) == []
