@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from itertools import chain, combinations, compress, count, repeat
+from itertools import accumulate, chain, combinations, compress, count, repeat
 from operator import add, eq, getitem, mul, sub
 from typing import Iterator
 
@@ -110,28 +110,26 @@ def _exact_units(
     integer, and c * 2**s forms it exactly as a float while that product
     stays in range. The table's own precision thus sets the unit, which
     keeps the integers narrow. A table whose costs span too wide a range for
-    that takes 2**-1074 units, which hold any float. Totals in these units
-    are only compared, never converted back, so s is not kept.
+    that takes 2**-1074 units, which hold any float. The table is converted
+    in one pass: 2**s past the float range, or a product that overflows to
+    inf, raises OverflowError on its way to an integer, and the table then
+    takes 2**-1074 units. Totals in these units are only compared, never
+    converted back, so s is not kept.
     """
-    costs = [cost for cost in final if cost is not None]
-    least = min(filter(None, chain(*rows, costs)), default=math.inf)
+    # filter(None, ...) drops the zeros and the None entries of final
+    least = min(filter(None, chain(*rows, final)), default=math.inf)
     shift = 0 if least == math.inf else max(0, 53 - math.frexp(least)[1])
-    if shift <= 1023 and max(chain(*rows, costs)) * 2.0**shift < math.inf:
+    try:
         factor = 2.0**shift
-
-        def units(row: list[float]) -> Iterator[int]:
-            return map(int, map(mul, row, repeat(factor)))
-
-    else:
-
-        def units(row: list[float]) -> Iterator[int]:
-            return map(exact_cost_units, row)
-
-    final_units = units(costs)
-    return (
-        [list(units(row)) for row in rows],
-        [None if cost is None else next(final_units) for cost in final],
-    )
+        return (
+            [list(map(int, map(mul, row, repeat(factor)))) for row in rows],
+            [None if cost is None else int(cost * factor) for cost in final],
+        )
+    except OverflowError:
+        return (
+            [list(map(exact_cost_units, row)) for row in rows],
+            [None if cost is None else exact_cost_units(cost) for cost in final],
+        )
 
 
 def _walk_compositions(
@@ -152,7 +150,11 @@ def _walk_compositions(
     (d-1)-stratum prefixes ending at s plus rows[s][t-s-2]. A list holds
     integers only and comes with a lead, each prefix's total being the lead
     plus its entry: the first total for a list built one arc at a time, 0
-    for a two-stratum list.
+    for a two-stratum list. Lists are thus in colexicographic order, and
+    the block of end node s in a d-stratum list starts after the
+    (d-1)-stratum prefixes ending before s, comb(s-d-1, d-1) of them by the
+    hockey-stick identity, whatever the list's own end node: block starts
+    are counted, never stored.
 
     The compositions through a form one group, built when it is scored: its
     lead and bases, the totals of every prefix ending at a, and its flat
@@ -160,7 +162,9 @@ def _walk_compositions(
     is the last-two list of a, formed then, as no other group reads it;
     with three it is rows[a][i-a-2] plus the last-two list of i, for every
     i, in (i, j) order, each of those lists formed once before the first
-    group. Any prefix ending at a and any suffix starting there make a
+    group. The last-two list of i holds K-i-2 totals, so the flat list's
+    blocks have lengths K-a-4, K-a-5, ..., 1 and their starts are counted
+    too. Any prefix ending at a and any suffix starting there make a
     composition, and its total is the lead plus a base plus a flat entry,
     so the group's least total is lead + min(bases) + min(flat), exact
     because the totals are integers. The group covers len(bases) *
@@ -174,17 +178,17 @@ def _walk_compositions(
     the smallest prefix with a least base followed by the first least flat
     entry, (i, j) order being lexicographic. List order is colexicographic,
     so every prefix with a least base is unranked from its position through
-    the block offsets of the lists, one level for all of them at a time,
-    and the smallest is kept. A tie with the best so far is followed up
+    the counted block starts, one level for all of them at a time, and the
+    smallest is kept. A tie with the best so far is followed up
     only while the smallest prefix a group can hold, 1, 3, ..., a, is below
     the best nodes; otherwise every prefix of the group is above them.
 
     Memory holds the table, every last-two list with three suffix strata,
-    the block offsets of every prefix list of depth 3 and up, the integer
-    lists of depth p-1 (and of depth p-2 while those are built), and one
-    group's bases and flat list, freed before the next group is built.
-    Only while a group's tie is followed up does it hold the positions and
-    nodes of its prefixes with a least base.
+    the integer lists of depth p-1 (and of depth p-2 while those are
+    built), and one group's bases and flat list, freed before the next
+    group is built. Only while a group's tie is followed up does it hold
+    the block starts of each depth, and the positions and nodes of its
+    prefixes with a least base.
     """
     if L == 1:
         return (1, K + 1), 1
@@ -201,41 +205,39 @@ def _walk_compositions(
     # its node; with two, a group reads only its own
     if e == 3:
         suffixes = {i: last_two(i) for i in range(2 * L - 3, K - 2)}
-    # a d-stratum prefix ends at a node t in 2d+1 .. K+1-2(L-d); in its
-    # list, the block of end node s starts at starts_at[d][t][s - 2d + 1]
+    # a d-stratum prefix ends at a node t in 2d+1 .. K+1-2(L-d)
     level: dict[int, tuple[int, list[int]]] = {}
-    starts_at: list[dict[int, list[int]]] = [{} for _ in range(depth + 1)]
     for d in range(2, depth):
         previous, level = level, {}
         for t in range(2 * d + 1, K + 2 - 2 * (L - d)):
             if d == 2:
                 level[t] = 0, _two_strata_totals(rows, t)
             else:
-                level[t], starts_at[d][t] = _prefix_totals(rows, previous, t)
+                level[t] = _prefix_totals(rows, previous, t)
         del previous
 
     def smallest_prefix(positions: list[int]) -> tuple[int, ...]:
         # unrank every position one level at a time: the block holding it
         # names its node one level down and its offset in that node's list;
         # at depth 2 each block holds one prefix, so n_1 = position + 3
-        ends = [a] * len(positions)
         columns = []
         for d in range(depth, 2, -1):
-            starts = list(map(starts_at[d].__getitem__, ends))
-            blocks = list(map(bisect_right, starts, positions))
-            offsets = map(getitem, starts, map(add, blocks, repeat(-1)))
-            positions = list(map(sub, positions, offsets))
-            ends = list(map(add, blocks, repeat(2 * d - 2)))
-            columns.append(ends)
+            # starts[s - 2d + 1] is where the block of end node s starts
+            starts = [math.comb(s - d - 1, d - 1) for s in range(2 * d - 1, a)]
+            blocks = [bisect_right(starts, at) - 1 for at in positions]
+            positions = list(map(sub, positions, map(starts.__getitem__, blocks)))
+            columns.append(list(map(add, blocks, repeat(2 * d - 1))))
         columns.append(map(add, positions, repeat(3)))
         return (1, *min(zip(*reversed(columns))), a)
 
     def suffix_nodes(at: int) -> tuple[int, ...]:
         if e == 2:
             return a + 2 + at, K + 1
-        block = bisect_right(splits, at) - 1
+        # the blocks of the last-two lists of a + 2, a + 3, ..., K - 3
+        starts = list(accumulate(range(K - a - 4, 0, -1), initial=0))
+        block = bisect_right(starts, at) - 1
         i = a + 2 + block
-        return i, i + 2 + at - splits[block], K + 1
+        return i, i + 2 + at - starts[block], K + 1
 
     best_nodes: tuple[int, ...] = ()
     best_total: float = math.inf
@@ -246,15 +248,13 @@ def _walk_compositions(
         elif depth == 2:
             lead, bases = 0, _two_strata_totals(rows, a)
         else:
-            (lead, bases), starts_at[depth][a] = _prefix_totals(rows, level, a)
+            lead, bases = _prefix_totals(rows, level, a)
         if e == 2:
             flat = last_two(a)
         else:
             flat = []
-            splits: list[int] = []
             # zip stops at the range before reading past head K-3 of rows[a]
             for i, cost in zip(range(a + 2, K - 2), rows[a]):
-                splits.append(len(flat))
                 flat += map(add, repeat(cost), suffixes[i])
         scored += len(bases) * len(flat)
         base, entry = min(bases), min(flat)
@@ -285,20 +285,19 @@ def _two_strata_totals(rows: list[list[int]], t: int) -> list[int]:
 
 def _prefix_totals(
     rows: list[list[int]], level: dict[int, tuple[int, list[int]]], t: int
-) -> tuple[tuple[int, list[int]], list[int]]:
+) -> tuple[int, list[int]]:
     """Every prefix ending at node t with one stratum more than those of
     level, which maps each end node, ascending, to a lead and its prefixes'
     totals less that lead. Returns the first total at t and every total
-    less it, each prefix formed by one arc from its end node s, and the
-    position at which each s's block starts."""
+    less it, each prefix formed by one arc from its end node s. The block
+    of s is not marked: it starts where the lists of the end nodes before
+    s end, which _walk_compositions counts."""
     first = next(iter(level))
     units, before = level[first]
     lead = units + before[0] + rows[first][t - first - 2]
     differences: list[int] = []
-    starts: list[int] = []
     for s, (units, before) in level.items():
         if s > t - 2:
             break
-        starts.append(len(differences))
         differences += map(add, before, repeat(units + rows[s][t - s - 2] - lead))
-    return (lead, differences), starts
+    return lead, differences

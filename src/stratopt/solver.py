@@ -245,7 +245,10 @@ def _cheapest_path(
     rows and final are a cost_table over bounds. Three passes:
 
     - Backward, values only: each tail's float completion is the least of
-      its row plus the next layer's completions at those heads.
+      its row plus the next layer's completions at those heads. A layer's
+      completions are indexed by node, like rows and final, None off its
+      tails, so the completions at a row's heads are the slice at the
+      heads themselves.
     - Top-down, floats only: from node 1, each node the answer can pass
       through certifies its one row. Its candidate heads are those whose
       float total is within bound (below) of the row's best; they are the
@@ -278,28 +281,26 @@ def _cheapest_path(
     *inner, (_, terminal, _) = bounds
     # (1 + gamma_L) / (1 - gamma_L) = 1 / (1 - 2Lu) <= 1 + 4Lu while Lu <= 1/4
     widen = 1.0 + len(bounds) * 2.0**-51
-    # completions[h] is (first, values): values[j - first] is the float
-    # completion of node j, a tail of the layer h places after the first;
-    # the last entry is final
-    completions = [(0, final)]
+    # completions[h][j] is the float completion of node j, a tail of the
+    # layer h places after the first, and None off its tails; the last
+    # entry is final
+    completions: list[list[float | None]] = [final]
     for tails, _, head_stop in reversed(inner):
-        first, completion = completions[-1]
+        completion = completions[-1]
         # rows[i] may run past this layer's head stop; map stops there
-        completions.append((tails.start, [
-            min(map(add, rows[i], completion[i + 2 - first : head_stop - first]))
-            for i in tails
-        ]))
+        completions.append([None] * tails.start + [
+            min(map(add, rows[i], completion[i + 2 : head_stop])) for i in tails
+        ])
     completions.reverse()
 
     needed = {1}
     # candidates[h] maps each needed tail of layer h to its candidate heads,
     # and then, once the bottom-up pass has chosen, to its chosen head
     candidates: list[dict[int, list[int]]] = []
-    for (_, _, head_stop), (first, completion) in zip(inner, completions[1:]):
+    for (_, _, head_stop), completion in zip(inner, completions[1:]):
         heads_of = {}
         for i in needed:
-            at_heads = completion[i + 2 - first : head_stop - first]
-            totals = list(map(add, rows[i], at_heads))
+            totals = list(map(add, rows[i], completion[i + 2 : head_stop]))
             bound = math.nextafter(min(totals) * widen, math.inf)
             heads_of[i] = [j for j, total in enumerate(totals, i + 2) if total <= bound]
         candidates.append(heads_of)

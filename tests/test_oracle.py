@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import random
 import sys
 import tracemalloc
@@ -24,7 +25,12 @@ from stratopt import (
     solve_problem,
 )
 from stratopt.graph import cost_table, layer_bounds
-from stratopt.oracle import _exact_units, _walk_compositions
+from stratopt.oracle import (
+    _exact_units,
+    _prefix_totals,
+    _two_strata_totals,
+    _walk_compositions,
+)
 
 from helpers import (
     desk_table,
@@ -480,6 +486,67 @@ class TestGroupedWalk:
             assert units == reference_units[0]
         ref_nodes, _, ref_scored = reference_walk_compositions(*reference_units, K, L)
         assert _walk_compositions(units, final_units, K, L) == (ref_nodes, ref_scored)
+
+    @pytest.mark.parametrize(
+        "largest,narrow",
+        [
+            pytest.param((2 - 2**-52) * 2.0**971, True, id="largest-product-finite"),
+            pytest.param(2.0**972, False, id="largest-product-overflows"),
+        ],
+    )
+    def test_unit_switch_at_the_float_range(self, largest, narrow):
+        """The least positive cost is 1.0, so the unit is 2^-52. Below the
+        switch the largest cost times 2^52 is the largest finite float and
+        the table is held in narrow units; at 2^972 that product overflows
+        and the whole table takes 2^-1074 units. Either way the walk
+        matches the reference."""
+        K, L = 14, 5
+        rng = random.Random(972)
+        rows, final = _full_rows(K, L, 0.0)
+        rows = [[float(rng.randrange(1, 1000)) for _ in row] for row in rows]
+        final = [None if cost is None else float(rng.randrange(1, 1000)) for cost in final]
+        rows[1][0], rows[3][1], final[K - 1] = 1.0, 0.0, largest
+        units, final_units = _exact_units(rows, final)
+        reference_units = units_table((rows, final))
+        if narrow:
+            assert largest * 2.0**52 == sys.float_info.max
+            assert final_units[K - 1] == int(sys.float_info.max)
+            assert units == [[int(cost) << 52 for cost in row] for row in rows]
+        else:
+            assert (units, final_units) == reference_units
+        ref_nodes, _, ref_scored = reference_walk_compositions(*reference_units, K, L)
+        assert _walk_compositions(units, final_units, K, L) == (ref_nodes, ref_scored)
+
+    def test_prefix_lists_are_laid_out_by_count(self):
+        """In a seeded K = 24 unit table, the d-stratum list at node t holds
+        count_solutions(t - 1, d) totals, and the block of end node s sits
+        at [comb(s-d-1, d-1), comb(s-d, d-1)): the (d-1)-stratum list at s
+        plus the step s -> t, whatever t is. The walk unranks its tied
+        prefixes with these block starts, which no list stores."""
+        K = 24
+        rng = random.Random(24)
+        rows = [[rng.randrange(1000) for _ in row] for row in _full_rows(K, 1, 0)[0]]
+        # the one-stratum prefix ending at s is the arc 1 -> s
+        totals = {s: [rows[1][s - 3]] for s in range(3, K)}
+        for d in range(2, 8):
+            level = {}
+            for t in range(2 * d + 1, K):
+                if d == 2:
+                    lead, differences = 0, _two_strata_totals(rows, t)
+                else:
+                    lead, differences = _prefix_totals(rows, previous, t)
+                level[t] = lead, differences
+                at_t = [lead + entry for entry in differences]
+                assert len(at_t) == count_solutions(t - 1, d), (d, t)
+                for s in range(2 * d - 1, t - 1):
+                    block = at_t[math.comb(s - d - 1, d - 1) : math.comb(s - d, d - 1)]
+                    step = rows[s][t - s - 2]
+                    assert block == [total + step for total in totals[s]], (d, t, s)
+            previous = level
+            totals = {
+                t: [lead + entry for entry in differences]
+                for t, (lead, differences) in level.items()
+            }
 
     def test_total_past_the_float_range_raises(self):
         """y = -B, B, -B, B with B = sqrt(0.225 * max float): each of the
