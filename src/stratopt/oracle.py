@@ -10,9 +10,9 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from itertools import accumulate, chain, combinations, compress, count, repeat
+from itertools import chain, combinations, compress, count, repeat
 from operator import add, eq, getitem, mul, sub
-from typing import Iterator
+from typing import Iterable, Iterator
 
 from .errors import ConsistencyError, OracleTooLargeError
 from .graph import cost_table
@@ -67,10 +67,9 @@ def brute_force_solve(
     against a per-segment reference scorer. The costs become exact integer
     units whose size the table's least positive cost sets, so totals do not
     depend on summation order and cost ties are genuine. The compositions
-    are grouped by the node a at which their last min(3, ceil(L/2)) strata
-    start: the last two at L = 3 and 4, the last three from L = 5 up, so
-    neither side of a short path holds most of its strata. Every total of
-    the strata before a and every total of the strata from a on is formed,
+    are grouped by the node a at which their last ceil(L/2) strata start,
+    so neither side of a path holds most of its strata. Every total of the
+    strata before a and every total of the strata from a on is formed,
     and a group's least total is the least of the first plus the least of
     the second, exact in integer units. Its smallest tied composition is
     the smallest tied prefix followed by the first tied suffix. Nothing
@@ -138,53 +137,45 @@ def _walk_compositions(
     """Cheapest node sequence over every composition, and the number of
     compositions covered.
 
-    The last two strata, i..j-1 and j..K, cost rows[i][j-i-2] + final[j];
-    that list over j is the last-two list of i. For L >= 3 each path is
-    split at a node a into a suffix of its last e = min(3, ceil(L/2))
-    strata, two at L = 3 and 4 and three from L = 5 up, and a prefix
-    1 = n_0 < ... < n_p = a of the other p = L - e. Every two-stratum prefix
-    ending at node t is formed in one pass down column t of the table,
-    rows[1][s-3] + rows[s][t-s-2] for s = 3..t-2. Deeper prefix totals are
-    formed one arc at a time: the list of every d-stratum prefix ending at
-    t is, for each earlier end node s in ascending order, the list of
-    (d-1)-stratum prefixes ending at s plus rows[s][t-s-2]. A list holds
-    integers only and comes with a lead, each prefix's total being the lead
-    plus its entry: the first total for a list built one arc at a time, 0
-    for a two-stratum list. Lists are thus in colexicographic order, and
-    the block of end node s in a d-stratum list starts after the
-    (d-1)-stratum prefixes ending before s, comb(s-d-1, d-1) of them by the
-    hockey-stick identity, whatever the list's own end node: block starts
-    are counted, never stored.
+    A path 1 = n_0 < ... < n_L = K + 1 is split at a node a into a prefix
+    of p = floor(L/2) strata ending at a and a suffix of e = ceil(L/2)
+    strata starting there; at L = 1 and 2 the one path, or the K - 3 paths,
+    are scored directly. Both sides are formed by one list builder
+    (_lists). The list of every d-stratum prefix ending at t is, for each
+    end node s before t in ascending order, the block of (d-1)-stratum
+    prefixes ending at s plus the arc s -> t; the list of every d-stratum
+    suffix starting at i is, for each node j after i in ascending order,
+    the arc i -> j plus the block of (d-1)-stratum suffixes starting at j.
+    Lists hold plain integer totals, prefix lists in colexicographic order
+    and suffix lists in lexicographic order. Their block starts are
+    counted, never stored, both by the hockey-stick identity: in a
+    d-stratum prefix list the block of s starts at comb(s-d-1, d-1),
+    whatever the list's end node, and in the d-stratum suffix list of i the
+    block of j starts at comb(K-i-d, d-1) - comb(K+2-j-d, d-1).
 
-    The compositions through a form one group, built when it is scored: its
-    lead and bases, the totals of every prefix ending at a, and its flat
-    list of every suffix total from a. With two suffix strata the flat list
-    is the last-two list of a, formed then, as no other group reads it;
-    with three it is rows[a][i-a-2] plus the last-two list of i, for every
-    i, in (i, j) order, each of those lists formed once before the first
-    group. The last-two list of i holds K-i-2 totals, so the flat list's
-    blocks have lengths K-a-4, K-a-5, ..., 1 and their starts are counted
-    too. Any prefix ending at a and any suffix starting there make a
-    composition, and its total is the lead plus a base plus a flat entry,
-    so the group's least total is lead + min(bases) + min(flat), exact
-    because the totals are integers. The group covers len(bases) *
-    len(flat) compositions. The path is split once, at a, and no minimum is
-    taken within either side: every prefix total and every suffix total is
-    formed, and nothing follows the solver's recurrence.
+    The compositions through a form one group, built when it is scored:
+    its bases, the totals of every p-stratum prefix ending at a, and its
+    flat list, the totals of every e-stratum suffix starting there. Any
+    prefix ending at a and any suffix starting there make a composition,
+    so the group covers len(bases) * len(flat) compositions and its least
+    total is min(bases) + min(flat), exact because the totals are integers.
+    The path is split once, at a, and no minimum is taken within either
+    side: every prefix total and every suffix total is formed, and nothing
+    follows the solver's recurrence.
 
     Ties are genuine, and the smallest node sequence among them wins. A
     composition of the group reaches its least total only with a least base
     and a least flat entry, and every prefix ends at a, so the smallest is
     the smallest prefix with a least base followed by the first least flat
-    entry, (i, j) order being lexicographic. List order is colexicographic,
-    so every prefix with a least base is unranked from its position through
-    the counted block starts, one level for all of them at a time, and the
-    smallest is kept. A tie with the best so far is followed up
-    only while the smallest prefix a group can hold, 1, 3, ..., a, is below
-    the best nodes; otherwise every prefix of the group is above them.
+    entry. Every prefix with a least base is unranked from its position
+    through the counted block starts, one level for all of them at a time,
+    and the smallest is kept; the first least flat entry is unranked the
+    same way. A tie with the best so far is followed up only while the
+    smallest prefix a group can hold, 1, 3, ..., a, is below the best
+    nodes; otherwise every prefix of the group is above them.
 
-    Memory holds the table, every last-two list with three suffix strata,
-    the integer lists of depth p-1 (and of depth p-2 while those are
+    Memory holds the table, the prefix lists of depth p-1 and the suffix
+    lists of depth e-1 of every node (and of one depth less while those are
     built), and one group's bases and flat list, freed before the next
     group is built. Only while a group's tie is followed up does it hold
     the block starts of each depth, and the positions and nodes of its
@@ -192,112 +183,92 @@ def _walk_compositions(
     """
     if L == 1:
         return (1, K + 1), 1
-
-    def last_two(i: int) -> list[int]:
-        return list(map(add, rows[i], final[i + 2 : K]))
-
     if L == 2:
-        totals = last_two(1)
+        totals = list(map(add, rows[1], final[3:K]))
         return (1, 3 + totals.index(min(totals)), K + 1), len(totals)
-    e = 2 if L < 5 else 3
-    depth = L - e
-    # with three suffix strata every group reads the last-two lists past
-    # its node; with two, a group reads only its own
-    if e == 3:
-        suffixes = {i: last_two(i) for i in range(2 * L - 3, K - 2)}
-    # a d-stratum prefix ends at a node t in 2d+1 .. K+1-2(L-d)
-    level: dict[int, tuple[int, list[int]]] = {}
-    for d in range(2, depth):
-        previous, level = level, {}
-        for t in range(2 * d + 1, K + 2 - 2 * (L - d)):
-            if d == 2:
-                level[t] = 0, _two_strata_totals(rows, t)
-            else:
-                level[t] = _prefix_totals(rows, previous, t)
-        del previous
-
-    def smallest_prefix(positions: list[int]) -> tuple[int, ...]:
-        # unrank every position one level at a time: the block holding it
-        # names its node one level down and its offset in that node's list;
-        # at depth 2 each block holds one prefix, so n_1 = position + 3
-        columns = []
-        for d in range(depth, 2, -1):
-            # starts[s - 2d + 1] is where the block of end node s starts
-            starts = [math.comb(s - d - 1, d - 1) for s in range(2 * d - 1, a)]
-            blocks = [bisect_right(starts, at) - 1 for at in positions]
-            positions = list(map(sub, positions, map(starts.__getitem__, blocks)))
-            columns.append(list(map(add, blocks, repeat(2 * d - 1))))
-        columns.append(map(add, positions, repeat(3)))
-        return (1, *min(zip(*reversed(columns))), a)
-
-    def suffix_nodes(at: int) -> tuple[int, ...]:
-        if e == 2:
-            return a + 2 + at, K + 1
-        # the blocks of the last-two lists of a + 2, a + 3, ..., K - 3
-        starts = list(accumulate(range(K - a - 4, 0, -1), initial=0))
-        block = bisect_right(starts, at) - 1
-        i = a + 2 + block
-        return i, i + 2 + at - starts[block], K + 1
-
+    p, e = L // 2, L - L // 2
+    # the lists one stratum short of each side's groups, indexed by node, a
+    # list of one total held as that total: the one-stratum prefix ending
+    # at t totals rows[1][t-3] (the zero-stratum prefix, at node 1, 0) and
+    # the one-stratum suffix starting at j totals final[j]
+    heads = [0, 0] if p == 1 else [0, 0, 0, *rows[1]]
+    tails = final[:-1]
+    # a d-stratum prefix ends at a node in 2d+1 .. K+1-2(L-d), and a
+    # d-stratum suffix starts at one in 2(L-d)+1 .. K+1-2d
+    for d in range(2, p):
+        span = range(2 * d + 1, K + 2 - 2 * (L - d))
+        heads = [[]] * span.start + list(_lists(rows, d, heads, span))
+    for d in range(2, e):
+        span = range(2 * (L - d) + 1, K + 2 - 2 * d)
+        tails = [[]] * span.start + list(_lists(rows, d, tails, span, True))
     best_nodes: tuple[int, ...] = ()
     best_total: float = math.inf
     scored = 0
-    for a in range(2 * depth + 1, K + 2 - 2 * e):
-        if depth == 1:
-            lead, bases = rows[1][a - 3], [0]
-        elif depth == 2:
-            lead, bases = 0, _two_strata_totals(rows, a)
-        else:
-            lead, bases = _prefix_totals(rows, level, a)
-        if e == 2:
-            flat = last_two(a)
-        else:
-            flat = []
-            # zip stops at the range before reading past head K-3 of rows[a]
-            for i, cost in zip(range(a + 2, K - 2), rows[a]):
-                flat += map(add, repeat(cost), suffixes[i])
+    groups = range(2 * p + 1, K + 2 - 2 * e)
+    for a, bases, flat in zip(
+        groups, _lists(rows, p, heads, groups), _lists(rows, e, tails, groups, True)
+    ):
         scored += len(bases) * len(flat)
         base, entry = min(bases), min(flat)
-        low = lead + base + entry
+        low = base + entry
         # no prefix ending at a is smaller than this one, so a group whose
         # floor is above the best nodes cannot win a tie
-        floor = (*range(1, 2 * depth, 2), a)
+        floor = (*range(1, 2 * p, 2), a)
         if low < best_total or low == best_total and floor < best_nodes:
             if len(bases) == 1:  # the group's one prefix is its floor
                 prefix = floor
             else:
-                prefix = smallest_prefix(
-                    list(compress(count(), map(eq, bases, repeat(base))))
-                )
-            nodes = (*prefix, *suffix_nodes(flat.index(entry)))
+                # the block holding a position names its node one level
+                # down and its offset in that node's list; at depth 2 each
+                # block holds one prefix, so n_1 = position + 3
+                positions = list(compress(count(), map(eq, bases, repeat(base))))
+                columns = []
+                for d in range(p, 2, -1):
+                    # starts[s - 2d + 1] is where the block of end node s starts
+                    starts = [math.comb(s - d - 1, d - 1) for s in range(2 * d - 1, a)]
+                    blocks = [bisect_right(starts, at) - 1 for at in positions]
+                    positions = list(map(sub, positions, map(starts.__getitem__, blocks)))
+                    columns.append(list(map(add, blocks, repeat(2 * d - 1))))
+                columns.append(map(add, positions, repeat(3)))
+                prefix = (1, *min(zip(*reversed(columns))), a)
+            # the first least flat entry is the smallest suffix
+            nodes, at = prefix, flat.index(entry)
+            for d in range(e, 2, -1):
+                # starts[j - i - 2] is where the block of node j starts
+                i = nodes[-1]
+                top = math.comb(K - i - d, d - 1)
+                starts = [top - math.comb(m, d - 1) for m in range(K - i - d, d - 2, -1)]
+                block = bisect_right(starts, at) - 1
+                nodes, at = (*nodes, i + 2 + block), at - starts[block]
+            nodes = (*nodes, nodes[-1] + 2 + at, K + 1)
             if low < best_total or nodes < best_nodes:
                 best_nodes, best_total = nodes, low
         del flat, bases
     return best_nodes, scored
 
 
-def _two_strata_totals(rows: list[list[int]], t: int) -> list[int]:
-    """The total of every two-stratum prefix 1, s, t, with s ascending from
-    3: rows[1][s-3] + rows[s][t-s-2], read down column t in one pass."""
-    column = map(getitem, rows[3 : t - 1], range(t - 5, -1, -1))
-    return list(map(add, rows[1], column))
-
-
-def _prefix_totals(
-    rows: list[list[int]], level: dict[int, tuple[int, list[int]]], t: int
-) -> tuple[int, list[int]]:
-    """Every prefix ending at node t with one stratum more than those of
-    level, which maps each end node, ascending, to a lead and its prefixes'
-    totals less that lead. Returns the first total at t and every total
-    less it, each prefix formed by one arc from its end node s. The block
-    of s is not marked: it starts where the lists of the end nodes before
-    s end, which _walk_compositions counts."""
-    first = next(iter(level))
-    units, before = level[first]
-    lead = units + before[0] + rows[first][t - first - 2]
-    differences: list[int] = []
-    for s, (units, before) in level.items():
-        if s > t - 2:
-            break
-        differences += map(add, before, repeat(units + rows[s][t - s - 2] - lead))
-    return lead, differences
+def _lists(
+    rows: list[list[int]], d: int, below: list, nodes: Iterable[int], suffix: bool = False
+) -> Iterator[list[int]]:
+    """For each node n of nodes, the total of every d-stratum prefix ending
+    at n, or with suffix set of every d-stratum suffix starting at n, each
+    list formed by one step from the (d-1)-stratum lists in below. below is
+    indexed by node and, on the suffix side, ends after the last node a
+    (d-1)-stratum suffix starts at. A prefix list is, for each end node s
+    before n in ascending order, the block of s plus rows[s][n-s-2]; a
+    suffix list is, for each node j after n in ascending order,
+    rows[n][j-n-2] plus the block of j. Up to d = 2 each block is one total,
+    held as that total, and the list is formed in one C-level pass."""
+    for n in nodes:
+        if suffix:
+            blocks, costs = below[n + 2 :], rows[n]
+        else:
+            blocks = below[2 * d - 1 :]
+            costs = map(getitem, rows[2 * d - 1 : n - 1], range(n - 2 * d - 1, -1, -1))
+        if d <= 2:
+            yield list(map(add, blocks, costs))
+            continue
+        totals: list[int] = []
+        for block, cost in zip(blocks, costs):
+            totals += map(add, block, repeat(cost))
+        yield totals

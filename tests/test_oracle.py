@@ -25,12 +25,7 @@ from stratopt import (
     solve_problem,
 )
 from stratopt.graph import cost_table, layer_bounds
-from stratopt.oracle import (
-    _exact_units,
-    _prefix_totals,
-    _two_strata_totals,
-    _walk_compositions,
-)
+from stratopt.oracle import _exact_units, _lists, _walk_compositions
 
 from helpers import (
     desk_table,
@@ -335,8 +330,9 @@ class TestGroupedWalk:
     def test_matches_the_per_prefix_walk_at_deep_L(self):
         """320 seeded tables, random and tie-heavy, L from 7 to 10 and K
         from 2L to 2L + 10: the same nodes, the same number of compositions
-        scored. Groups with more prefixes than flat entries are common
-        only at this depth."""
+        scored. Only at this depth do suffixes hold four or five strata, so
+        that suffix lists take more than one step and a group's first least
+        flat entry is unranked through two or three levels."""
         rng = random.Random(1807)
         for case in range(320):
             L = case % 4 + 7
@@ -446,9 +442,11 @@ class TestGroupedWalk:
     def test_tie_floor_skips_groups_above_the_best_nodes(self, monkeypatch):
         """At K = 34, L = 9 every composition ties, and every group after
         the first has a floor above the best nodes, so only the first is
-        followed up: its one prefix needs no unranking and its suffix one
-        bisect_right call. A walk that follows up every tie makes 298,465
-        calls and takes about 19 times as long."""
+        followed up: its one prefix needs no unranking and its suffix of
+        five strata one bisect_right call per level above two. A walk that
+        follows up every tie makes 9,739 calls and takes about twice as
+        long (298,465 calls and 19 times as long when the suffix held at
+        most three strata)."""
         K, L = 34, 9
         rows, final = _full_rows(K, L, 100)
         calls = []
@@ -462,6 +460,62 @@ class TestGroupedWalk:
         nodes = (1, *range(3, 2 * L, 2), K + 1)
         assert _walk_compositions(rows, final, K, L) == (nodes, count_solutions(K, L))
         assert len(calls) <= 4
+
+    def test_ties_within_groups_unrank_few_prefixes(self, monkeypatch):
+        """At K = 34, L = 9, every arc 100 units but 1 -> 3 at 200, every
+        composition that avoids that arc ties, and every group from node 10
+        on is followed up, unranking every tied prefix it holds. With four
+        prefix strata and five suffix strata a group holds at most 969
+        prefixes; a walk that gave the suffix at most three strata, and so
+        the prefix six, held up to 20,349, made 217,073 bisect_right calls
+        here and took about 10 times as long."""
+        K, L = 34, 9
+        rows, final = _full_rows(K, L, 100)
+        rows[1][0] = 200
+        calls = []
+        bisect_right = stratopt.oracle.bisect_right
+
+        def counting(*args):
+            calls.append(args)
+            return bisect_right(*args)
+
+        monkeypatch.setattr(stratopt.oracle, "bisect_right", counting)
+        nodes = (1, *range(4, 2 * L + 1, 2), K + 1)
+        assert _walk_compositions(rows, final, K, L) == (nodes, count_solutions(K, L))
+        assert len(calls) < 10_000
+
+    @pytest.mark.parametrize(
+        "cheap,nodes",
+        [
+            pytest.param(
+                ((9, 11, 14, 17), (9, 13, 16, 19)), (9, 11, 14, 17), id="second-node"
+            ),
+            pytest.param(
+                ((9, 11, 15, 19), (9, 11, 14, 17)), (9, 11, 14, 17), id="third-node"
+            ),
+            pytest.param(
+                ((9, 11, 14, 19), (9, 11, 14, 17)), (9, 11, 14, 17), id="fourth-node"
+            ),
+        ],
+    )
+    def test_eight_strata_tie_goes_to_the_smaller_suffix(self, cheap, nodes):
+        """K = 22, L = 8, every arc 100 units but those of the prefix
+        (1, 3, 5, 7, 9) and of two suffixes from 9, each of four strata and
+        10 units an arc: two compositions tie at 80 units, both in the
+        group of 9, and every other one costs more. The suffixes first
+        differ at their second, third or fourth node; the group lists the
+        smaller first, and it must win."""
+        K, L = 22, 8
+        rows, final = _full_rows(K, L, 100)
+        for t, h in zip((1, 3, 5, 7), (3, 5, 7, 9)):
+            rows[t][h - t - 2] = 10
+        for suffix in cheap:
+            for t, h in zip(suffix, suffix[1:]):
+                rows[t][h - t - 2] = 10
+            final[suffix[-1]] = 10
+        nodes, scored = (1, 3, 5, 7, *nodes, K + 1), count_solutions(K, L)
+        assert reference_walk_compositions(rows, final, K, L) == (nodes, 80, scored)
+        assert _walk_compositions(rows, final, K, L) == (nodes, scored)
 
     @pytest.mark.parametrize(
         "K,L,costs",
@@ -526,27 +580,52 @@ class TestGroupedWalk:
         K = 24
         rng = random.Random(24)
         rows = [[rng.randrange(1000) for _ in row] for row in _full_rows(K, 1, 0)[0]]
-        # the one-stratum prefix ending at s is the arc 1 -> s
+        # the one-stratum prefix ending at s is the arc 1 -> s, held by node
+        # as its one total
+        heads = [0, 0, 0, *rows[1]]
         totals = {s: [rows[1][s - 3]] for s in range(3, K)}
         for d in range(2, 8):
-            level = {}
-            for t in range(2 * d + 1, K):
-                if d == 2:
-                    lead, differences = 0, _two_strata_totals(rows, t)
-                else:
-                    lead, differences = _prefix_totals(rows, previous, t)
-                level[t] = lead, differences
-                at_t = [lead + entry for entry in differences]
+            ends = range(2 * d + 1, K)
+            level = dict(zip(ends, _lists(rows, d, heads, ends)))
+            for t, at_t in level.items():
                 assert len(at_t) == count_solutions(t - 1, d), (d, t)
                 for s in range(2 * d - 1, t - 1):
                     block = at_t[math.comb(s - d - 1, d - 1) : math.comb(s - d, d - 1)]
                     step = rows[s][t - s - 2]
                     assert block == [total + step for total in totals[s]], (d, t, s)
-            previous = level
-            totals = {
-                t: [lead + entry for entry in differences]
-                for t, (lead, differences) in level.items()
-            }
+            heads = [[]] * ends.start + list(level.values())
+            totals = level
+
+    def test_suffix_lists_are_laid_out_by_count(self):
+        """In a seeded K = 24 unit table, the d-stratum list from node i
+        holds count_solutions(K + 1 - i, d) totals, and the block of the
+        next node j sits at [c - comb(K+2-j-d, d-1), c - comb(K+1-j-d, d-1))
+        with c = comb(K-i-d, d-1): the step i -> j plus the (d-1)-stratum
+        list from j. The walk unranks its first least suffix with these
+        block starts, which no list stores."""
+        K = 24
+        rng = random.Random(24)
+        rows, final = _full_rows(K, 1, 0)
+        rows = [[rng.randrange(1000) for _ in row] for row in rows]
+        final = [None if cost is None else rng.randrange(1000) for cost in final]
+        # the one-stratum suffix from j is the last stratum j..K, held by
+        # node as its one total
+        tails = final[:-1]
+        totals = {j: [final[j]] for j in range(1, K)}
+        for d in range(2, 8):
+            starts = range(1, K + 2 - 2 * d)
+            level = dict(zip(starts, _lists(rows, d, tails, starts, True)))
+            for i, at_i in level.items():
+                assert len(at_i) == count_solutions(K + 1 - i, d), (d, i)
+                c = math.comb(K - i - d, d - 1)
+                for j in range(i + 2, K + 4 - 2 * d):
+                    block = at_i[
+                        c - math.comb(K + 2 - j - d, d - 1) : c - math.comb(K + 1 - j - d, d - 1)
+                    ]
+                    step = rows[i][j - i - 2]
+                    assert block == [step + total for total in totals[j]], (d, i, j)
+            tails = [[]] * starts.start + list(level.values())
+            totals = level
 
     def test_total_past_the_float_range_raises(self):
         """y = -B, B, -B, B with B = sqrt(0.225 * max float): each of the
@@ -597,11 +676,12 @@ class TestGroupedWalk:
 
     def test_nine_strata_memory(self):
         """At K = 34, L = 9 (735,471 compositions) the walk holds integer
-        prefix totals for one depth and one group, never every group or a
-        node tuple per prefix. Tracemalloc peaks on CPython 3.11: 1,859,352
-        bytes; 3,786,384 for the walk that listed every prefix as a tuple;
-        4,241,348 when every group's totals are kept; 5,610,928 when each
-        group also holds its prefixes' node tuples."""
+        totals for one depth of each side and one group, never every group
+        or a node tuple per prefix. Tracemalloc peaks on CPython 3.11:
+        736,284 bytes; 1,840,676 when the suffix held at most three strata
+        and the prefix six; 3,786,384 for the walk that listed every prefix
+        as a tuple; 4,241,348 when every group's totals are kept; 5,610,928
+        when each group also holds its prefixes' node tuples."""
         rng = random.Random(34)
         ft = table_from_pairs(
             [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(34) for _ in range(2)]
@@ -615,3 +695,22 @@ class TestGroupedWalk:
         finally:
             tracemalloc.stop()
         assert peak < 3 * 2**20
+
+    def test_nine_strata_memory_with_balanced_sides(self):
+        """The input of test_nine_strata_memory: with four prefix strata
+        and five suffix strata a group's lists hold at most 969 and 4,845
+        totals, and the tracemalloc peak stays under 1 MiB (736,284 bytes on
+        CPython 3.11); 1,840,676 when the suffix held at most three strata
+        and a group's six-stratum prefixes up to 20,349."""
+        rng = random.Random(34)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(34) for _ in range(2)]
+        )
+        spec = ProblemSpec(L=9, n=20, N=ft.N)
+        tracemalloc.start()
+        try:
+            brute_force_solve(ft, spec)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
