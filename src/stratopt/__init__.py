@@ -12,6 +12,7 @@ covers small instances so the solver can always be cross-checked.
 from __future__ import annotations
 
 from .errors import (
+    DEFAULT_ORACLE_CAP,
     ConsistencyError,
     DataError,
     DegenerateAllocationError,
@@ -61,7 +62,6 @@ __version__ = "0.1.0"
 # solving never needs the exhaustive oracle, so it loads on first use
 _ORACLE_NAMES = frozenset(
     {
-        "DEFAULT_ORACLE_CAP",
         "Composition",
         "brute_force_solve",
         "count_solutions",

@@ -10,6 +10,7 @@ import sys
 from typing import NamedTuple
 
 from .errors import (
+    DEFAULT_ORACLE_CAP,
     ConsistencyError,
     DataError,
     DegenerateAllocationError,
@@ -21,8 +22,7 @@ from .errors import (
     UndefinedCVError,
 )
 from .moments import ProblemSpec, allocate_neyman
-from .oracle import DEFAULT_ORACLE_CAP, brute_force_solve
-from .population import build_frequency_table, load_population
+from .population import FrequencyTable, build_frequency_table, load_population
 from .solver import StratificationSolution, solve_problem
 
 EXIT_OK = 0
@@ -52,8 +52,8 @@ def run(cfg: RunConfig) -> int:
 
     Nothing reaches stdout unless the run succeeds. Diagnostics go to
     stderr, one line each. Returns the process exit code: 0 on success, 2 on
-    input or schema problems, 3 on infeasible problems, 4 on internal
-    consistency failures.
+    input or schema problems, 3 on infeasible problems or when memory runs
+    out, 4 on internal consistency failures.
     """
     try:
         try:
@@ -100,6 +100,11 @@ def run(cfg: RunConfig) -> int:
         return _fail(str(exc), EXIT_INFEASIBLE)
     except ConsistencyError as exc:
         return _fail(str(exc), EXIT_INTERNAL)
+    except MemoryError:
+        return _fail(
+            f"out of memory: {cfg.input_path} needs more memory than is available",
+            EXIT_INFEASIBLE,
+        )
     try:
         # flush here, so a closed stdout fails now and not at interpreter exit
         print(output)
@@ -108,6 +113,16 @@ def run(cfg: RunConfig) -> int:
         _discard_stdout()
         return _fail(f"cannot write report: {exc}", EXIT_INPUT)
     return EXIT_OK
+
+
+def brute_force_solve(
+    ft: FrequencyTable, spec: ProblemSpec, cap: int
+) -> StratificationSolution:
+    """oracle.brute_force_solve, which loads the oracle on the first
+    --check-oracle run and not before."""
+    from .oracle import brute_force_solve
+
+    return brute_force_solve(ft, spec, cap)
 
 
 def emit_json(

@@ -1,4 +1,5 @@
-"""Exception types raised by the stratification pipeline.
+"""Exception types raised by the stratification pipeline, and the oracle's
+default cap.
 
 Every error that reaches a caller derives from StratificationError, so the
 command line layer can map error families onto exit codes without string
@@ -55,6 +56,10 @@ class UndefinedCVError(StratificationError):
 
 class OracleTooLargeError(StratificationError):
     """Exhaustive enumeration would exceed the configured evaluation cap."""
+
+
+# kept here, so the command line shows it without loading the oracle
+DEFAULT_ORACLE_CAP = 10_000_000
 
 
 class ConsistencyError(StratificationError):

@@ -14,7 +14,7 @@ from itertools import chain, combinations, compress, count, repeat
 from operator import add, eq, getitem, mul, sub
 from typing import Iterable, Iterator
 
-from .errors import ConsistencyError, OracleTooLargeError
+from .errors import DEFAULT_ORACLE_CAP, ConsistencyError, OracleTooLargeError
 from .graph import cost_table
 from .moments import ProblemSpec, build_prefix_moments, exact_cost_units
 from .population import FrequencyTable
@@ -22,8 +22,6 @@ from .solver import StratificationSolution, _report, check_problem
 
 Composition = tuple[int, ...]
 """Distinct-value counts per stratum: every entry >= 2, entries summing to K."""
-
-DEFAULT_ORACLE_CAP = 10_000_000
 
 
 def count_solutions(K: int, L: int) -> int:
@@ -163,16 +161,18 @@ def _walk_compositions(
     side: every prefix total and every suffix total is formed, and nothing
     follows the solver's recurrence.
 
-    Ties are genuine, and the smallest node sequence among them wins. A
-    composition of the group reaches its least total only with a least base
-    and a least flat entry, and every prefix ends at a, so the smallest is
+    Ties go by the (exact total, nodes) order: the walk keeps best, the
+    least (total, nodes) pair so far, so a lower total wins and an equal
+    one, a genuine tie, goes to the smaller node sequence. A composition of
+    the group reaches its least total only with a least base and a least
+    flat entry, and every prefix ends at a, so the group's least pair holds
     the smallest prefix with a least base followed by the first least flat
     entry. Every prefix with a least base is unranked from its position
     through the counted block starts, one level for all of them at a time,
     and the smallest is kept; the first least flat entry is unranked the
-    same way. A tie with the best so far is followed up only while the
-    smallest prefix a group can hold, 1, 3, ..., a, is below the best
-    nodes; otherwise every prefix of the group is above them.
+    same way. No prefix ending at a is smaller than floor = (1, 3, ..., a),
+    so a group is followed up only when (low, floor) < best, and is then
+    kept by best = min(best, (low, nodes)).
 
     Memory holds the table, the prefix lists of depth p-1 and the suffix
     lists of depth e-1 of every node (and of one depth less while those are
@@ -201,8 +201,7 @@ def _walk_compositions(
     for d in range(2, e):
         span = range(2 * (L - d) + 1, K + 2 - 2 * d)
         tails = [[]] * span.start + list(_lists(rows, d, tails, span, True))
-    best_nodes: tuple[int, ...] = ()
-    best_total: float = math.inf
+    best: tuple[float, tuple[int, ...]] = (math.inf, ())
     scored = 0
     groups = range(2 * p + 1, K + 2 - 2 * e)
     for a, bases, flat in zip(
@@ -211,10 +210,10 @@ def _walk_compositions(
         scored += len(bases) * len(flat)
         base, entry = min(bases), min(flat)
         low = base + entry
-        # no prefix ending at a is smaller than this one, so a group whose
-        # floor is above the best nodes cannot win a tie
+        # no prefix ending at a is smaller than floor, so no composition of
+        # a group whose (low, floor) is not below best can win
         floor = (*range(1, 2 * p, 2), a)
-        if low < best_total or low == best_total and floor < best_nodes:
+        if (low, floor) < best:
             if len(bases) == 1:  # the group's one prefix is its floor
                 prefix = floor
             else:
@@ -241,10 +240,9 @@ def _walk_compositions(
                 block = bisect_right(starts, at) - 1
                 nodes, at = (*nodes, i + 2 + block), at - starts[block]
             nodes = (*nodes, nodes[-1] + 2 + at, K + 1)
-            if low < best_total or nodes < best_nodes:
-                best_nodes, best_total = nodes, low
+            best = min(best, (low, nodes))
         del flat, bases
-    return best_nodes, scored
+    return best[1], scored
 
 
 def _lists(

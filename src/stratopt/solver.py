@@ -253,14 +253,16 @@ def _cheapest_path(
       through certifies its one row. Its candidate heads are those whose
       float total is within bound (below) of the row's best; they are the
       next layer's needed nodes.
-    - Bottom-up, exact: each needed node takes the candidate with the least
-      exact total, its own cost plus the exact completion of that
-      candidate, leftmost among exact ties; the path is read forward.
-      Without near-ties each needed node has one candidate, so only the
-      winning path is converted.
+    - Bottom-up, exact: each needed node keeps its least (exact total,
+      head) pair over its candidates, the exact total being the node's own
+      cost plus the candidate's exact completion, in a new table per layer;
+      the path is read forward from these tables. Without near-ties each
+      needed node has one candidate, so only the winning path is converted.
 
-    The kept choices are the leftmost exactly cheapest heads, so the nodes
-    are the lexicographically smallest optimal sequence.
+    Ties go by the (exact total, nodes) order, one tuple minimum per needed
+    node: the least exact total wins, and among heads tied at it the
+    smallest, whose own completion was chosen the same way. So the nodes
+    are the lexicographically smallest sequence of least exact total.
 
     The certificate. Costs are >= 0, so a float sum of m <= L of them lies
     within a factor (1 +- u)^m, inside 1 +- gamma_L, of its exact value,
@@ -294,8 +296,7 @@ def _cheapest_path(
     completions.reverse()
 
     needed = {1}
-    # candidates[h] maps each needed tail of layer h to its candidate heads,
-    # and then, once the bottom-up pass has chosen, to its chosen head
+    # candidates[h] maps each needed tail of layer h to its candidate heads
     candidates: list[dict[int, list[int]]] = []
     for (_, _, head_stop), completion in zip(inner, completions[1:]):
         heads_of = {}
@@ -306,17 +307,17 @@ def _cheapest_path(
         candidates.append(heads_of)
         needed = {j for heads in heads_of.values() for j in heads}
 
-    exact = {j: exact_cost_units(final[j]) for j in needed}
+    # choices[h] maps each needed tail of the layer h places before the last
+    # to its least (exact units, head) pair; the last layer's one head is
+    # the terminal
+    choices = [{j: (exact_cost_units(final[j]), terminal) for j in needed}]
     for heads_of in reversed(candidates):
-        units = {}
-        for i, heads in heads_of.items():
-            row = rows[i]
-            totals = [exact_cost_units(row[j - i - 2]) + exact[j] for j in heads]
-            units[i] = min(totals)
-            heads_of[i] = heads[totals.index(units[i])]
-        exact = units
+        choice = choices[-1]
+        choices.append({
+            i: min((exact_cost_units(rows[i][j - i - 2]) + choice[j][0], j) for j in heads)
+            for i, heads in heads_of.items()
+        })
     nodes = [1]
-    for chosen in candidates:
-        nodes.append(chosen[nodes[-1]])
-    nodes.append(terminal)
+    for choice in reversed(choices):
+        nodes.append(choice[nodes[-1]][1])
     return tuple(nodes)

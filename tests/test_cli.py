@@ -805,3 +805,21 @@ class TestNoTraceback:
             ):
                 failures.append((case, pairs, strata, n, code, out, err))
         assert failures == []
+
+    @pytest.mark.parametrize("stage", ["load_population", "solve_problem", "brute_force_solve"])
+    def test_out_of_memory_exits_3_with_one_line(self, capsys, desk_csv, monkeypatch, stage):
+        """Memory that runs out while loading, solving or checking ends in
+        one `out of memory` line and exit 3, not a MemoryError traceback."""
+
+        def exhausted(*args, **kwargs):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, stage, exhausted)
+        code, out, err = run_cli(
+            capsys,
+            "--input", desk_csv, "--strata", "2", "--sample-size", "3",
+            "--check-oracle",
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: out of memory") and err.count("\n") == 1

@@ -1,6 +1,7 @@
 """The core package stays standard-library only, the tests need only
-pytest besides it, a problem is judged valid in one place, and importing
-the package loads neither dataclasses nor the oracle."""
+pytest besides it, a problem is judged valid in one place, importing
+the package loads neither dataclasses nor the oracle, and the command
+line loads the oracle only to run it."""
 
 from __future__ import annotations
 
@@ -10,6 +11,8 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+
+from helpers import DESK_CSV
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted((ROOT / "src" / "stratopt").glob("*.py"))
@@ -126,12 +129,24 @@ print(json.dumps(
 """
 
 
-def fresh_interpreter(code):
-    """What code prints, as JSON, run by a fresh interpreter that reads the
-    package from src/ and compiles it without writing bytecode."""
+CLI_ONLY = """
+import contextlib, io, json, sys
+import stratopt.cli
+seen = {"oracle": "stratopt.oracle" in sys.modules}
+report = io.StringIO()
+with contextlib.redirect_stdout(report):
+    seen["code"] = stratopt.cli.main(sys.argv[1:])
+seen["oracle_checked"] = json.loads(report.getvalue())["oracle_checked"]
+print(json.dumps(seen))
+"""
+
+
+def fresh_interpreter(code, *args):
+    """What code prints, as JSON, run with args by a fresh interpreter that
+    reads the package from src/ and compiles it without writing bytecode."""
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1", "PYTHONPATH": str(ROOT / "src")}
     done = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True, timeout=60
     )
     assert done.returncode == 0, done.stderr
     return json.loads(done.stdout)
@@ -148,6 +163,19 @@ def test_import_loads_neither_dataclasses_nor_the_oracle():
         "lazy_is_oracle": True,
         "cli_dataclasses": False,
         "unknown": "module 'stratopt' has no attribute 'no_such_name'",
+    }
+
+
+def test_the_command_line_loads_the_oracle_only_to_check(tmp_path):
+    """import stratopt.cli leaves the oracle unloaded, and a --check-oracle
+    run from that interpreter still loads it and reports oracle_checked."""
+    path = tmp_path / "sizes.csv"
+    path.write_text(DESK_CSV)
+    args = ["--input", str(path), "--strata", "2", "--sample-size", "3", "--check-oracle", "--json"]
+    assert fresh_interpreter(CLI_ONLY, *args) == {
+        "oracle": False,
+        "code": 0,
+        "oracle_checked": True,
     }
 
 
