@@ -22,7 +22,7 @@ from .errors import (
     UndefinedCVError,
 )
 from .moments import ProblemSpec, allocate_neyman
-from .population import FrequencyTable, build_frequency_table, load_population
+from .population import build_frequency_table, load_population
 from .solver import StratificationSolution, solve_problem
 
 EXIT_OK = 0
@@ -57,7 +57,7 @@ def run(cfg: RunConfig) -> int:
     """
     try:
         try:
-            with open(cfg.input_path, newline="", encoding="utf-8-sig") as handle:
+            with open(cfg.input_path, newline="", encoding="utf-8") as handle:
                 population = load_population(
                     handle, cfg.x_col, cfg.y_col, delimiter=cfg.delimiter
                 )
@@ -71,6 +71,9 @@ def run(cfg: RunConfig) -> int:
 
         oracle_checked = False
         if cfg.oracle_check:
+            # the package loads the oracle on this first use of its name
+            from . import brute_force_solve
+
             try:
                 reference = brute_force_solve(ft, spec, cfg.oracle_cap)
             except OracleTooLargeError as exc:
@@ -113,16 +116,6 @@ def run(cfg: RunConfig) -> int:
         _discard_stdout()
         return _fail(f"cannot write report: {exc}", EXIT_INPUT)
     return EXIT_OK
-
-
-def brute_force_solve(
-    ft: FrequencyTable, spec: ProblemSpec, cap: int
-) -> StratificationSolution:
-    """oracle.brute_force_solve, which loads the oracle on the first
-    --check-oracle run and not before."""
-    from .oracle import brute_force_solve
-
-    return brute_force_solve(ft, spec, cap)
 
 
 def emit_json(

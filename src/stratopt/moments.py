@@ -100,8 +100,22 @@ def build_prefix_moments(ft: FrequencyTable) -> PrefixMoments:
     """Accumulate per-group aggregates into prefix arrays.
 
     Float prefixes use compensated accumulation so long tables do not drift.
-    Raises DataError when a running sum of y or y^2 overflows a float.
+    Raises DataError when the table's four fields differ in length, when a
+    group holds fewer than one unit or its x does not exceed the x before
+    it (the message names the first such group), or when a running sum of
+    y or y^2 overflows a float. Tables from build_frequency_table always
+    pass the first three checks.
     """
+    lengths = dict(zip(ft._fields, map(len, ft)))
+    if len(set(lengths.values())) > 1:
+        raise DataError(f"frequency table fields differ in length: {lengths}")
+    for t, (x, count) in enumerate(zip(ft.q, ft.count), start=1):
+        if count < 1:
+            raise DataError(f"group {t} (x={x!r}) holds {count} units, fewer than 1")
+        if t > 1 and not ft.q[t - 2] < x:
+            raise DataError(
+                f"x does not ascend strictly: group {t} (x={x!r}) follows x={ft.q[t - 2]!r}"
+            )
     cum_count = tuple(accumulate(ft.count, initial=0))
     cum_y = _compensated_prefix(ft.y_sum)
     cum_y2 = _compensated_prefix(ft.y_sumsq)

@@ -120,7 +120,8 @@ def path_to_solution(
     the allowance stays below N * 2e-323, far below the cancellation gaps
     the check must catch. The costs are summed once, and the variance is
     variance_factor(spec) times that exactly rounded total. Raises
-    ValueError when the path does not span the table in spec.L arcs,
+    ValueError when the path does not span the table in spec.L arcs or a
+    stratum spans fewer than two groups, as no arc of the graph does,
     InvalidSpecError from allocate_proportional when spec.N differs from
     the table's N, DataError when the total or the variance overflows a
     float, and the errors of segment_stats and coefficient_of_variation.
@@ -148,6 +149,11 @@ def _report(
         raise ValueError(f"path {nodes} does not span groups 1..{ft.K}")
     if len(nodes) - 1 != spec.L:
         raise ValueError(f"path has {len(nodes) - 1} arcs, spec wants {spec.L}")
+    for h, (i, j) in enumerate(zip(nodes, nodes[1:]), start=1):
+        if j - i < 2:
+            raise ValueError(
+                f"stratum {h} runs from node {i} to node {j}; a stratum spans at least two groups"
+            )
 
     costs: list[float] = []
     stats_by_stratum = []
@@ -224,10 +230,11 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     carries wall-clock elapsed seconds.
 
     Raises InfeasibleProblemError and InvalidSpecError from check_problem,
-    before any costing; DataError when a segment cost, the optimal total or
-    the variance overflows a float, UndefinedCVError when the population
-    total is zero or too close to zero for a finite CV, and ConsistencyError
-    when path_to_solution's self-check fails.
+    before any costing; DataError from build_prefix_moments for a table
+    that is not a frequency table, and when a segment cost, the optimal
+    total or the variance overflows a float; UndefinedCVError when the
+    population total is zero or too close to zero for a finite CV, and
+    ConsistencyError when path_to_solution's self-check fails.
     """
     start = time.perf_counter()
     bounds = check_problem(ft, spec)

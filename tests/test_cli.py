@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import stratopt
 from stratopt import (
+    InputSchemaError,
     ProblemSpec,
     build_frequency_table,
     cli,
@@ -162,6 +164,15 @@ class TestReadmeExample:
                 ]
                 assert untimed(out) == untimed(expected)
         assert sorted(formats) == ["json", "text"]
+
+    def test_library_snippet_prints_the_boundaries(self, capsys, monkeypatch, tmp_path):
+        """The README's one Python block, run where sizes.csv is its
+        nine-unit example, prints the boundaries (4.0,) first."""
+        (snippet,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        (tmp_path / "sizes.csv").write_text(DESK_CSV)
+        monkeypatch.chdir(tmp_path)
+        exec(compile(snippet, str(README), "exec"), {})
+        assert capsys.readouterr().out.startswith("(4.0,) ")
 
 
 class TestJsonReport:
@@ -465,6 +476,21 @@ class TestColumnsAndDelimiters:
         assert list(solution.boundaries) == report["boundaries"] == [4.0]
         assert solution.variance == report["variance"]
 
+    def test_two_byte_order_marks_fail_as_in_the_library(self, capsys, tmp_path):
+        """The command line opens its input as plain UTF-8, so only
+        load_population drops a mark, one as for every caller: a second
+        mark stays in the header, and the run fails with the library's own
+        error."""
+        path = tmp_path / "bom2.csv"
+        path.write_bytes(2 * "\ufeff".encode() + DESK_CSV.encode())
+        with open(path, newline="", encoding="utf-8") as handle:
+            with pytest.raises(InputSchemaError, match="column 'x' not found") as library:
+                load_population(handle, "x")
+        code, out, err = run_cli(
+            capsys, "--input", str(path), "--strata", "2", "--sample-size", "3"
+        )
+        assert (code, out, err) == (cli.EXIT_INPUT, "", f"error: {library.value}\n")
+
 
 class TestParser:
     REQUIRED = ("--input", "pop.csv", "--strata", "3", "--sample-size", "9")
@@ -682,13 +708,13 @@ class TestExitCodes:
 
     def test_oracle_disagreement_exits_4(self, capsys, desk_csv, monkeypatch):
         """If the exhaustive check ever disagreed, the run must fail loudly."""
-        real = cli.brute_force_solve
+        real = stratopt.brute_force_solve
 
         def doctored(ft, spec, cap):
             solution = real(ft, spec, cap)
             return solution._replace(boundaries=(8.0,), nodes=(1, 4, 6))
 
-        monkeypatch.setattr(cli, "brute_force_solve", doctored)
+        monkeypatch.setattr(stratopt, "brute_force_solve", doctored)
         code, out, err = run_cli(
             capsys,
             "--input", desk_csv, "--strata", "2", "--sample-size", "3",
@@ -735,6 +761,19 @@ class TestExitCodes:
             os.close(write_end)
         assert proc.returncode == 2
         assert proc.stderr == b"error: cannot write report: [Errno 32] Broken pipe\n"
+
+    def test_closed_pipe_points_stdout_at_the_null_device(self, capsys, desk_csv, monkeypatch):
+        """In process, with stdout a file on a pipe whose reader has gone:
+        the failed report points stdout's descriptor at the null device, so
+        the report still buffered flushes there when the file closes."""
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        with open(write_end, "w") as pipe:
+            monkeypatch.setattr(sys, "stdout", pipe)
+            code = cli.main(["--input", desk_csv, "--strata", "2", "--sample-size", "3"])
+            assert os.path.samestat(os.fstat(write_end), os.stat(os.devnull))
+        assert code == 2
+        assert capsys.readouterr().err == "error: cannot write report: [Errno 32] Broken pipe\n"
 
     def test_zero_sample_stratum_warns_on_stderr(self, capsys, tmp_path):
         path = tmp_path / "skew.csv"
@@ -806,15 +845,23 @@ class TestNoTraceback:
                 failures.append((case, pairs, strata, n, code, out, err))
         assert failures == []
 
-    @pytest.mark.parametrize("stage", ["load_population", "solve_problem", "brute_force_solve"])
-    def test_out_of_memory_exits_3_with_one_line(self, capsys, desk_csv, monkeypatch, stage):
+    @pytest.mark.parametrize(
+        "owner,stage",
+        [
+            pytest.param(cli, "load_population", id="load_population"),
+            pytest.param(cli, "solve_problem", id="solve_problem"),
+            # the command line takes the oracle from the package
+            pytest.param(stratopt, "brute_force_solve", id="brute_force_solve"),
+        ],
+    )
+    def test_out_of_memory_exits_3_with_one_line(self, capsys, desk_csv, monkeypatch, owner, stage):
         """Memory that runs out while loading, solving or checking ends in
         one `out of memory` line and exit 3, not a MemoryError traceback."""
 
         def exhausted(*args, **kwargs):
             raise MemoryError
 
-        monkeypatch.setattr(cli, stage, exhausted)
+        monkeypatch.setattr(owner, stage, exhausted)
         code, out, err = run_cli(
             capsys,
             "--input", desk_csv, "--strata", "2", "--sample-size", "3",

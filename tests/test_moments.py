@@ -18,18 +18,25 @@ import pytest
 
 from stratopt import (
     DataError,
+    FrequencyTable,
     InfeasibleAllocationError,
     DegenerateAllocationError,
     InvalidSpecError,
+    Population,
     ProblemSpec,
     UndefinedCVError,
     UndefinedVarianceError,
     allocate_neyman,
     allocate_proportional,
+    attach_costs,
+    brute_force_solve,
+    build_frequency_table,
+    build_layered_graph,
     build_prefix_moments,
     coefficient_of_variation,
     segment_stats,
     segment_stats_direct,
+    solve_problem,
     total_variance_proportional,
     unit_cost,
     variance_factor,
@@ -88,6 +95,73 @@ class TestPrefixMoments:
             if len(raw) > 1:
                 expected = statistics.variance(raw)
                 assert stats.s2 == pytest.approx(expected, rel=1e-9)
+
+
+# hand-built tables that are not frequency tables, with the message each gets
+MALFORMED_TABLES = [
+    pytest.param(
+        FrequencyTable((1.0, 2.0, 3.0, 4.0), (1, 0, 0, 1), (1.0, 0.0, 0.0, 4.0), (1.0, 0.0, 0.0, 16.0)),
+        r"^group 2 \(x=2\.0\) holds 0 units, fewer than 1$",
+        id="empty-group",
+    ),
+    pytest.param(
+        FrequencyTable((1.0, 2.0, 3.0, 4.0), (2, 1, -1, 2), (2.0, 2.0, -3.0, 8.0), (2.0, 4.0, -9.0, 32.0)),
+        r"^group 3 \(x=3\.0\) holds -1 units, fewer than 1$",
+        id="negative-count",
+    ),
+    pytest.param(
+        FrequencyTable((4.0, 3.0, 2.0, 1.0), (1, 1, 1, 1), (4.0, 3.0, 2.0, 1.0), (16.0, 9.0, 4.0, 1.0)),
+        r"^x does not ascend strictly: group 2 \(x=3\.0\) follows x=4\.0$",
+        id="descending-x",
+    ),
+    pytest.param(
+        FrequencyTable((1.0, 2.0, 2.0, 3.0), (1, 1, 1, 1), (1.0, 2.0, 2.0, 3.0), (1.0, 4.0, 4.0, 9.0)),
+        r"^x does not ascend strictly: group 3 \(x=2\.0\) follows x=2\.0$",
+        id="repeated-x",
+    ),
+    pytest.param(
+        FrequencyTable((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, 2.0, 3.0), (1.0, 4.0, 9.0, 16.0)),
+        r"^frequency table fields differ in length: "
+        r"\{'q': 4, 'count': 4, 'y_sum': 3, 'y_sumsq': 4\}$",
+        id="unequal-lengths",
+    ),
+]
+
+
+class TestMalformedTable:
+    """build_prefix_moments, which every search and inspection route runs
+    before costing, rejects a table that is not a frequency table."""
+
+    @pytest.mark.parametrize("table,message", MALFORMED_TABLES)
+    @pytest.mark.parametrize(
+        "route",
+        [
+            pytest.param(lambda ft: solve_problem(ft, ProblemSpec(L=2, n=1, N=ft.N)), id="solver"),
+            pytest.param(
+                lambda ft: brute_force_solve(ft, ProblemSpec(L=2, n=1, N=ft.N)), id="oracle"
+            ),
+            pytest.param(
+                lambda ft: attach_costs(build_layered_graph(ft.K, 2), build_prefix_moments(ft)),
+                id="attach_costs",
+            ),
+        ],
+    )
+    def test_every_route_raises_a_data_error(self, route, table, message):
+        with pytest.raises(DataError, match=message):
+            route(table)
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_tabulated_tables_pass(self, seed):
+        """Seeded populations with repeated x, both zeros, negatives and
+        subnormals tabulate into tables the checks accept."""
+        rng = random.Random(seed)
+        pool = [-0.0, 0.0, 5e-324, -5e-324, -3.5, 1.0, 2.0, 1e300, -1e300]
+        pool += [rng.uniform(-10.0, 10.0) for _ in range(20)]
+        groups = {}
+        for _ in range(rng.randint(1, 60)):
+            groups.setdefault(rng.choice(pool), []).append(rng.uniform(-5.0, 5.0))
+        ft = build_frequency_table(Population(groups))
+        assert build_prefix_moments(ft).K == len(groups)
 
 
 class TestSegmentStats:

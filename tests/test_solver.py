@@ -334,6 +334,22 @@ class TestPathToSolution:
         with pytest.raises(ValueError):
             path_to_solution(PathSolution((1, 3, 5), 0.0), pm, ft, spec)
 
+    @pytest.mark.parametrize(
+        "nodes,stratum",
+        [
+            pytest.param((1, 2, 6), "stratum 1 runs from node 1 to node 2", id="first"),
+            pytest.param((1, 3, 4, 6), "stratum 2 runs from node 3 to node 4", id="middle"),
+        ],
+    )
+    def test_stratum_of_one_group_is_rejected(self, nodes, stratum):
+        """No arc of the graph spans a single group, so no path with such a
+        stratum is reported, even where each group holds two units."""
+        ft = table_from_pairs((x, x) for x in (1, 1, 2, 2, 3, 3, 4, 4, 5, 5))
+        pm = build_prefix_moments(ft)
+        spec = ProblemSpec(L=len(nodes) - 1, n=4, N=10)
+        with pytest.raises(ValueError, match=f"^{stratum}; a stratum spans at least two groups$"):
+            path_to_solution(PathSolution(nodes, 0.0), pm, ft, spec)
+
     def test_arc_count_must_match_spec(self, desk):
         ft, pm = desk
         spec = ProblemSpec(L=3, n=3, N=9)
