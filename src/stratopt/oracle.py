@@ -18,7 +18,7 @@ from .errors import DEFAULT_ORACLE_CAP, ConsistencyError, OracleTooLargeError
 from .graph import cost_table
 from .moments import ProblemSpec, build_prefix_moments, exact_cost_units
 from .population import FrequencyTable
-from .solver import StratificationSolution, _report, check_problem
+from .solver import StratificationSolution, _kept, _report, check_problem
 
 Composition = tuple[int, ...]
 """Distinct-value counts per stratum: every entry >= 2, entries summing to K."""
@@ -62,7 +62,11 @@ def brute_force_solve(
     scores lower on the same float cost table, and that ties went to the
     smallest node sequence. The costs are not recomputed, so a costing
     error reaches both sides; the test suite checks the table's layout
-    against a per-segment reference scorer. The costs become exact integer
+    against a per-segment reference scorer. Right after a solve_problem of
+    the same problem the check takes the table that solve kept: costed from
+    equal prefix moments and layer bounds, it is the one cost_table would
+    build, bit for bit. Otherwise the check costs its own. Either way, and
+    when it raises, it leaves no table kept. The costs become exact integer
     units whose size the table's least positive cost sets, so totals do not
     depend on summation order and cost ties are genuine. The compositions
     are grouped by the node a at which their last ceil(L/2) strata start,
@@ -70,8 +74,9 @@ def brute_force_solve(
     strata before a and every total of the strata from a on is formed,
     and a group's least total is the least of the first plus the least of
     the second, exact in integer units. Its smallest tied composition is
-    the smallest tied prefix followed by the first tied suffix. Nothing
-    else is shared with the solver's dynamic program.
+    the smallest tied prefix followed by the first tied suffix. The table,
+    which the solver's dynamic program only reads, is all the two searches
+    share.
 
     Raises InfeasibleProblemError and InvalidSpecError from check_problem,
     before the cap is tested; OracleTooLargeError when the enumeration
@@ -80,15 +85,23 @@ def brute_force_solve(
     solve_problem raises after its check.
     """
     start = time.perf_counter()
-    bounds = check_problem(ft, spec)
-    m = count_solutions(ft.K, spec.L)
-    if m > cap:
-        raise OracleTooLargeError(
-            f"enumeration needs {m} evaluations, above the cap of {cap}"
-        )
-    pm = build_prefix_moments(ft)
+    try:
+        bounds = check_problem(ft, spec)
+        m = count_solutions(ft.K, spec.L)
+        if m > cap:
+            raise OracleTooLargeError(
+                f"enumeration needs {m} evaluations, above the cap of {cap}"
+            )
+        pm = build_prefix_moments(ft)
+        # cost_table reads nothing but pm and bounds, so the table kept for
+        # equal ones is the one it would build, bit for bit
+        table = _kept.pop((pm, bounds), None)
+    finally:
+        # another problem's table goes before this one is costed
+        _kept.clear()
     # scored in exact units, independent of the solver's tie certificate
-    rows, final = _exact_units(*cost_table(pm, bounds))
+    rows, final = _exact_units(*(table or cost_table(pm, bounds)))
+    del table  # the walk reads only the units
     nodes, scored = _walk_compositions(rows, final, ft.K, spec.L)
     if scored != m:
         raise ConsistencyError(

@@ -13,7 +13,7 @@ from operator import add
 from typing import NamedTuple
 
 from .errors import ConsistencyError, DataError, InvalidSpecError
-from .graph import Bounds, LayeredGraph, cost_table, layer_bounds
+from .graph import Bounds, CostTable, LayeredGraph, cost_table, layer_bounds
 from .moments import (
     PrefixMoments,
     ProblemSpec,
@@ -32,6 +32,11 @@ from .population import FrequencyTable
 _SELF_CHECK_RTOL = 1e-7
 _SELF_CHECK_FLOOR = 8 * 2.0**-53
 _SUBNORMAL_SPACING = 2.0**-1074
+
+# the cost table of the last solve_problem, keyed by the prefix moments and
+# layer bounds it was costed from, until brute_force_solve takes it; at
+# most one entry
+_kept: dict[tuple[PrefixMoments, Bounds], CostTable] = {}
 
 
 class PathSolution(NamedTuple):
@@ -229,6 +234,12 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     or LayeredGraph is built. L = 1 is the one-layer case. The result
     carries wall-clock elapsed seconds.
 
+    The table, about K^2/2 floats, stays kept until the next search: the
+    next solve_problem drops it before it costs its own, and the next
+    brute_force_solve takes it, reading it in place of costing its own when
+    it checks the same prefix moments and layer bounds. _cheapest_path only
+    reads its rows, so the check sees the table as costed.
+
     Raises InfeasibleProblemError and InvalidSpecError from check_problem,
     before any costing; DataError from build_prefix_moments for a table
     that is not a frequency table, and when a segment cost, the optimal
@@ -239,7 +250,10 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     start = time.perf_counter()
     bounds = check_problem(ft, spec)
     pm = build_prefix_moments(ft)
-    nodes = _cheapest_path(bounds, *cost_table(pm, bounds))
+    # an earlier table goes before this one is costed, so two are never held
+    _kept.clear()
+    _kept[pm, bounds] = table = cost_table(pm, bounds)
+    nodes = _cheapest_path(bounds, *table)
     return _report(nodes, pm, ft, spec, start)
 
 

@@ -11,6 +11,7 @@ import pytest
 
 import stratopt.graph
 import stratopt.oracle
+import stratopt.solver
 from stratopt import (
     ConsistencyError,
     DataError,
@@ -18,7 +19,9 @@ from stratopt import (
     InvalidSpecError,
     OracleTooLargeError,
     ProblemSpec,
+    attach_costs,
     brute_force_solve,
+    build_layered_graph,
     build_prefix_moments,
     count_solutions,
     enumerate_compositions,
@@ -39,6 +42,54 @@ from helpers import (
     tie_heavy_pairs,
     units_table,
 )
+
+
+# the per-composition reference corpus: (L, K, data), K None for a K drawn
+# from the case's own seed
+PER_COMPOSITION_CASES = [
+    pytest.param(L, K, data, id=f"L{L}-{shape}-{data}")
+    for L in range(1, 6)
+    for shape, K in (
+        ("K2L", 2 * L),
+        ("K2L+1", 2 * L + 1),
+        ("K24", 24),
+        ("K40", 40),
+        ("Krandom", None),
+    )
+    for data in ("random", "ties")
+]
+
+
+def per_composition_problem(L, K, data):
+    """The table and spec of one case of PER_COMPOSITION_CASES."""
+    rng = random.Random(f"{L}:{K}:{data}")
+    if K is None:
+        K = rng.randint(2 * L + 2, 23)
+    if data == "random":
+        pairs = random_pairs(rng, L, k_max=K, k_min=K)
+    else:
+        pairs = tie_heavy_pairs(rng, K)
+    ft = table_from_pairs(pairs)
+    assert ft.K == K
+    return ft, ProblemSpec(L=L, n=max(1, ft.N // 3), N=ft.N)
+
+
+def count_cost_rows(monkeypatch) -> list[int]:
+    """The tails of the cost-table rows costed from now on, in call order."""
+    calls = []
+    cost_row = stratopt.graph._cost_row
+
+    def counting(prefix, i, stop, last):
+        calls.append(i)
+        return cost_row(prefix, i, stop, last)
+
+    monkeypatch.setattr(stratopt.graph, "_cost_row", counting)
+    return calls
+
+
+def table_tails(rows, final) -> list[int]:
+    """The tails that hold a row of a cost table, in ascending order."""
+    return [i for i in range(len(rows)) if rows[i] or final[i] is not None]
 
 
 class TestCountSolutions:
@@ -189,36 +240,13 @@ class TestBruteForceSolve:
         with pytest.raises(ConsistencyError, match="scored"):
             brute_force_solve(ft, ProblemSpec(L=L, n=3, N=ft.N))
 
-    @pytest.mark.parametrize(
-        "L,K,data",
-        [
-            pytest.param(L, K, data, id=f"L{L}-{shape}-{data}")
-            for L in range(1, 6)
-            for shape, K in (
-                ("K2L", 2 * L),
-                ("K2L+1", 2 * L + 1),
-                ("K24", 24),
-                ("K40", 40),
-                ("Krandom", None),
-            )
-            for data in ("random", "ties")
-        ],
-    )
+    @pytest.mark.parametrize("L,K,data", PER_COMPOSITION_CASES)
     def test_matches_per_composition_reference(self, L, K, data):
         """Identical nodes, unit cost and variance to scoring each
         composition on its own, segment by segment; K = 2L and L <= 2 start
         the walk at the last-two-strata pass. This is what checks the cost
         table's row layout, which the oracle shares with the solver."""
-        rng = random.Random(f"{L}:{K}:{data}")
-        if K is None:
-            K = rng.randint(2 * L + 2, 23)
-        if data == "random":
-            pairs = random_pairs(rng, L, k_max=K, k_min=K)
-        else:
-            pairs = tie_heavy_pairs(rng, K)
-        ft = table_from_pairs(pairs)
-        assert ft.K == K
-        spec = ProblemSpec(L=L, n=max(1, ft.N // 3), N=ft.N)
+        ft, spec = per_composition_problem(L, K, data)
         sol = brute_force_solve(ft, spec)
         reference = reference_brute_force_solve(ft, spec)
         assert sol.nodes == reference.nodes
@@ -231,15 +259,10 @@ class TestBruteForceSolve:
         through segment_stats, not through that pass."""
         ft = random_instance(random.Random(40), 3, k_max=40, k_min=40)
         rows, final = cost_table(build_prefix_moments(ft), layer_bounds(ft.K, 3))
-        tails = [i for i in range(ft.K + 1) if rows[i] or final[i] is not None]
-        calls = []
-        cost_row = stratopt.graph._cost_row
-
-        def counting(prefix, i, stop, last):
-            calls.append(i)
-            return cost_row(prefix, i, stop, last)
-
-        monkeypatch.setattr(stratopt.graph, "_cost_row", counting)
+        tails = table_tails(rows, final)
+        # a solve of this problem would hand the check its table
+        stratopt.solver._kept.clear()
+        calls = count_cost_rows(monkeypatch)
         brute_force_solve(ft, ProblemSpec(L=3, n=10, N=ft.N))
         assert calls == tails
         assert 0 < len(tails) <= ft.K + 3
@@ -274,6 +297,78 @@ class TestBruteForceSolve:
         finally:
             tracemalloc.stop()
         assert peak < 10 * 2**20
+
+
+class TestTableHandOff:
+    """A check right after a solve of the same problem takes the cost table
+    that solve kept; every other check costs its own."""
+
+    @staticmethod
+    def problem(seed: int = 40):
+        ft = random_instance(random.Random(seed), 3, k_max=40, k_min=40)
+        return ft, ProblemSpec(L=3, n=10, N=ft.N)
+
+    @pytest.mark.parametrize(
+        "before",
+        ["solve", "solve-other-moments", "solve-other-L", "attach-costs", "second-check"],
+    )
+    def test_rows_a_check_costs(self, monkeypatch, before):
+        """Right after a solve of its problem the check costs no row. After
+        a solve of other moments or of another L, after attach_costs alone,
+        and after a check that took the table, it costs every row itself,
+        each once."""
+        ft, spec = self.problem()
+        pm = build_prefix_moments(ft)
+        tails = table_tails(*cost_table(pm, layer_bounds(ft.K, spec.L)))
+        stratopt.solver._kept.clear()
+        if before == "solve-other-moments":
+            other, other_spec = self.problem(seed=41)
+            assert other.K == ft.K and build_prefix_moments(other) != pm
+            solve_problem(other, other_spec)
+        elif before == "solve-other-L":
+            solve_problem(ft, ProblemSpec(L=4, n=10, N=ft.N))
+        elif before == "attach-costs":
+            attach_costs(build_layered_graph(ft.K, spec.L), pm)
+        else:
+            solved = solve_problem(ft, spec)
+            if before == "second-check":
+                brute_force_solve(ft, spec)
+        calls = count_cost_rows(monkeypatch)
+        checked = brute_force_solve(ft, spec)
+        assert calls == ([] if before == "solve" else tails)
+        if before == "solve":
+            assert checked.nodes == solved.nodes
+            assert checked.total_unit_cost == solved.total_unit_cost
+
+    @pytest.mark.parametrize("L,K,data", PER_COMPOSITION_CASES)
+    def test_check_after_its_solve_matches_the_check_alone(self, monkeypatch, L, K, data):
+        ft, spec = per_composition_problem(L, K, data)
+        stratopt.solver._kept.clear()
+        alone = brute_force_solve(ft, spec)
+        solve_problem(ft, spec)
+        calls = count_cost_rows(monkeypatch)
+        after = brute_force_solve(ft, spec)
+        assert calls == []
+        assert after.nodes == alone.nodes
+        assert after.total_unit_cost == alone.total_unit_cost
+        assert after.variance == alone.variance
+
+    @pytest.mark.parametrize("outcome", ["taken", "built", "refused", "rejected"])
+    def test_no_table_stays_kept_after_a_check(self, outcome):
+        """Whether the check takes the kept table, costs its own, refuses
+        over its cap or rejects its spec, it leaves no table kept."""
+        ft, spec = self.problem()
+        solve_problem(*self.problem(seed=41 if outcome == "built" else 40))
+        assert stratopt.solver._kept
+        if outcome == "refused":
+            with pytest.raises(OracleTooLargeError):
+                brute_force_solve(ft, spec, cap=0)
+        elif outcome == "rejected":
+            with pytest.raises(InvalidSpecError):
+                brute_force_solve(ft, ProblemSpec(L=3, n=10, N=ft.N + 1))
+        else:
+            brute_force_solve(ft, spec)
+        assert not stratopt.solver._kept
 
 
 def _full_rows(K: int, L: int, cost):

@@ -283,6 +283,62 @@ class TestCertifiedPath:
         assert sol.nodes == (1, 411, 413, 555, 558, 1001)
 
 
+class TestTableHandOff:
+    """solve_problem keeps the cost table it built for a check of the same
+    problem, and no more than that one table."""
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_solve_keeps_its_table_unmutated(self, L, ties):
+        """The kept rows and final equal a fresh cost_table entry for entry,
+        bit for bit: _cheapest_path only reads its rows, so the check scores
+        the table as costed, not as the dynamic program left it."""
+        rng = random.Random(f"{L}:{ties}")
+        if ties:
+            ft = table_from_pairs(tie_heavy_pairs(rng, 2 * L + 12))
+        else:
+            ft = random_instance(rng, L, k_max=2 * L + 12, k_min=2 * L + 12)
+        solve_problem(ft, ProblemSpec(L=L, n=L, N=ft.N))
+        [((pm, bounds), (rows, final))] = stratopt.solver._kept.items()
+        assert pm == build_prefix_moments(ft)
+        assert bounds == layer_bounds(ft.K, L)
+        fresh_rows, fresh_final = cost_table(pm, bounds)
+
+        def bits(costs):
+            return [None if cost is None else cost.hex() for cost in costs]
+
+        assert list(map(bits, rows)) == list(map(bits, fresh_rows))
+        assert bits(final) == bits(fresh_final)
+
+    def test_kept_table_goes_before_the_next_is_costed(self):
+        """Solving A then B, same K and L, peaks under 1.5 times solving B
+        alone: A's table is dropped before B's is built, where holding both
+        would come near twice B's peak."""
+        rng = random.Random(400)
+
+        def table():
+            return table_from_pairs(
+                [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(400) for _ in range(2)]
+            )
+
+        first, second = table(), table()
+        spec = ProblemSpec(L=3, n=100, N=second.N)
+
+        def peak(*tables):
+            stratopt.solver._kept.clear()
+            tracemalloc.start()
+            try:
+                for ft in tables:
+                    solve_problem(ft, spec)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+                stratopt.solver._kept.clear()
+
+        alone = peak(second)
+        assert peak(first, second) < 1.5 * alone
+
+
 class TestPathToSolution:
     def test_worked_example_report(self, desk):
         ft, pm = desk
