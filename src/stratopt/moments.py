@@ -68,7 +68,7 @@ class _ProblemFields(NamedTuple):
 
 class ProblemSpec(_ProblemFields):
     """Stratum count L, sample size n, population size N, and the
-    without-replacement correction switch (fpc).
+    without-replacement correction switch (fpc), a bool.
 
     Checked whenever one is made: built, copied by _replace or _make, or
     unpickled.
@@ -88,6 +88,9 @@ class ProblemSpec(_ProblemFields):
             raise InvalidSpecError(
                 f"sample size must satisfy 1 <= n <= N, got n={n} with N={N}"
             )
+        # a truthy string or a falsy None would silently pick the correction
+        if not isinstance(fpc, bool):
+            raise InvalidSpecError(f"fpc must be a bool, got {fpc!r}")
         return super().__new__(cls, L, n, N, fpc)
 
     @classmethod

@@ -16,7 +16,7 @@ from typing import Iterable, Iterator
 
 from .errors import DEFAULT_ORACLE_CAP, ConsistencyError, OracleTooLargeError
 from .graph import cost_table
-from .moments import ProblemSpec, build_prefix_moments, exact_cost_units
+from .moments import ProblemSpec, exact_cost_units
 from .population import FrequencyTable
 from .solver import StratificationSolution, _kept, _report, check_problem
 
@@ -78,21 +78,21 @@ def brute_force_solve(
     which the solver's dynamic program only reads, is all the two searches
     share.
 
-    Raises InfeasibleProblemError and InvalidSpecError from check_problem,
-    before the cap is tested; OracleTooLargeError when the enumeration
-    would exceed cap; ConsistencyError when the groups cover a number of
-    compositions other than count_solutions(K, L); and otherwise what
-    solve_problem raises after its check.
+    Raises InfeasibleProblemError, InvalidSpecError and DataError from
+    check_problem, the one validation point of both searches, before the
+    cap is tested; OracleTooLargeError when the enumeration would exceed
+    cap; ConsistencyError when the groups cover a number of compositions
+    other than count_solutions(K, L); and otherwise what solve_problem
+    raises after its check.
     """
     start = time.perf_counter()
     try:
-        bounds = check_problem(ft, spec)
+        bounds, pm = check_problem(ft, spec)
         m = count_solutions(ft.K, spec.L)
         if m > cap:
             raise OracleTooLargeError(
                 f"enumeration needs {m} evaluations, above the cap of {cap}"
             )
-        pm = build_prefix_moments(ft)
         # cost_table reads nothing but pm and bounds, so the table kept for
         # equal ones is the one it would build, bit for bit
         table = _kept.pop((pm, bounds), None)

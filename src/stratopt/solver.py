@@ -214,17 +214,20 @@ def _total_cost(costs: list[float]) -> float:
         raise DataError("y values too large: a total cost overflows a float") from None
 
 
-def check_problem(ft: FrequencyTable, spec: ProblemSpec) -> Bounds:
-    """The layer bounds of a problem whose spec fits its table.
+def check_problem(ft: FrequencyTable, spec: ProblemSpec) -> tuple[Bounds, PrefixMoments]:
+    """The layer bounds and prefix moments of a problem whose spec fits
+    its table.
 
-    The one check of a spec against its table, which both searches run
-    before any work. Raises InfeasibleProblemError when K < 2L, then
-    InvalidSpecError when spec.N differs from the table's N.
+    The one validation point of both searches, which each runs before any
+    costing, the oracle before its cap too. Raises InfeasibleProblemError
+    when K < 2L, then InvalidSpecError when spec.N differs from the table's
+    N, then DataError from build_prefix_moments for a table that is not a
+    frequency table or whose running sum of y or y^2 overflows a float.
     """
     bounds = layer_bounds(ft.K, spec.L)
     if spec.N != ft.N:
         raise InvalidSpecError(f"spec N={spec.N} does not match table N={ft.N}")
-    return bounds
+    return bounds, build_prefix_moments(ft)
 
 
 def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSolution:
@@ -240,16 +243,14 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     it checks the same prefix moments and layer bounds. _cheapest_path only
     reads its rows, so the check sees the table as costed.
 
-    Raises InfeasibleProblemError and InvalidSpecError from check_problem,
-    before any costing; DataError from build_prefix_moments for a table
-    that is not a frequency table, and when a segment cost, the optimal
-    total or the variance overflows a float; UndefinedCVError when the
-    population total is zero or too close to zero for a finite CV, and
-    ConsistencyError when path_to_solution's self-check fails.
+    Raises InfeasibleProblemError, InvalidSpecError and DataError from
+    check_problem, before any costing; DataError also when a segment cost,
+    the optimal total or the variance overflows a float; UndefinedCVError
+    when the population total is zero or too close to zero for a finite
+    CV, and ConsistencyError when path_to_solution's self-check fails.
     """
     start = time.perf_counter()
-    bounds = check_problem(ft, spec)
-    pm = build_prefix_moments(ft)
+    bounds, pm = check_problem(ft, spec)
     # an earlier table goes before this one is costed, so two are never held
     _kept.clear()
     _kept[pm, bounds] = table = cost_table(pm, bounds)

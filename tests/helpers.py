@@ -13,6 +13,7 @@ import math
 import random
 import statistics
 from fractions import Fraction
+from functools import cache
 from itertools import combinations, repeat
 from operator import add
 from typing import Iterable, Iterator
@@ -205,6 +206,59 @@ def exact_brute_force_nodes(pairs, L: int) -> tuple[int, ...]:
             best_nodes = nodes
     assert best_nodes is not None
     return best_nodes
+
+
+def exact_dp_nodes(pairs, L: int) -> tuple[int, ...]:
+    """Lexicographically smallest node sequence of least exact cost, by
+    Bellman's dynamic program over the layers in exact rationals.
+
+    Each group's sum of y and of y^2 are Fractions summed from the raw
+    (x, y) floats, so a stratum of groups i..j-1 holding n units, whose y
+    sum to s and whose y^2 sum to q, costs N_h * S2_h =
+    (n q - s^2) / (n - 1) exactly, whatever the shift or scale of y. A
+    node's completion is the least cost of the strata left from it, and
+    its head the smallest one reaching that least cost, so the path read
+    forward from node 1 is the smallest of least cost. It shares no code
+    with the package's costing or search.
+    """
+    groups: dict[float, list[Fraction]] = {}
+    for x, y in pairs:
+        groups.setdefault(float(x), []).append(Fraction(y))
+    # prefix count, sum of y and sum of y^2 over the groups in x order;
+    # exact, so differences of them do not cancel
+    counts, sums, squares = [0], [Fraction(0)], [Fraction(0)]
+    for x in sorted(groups):
+        ys = groups[x]
+        counts.append(counts[-1] + len(ys))
+        sums.append(sums[-1] + sum(ys))
+        squares.append(squares[-1] + sum(y * y for y in ys))
+    K = len(groups)
+    if K < 2 * L:
+        raise ValueError(f"K={K} distinct values cannot form L={L} strata")
+
+    @cache  # a segment is an arc of several layers
+    def cost(i: int, j: int) -> Fraction:
+        n = counts[j - 1] - counts[i - 1]
+        s = sums[j - 1] - sums[i - 1]
+        return (n * (squares[j - 1] - squares[i - 1]) - s * s) / (n - 1)
+
+    # completion[j] is the least exact cost from node j to K + 1 over the
+    # strata left; choices maps each layer's tails to their heads, the
+    # last layer first
+    completion = {K + 1: Fraction(0)}
+    choices: list[dict[int, int]] = []
+    for h in range(L - 1, -1, -1):
+        tails = range(2 * h + 1, K + 2 - 2 * (L - h)) if h else (1,)
+        best = {
+            i: min((cost(i, j) + total, j) for j, total in completion.items() if j >= i + 2)
+            for i in tails
+        }
+        completion = {i: total for i, (total, _) in best.items()}
+        choices.append({i: j for i, (_, j) in best.items()})
+    nodes = [1]
+    for choice in reversed(choices):
+        nodes.append(choice[nodes[-1]])
+    return tuple(nodes)
 
 
 def count_paths(graph: LayeredGraph) -> int:

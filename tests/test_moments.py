@@ -11,6 +11,7 @@ import itertools
 import math
 import pickle
 import random
+import re
 import statistics
 from fractions import Fraction
 
@@ -130,7 +131,8 @@ MALFORMED_TABLES = [
 
 class TestMalformedTable:
     """build_prefix_moments, which every search and inspection route runs
-    before costing, rejects a table that is not a frequency table."""
+    before costing, the oracle before its cap too, rejects a table that is
+    not a frequency table."""
 
     @pytest.mark.parametrize("table,message", MALFORMED_TABLES)
     @pytest.mark.parametrize(
@@ -139,6 +141,10 @@ class TestMalformedTable:
             pytest.param(lambda ft: solve_problem(ft, ProblemSpec(L=2, n=1, N=ft.N)), id="solver"),
             pytest.param(
                 lambda ft: brute_force_solve(ft, ProblemSpec(L=2, n=1, N=ft.N)), id="oracle"
+            ),
+            pytest.param(
+                lambda ft: brute_force_solve(ft, ProblemSpec(L=2, n=1, N=ft.N), cap=0),
+                id="oracle-under-a-zero-cap",
             ),
             pytest.param(
                 lambda ft: attach_costs(build_layered_graph(ft.K, 2), build_prefix_moments(ft)),
@@ -273,10 +279,18 @@ class TestProblemSpec:
         with pytest.raises(InvalidSpecError, match=r"^n must be an integer, got 3\.0$"):
             ProblemSpec(L=2, n=3.0, N=9)
 
+    @pytest.mark.parametrize("fpc", ["False", None, 0, 1, 2.5])
+    def test_fpc_must_be_a_bool(self, fpc):
+        """A value that is only truthy or falsy would pick the correction
+        silently: "False" would apply it and None would drop it."""
+        message = rf"^fpc must be a bool, got {re.escape(repr(fpc))}$"
+        with pytest.raises(InvalidSpecError, match=message):
+            ProblemSpec(L=2, n=3, N=9, fpc=fpc)
+
     @pytest.mark.parametrize(
         "change",
-        [{"L": 2.0}, {"L": 0}, {"N": 0}, {"n": 0}, {"n": 10}],
-        ids=["non-integer-L", "L-below-1", "N-below-1", "n-below-1", "n-above-N"],
+        [{"L": 2.0}, {"L": 0}, {"N": 0}, {"n": 0}, {"n": 10}, {"fpc": "False"}],
+        ids=["non-integer-L", "L-below-1", "N-below-1", "n-below-1", "n-above-N", "non-bool-fpc"],
     )
     @pytest.mark.parametrize("route", ["_replace", "_make", "pickle"])
     def test_copies_are_checked_as_construction_is(self, change, route):

@@ -40,6 +40,7 @@ from stratopt.solver import _cheapest_path
 from helpers import (
     desk_table,
     exact_brute_force_nodes,
+    exact_dp_nodes,
     nodes_from_composition,
     random_composition,
     random_instance,
@@ -505,8 +506,9 @@ class TestSolveProblem:
         def no_work(*args):
             raise AssertionError("work started before the spec was checked")
 
+        # check_problem builds the prefix moments of both searches
+        monkeypatch.setattr(stratopt.solver, "build_prefix_moments", no_work)
         for module in (stratopt.solver, stratopt.oracle):
-            monkeypatch.setattr(module, "build_prefix_moments", no_work)
             monkeypatch.setattr(module, "cost_table", no_work)
         ft = desk_table()
         with pytest.raises(InvalidSpecError, match=r"^spec N=10 does not match table N=9$"):
@@ -774,3 +776,38 @@ class TestSolveProblem:
         assert list(sol.boundaries) == sorted(sol.boundaries)
         assert set(sol.boundaries) <= set(ft.q)
         assert sol.boundaries[-1] < ft.q[-1]
+
+
+class TestExactDP:
+    """helpers.exact_dp_nodes, the reference dynamic program in exact
+    rationals from the unit floats, against the exhaustive exact scorer and
+    against the solver where float costs are known to be exact enough."""
+
+    @pytest.mark.parametrize("kind", ["lognormal", "tie-heavy", "shifted-1e10"])
+    def test_matches_exact_brute_force(self, kind):
+        """70 seeded tables per kind, L 1-4, K <= 12. Tie-heavy tables make
+        exact ties, which both break toward the smallest node sequence; a
+        shift of y by 1e10 is where float prefix moments cancel."""
+        rng = random.Random(f"exact-dp:{kind}")
+        wrong = []
+        for _ in range(70):
+            L = rng.randint(1, 4)
+            if kind == "tie-heavy":
+                pairs = tie_heavy_pairs(rng, rng.randint(2 * L, 12))
+            else:
+                pairs = random_pairs(rng, L, k_max=12)
+            if kind == "shifted-1e10":
+                pairs = [(x, y + 1e10) for x, y in pairs]
+            nodes = exact_dp_nodes(pairs, L)
+            if nodes != exact_brute_force_nodes(pairs, L):
+                wrong.append((L, pairs, nodes))
+        assert wrong == []
+
+    def test_solver_is_exactly_optimal_on_the_acceptance_instance(self):
+        """K = 272, L = 5, y = x: the solver's nodes are the exactly
+        cheapest and smallest. The pairs are rebuilt from the table, each x
+        once per unit, as y = x leaves nothing else in them."""
+        ft = skewed_table(n_units=900, k_distinct=272)
+        pairs = [(x, x) for x, count in zip(ft.q, ft.count) for _ in range(count)]
+        nodes = solve_problem(ft, ProblemSpec(L=5, n=100, N=900)).nodes
+        assert exact_dp_nodes(pairs, 5) == nodes == (1, 38, 83, 132, 196, 273)
