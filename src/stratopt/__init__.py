@@ -26,7 +26,7 @@ from .errors import (
     UndefinedCVError,
     UndefinedVarianceError,
 )
-from .graph import Arc, LayeredGraph, arc_counts, attach_costs, build_layered_graph, dump_arcs
+from .graph import Arc, LayeredGraph, arc_counts, attach_costs, build_layered_graph
 from .moments import (
     PrefixMoments,
     ProblemSpec,
@@ -62,10 +62,8 @@ __version__ = "0.1.0"
 # solving never needs the exhaustive oracle, so it loads on first use
 _ORACLE_NAMES = frozenset(
     {
-        "Composition",
         "brute_force_solve",
         "count_solutions",
-        "enumerate_compositions",
     }
 )
 
@@ -81,7 +79,6 @@ def __getattr__(name: str) -> object:
 
 __all__ = [
     "Arc",
-    "Composition",
     "ConsistencyError",
     "DEFAULT_ORACLE_CAP",
     "DataError",
@@ -114,8 +111,6 @@ __all__ = [
     "build_prefix_moments",
     "coefficient_of_variation",
     "count_solutions",
-    "dump_arcs",
-    "enumerate_compositions",
     "load_population",
     "path_to_solution",
     "segment_stats",

@@ -227,13 +227,3 @@ def attach_costs(graph: LayeredGraph, pm: PrefixMoments) -> LayeredGraph:
             f"prefix moments cover {pm.K} groups, graph expects {graph.K}"
         )
     return graph._replace(table=cost_table(pm, layer_bounds(graph.K, graph.L)))
-
-
-def dump_arcs(graph: LayeredGraph) -> str:
-    """Debug listing, one arc per line: layer, tail, head, cost."""
-    lines = []
-    for layer in graph.layers:
-        for arc in layer:
-            cost = "" if arc.cost is None else repr(arc.cost)
-            lines.append(f"{arc.layer}\t{arc.tail}\t{arc.head}\t{cost}")
-    return "\n".join(lines)

@@ -67,8 +67,8 @@ class _ProblemFields(NamedTuple):
 
 
 class ProblemSpec(_ProblemFields):
-    """Stratum count L, sample size n, population size N, and the
-    without-replacement correction switch (fpc), a bool.
+    """Stratum count L, sample size n and population size N, integers but
+    not bools, and the without-replacement correction switch (fpc), a bool.
 
     Checked whenever one is made: built, copied by _replace or _make, or
     unpickled.
@@ -78,7 +78,8 @@ class ProblemSpec(_ProblemFields):
 
     def __new__(cls, L: int, n: int, N: int, fpc: bool = True) -> ProblemSpec:
         for name, value in (("L", L), ("n", n), ("N", N)):
-            if not isinstance(value, Integral):
+            # a bool is an Integral, yet True would read as 1
+            if not isinstance(value, Integral) or isinstance(value, bool):
                 raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
         if L < 1:
             raise InvalidSpecError(f"stratum count must be at least 1, got {L}")

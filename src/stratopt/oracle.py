@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from itertools import chain, combinations, compress, count, repeat
+from itertools import chain, compress, count, repeat
 from operator import add, eq, getitem, mul, sub
 from typing import Iterable, Iterator
 
@@ -19,9 +19,6 @@ from .graph import cost_table
 from .moments import ProblemSpec, exact_cost_units
 from .population import FrequencyTable
 from .solver import StratificationSolution, _kept, _report, check_problem
-
-Composition = tuple[int, ...]
-"""Distinct-value counts per stratum: every entry >= 2, entries summing to K."""
 
 
 def count_solutions(K: int, L: int) -> int:
@@ -35,21 +32,6 @@ def count_solutions(K: int, L: int) -> int:
     if K < 2 * L:
         return 0
     return math.comb(K - L - 1, L - 1)
-
-
-def enumerate_compositions(K: int, L: int) -> Iterator[Composition]:
-    """Yield every feasible composition once, in lexicographic order.
-
-    Stars and bars: the L widths less one each are L positive parts of
-    K - L, one per set of L - 1 cuts in 1..K-L-1, and cut sets in
-    lexicographic order give compositions in lexicographic order. The stream
-    is empty when K < 2L. Its length always equals count_solutions(K, L).
-    """
-    if not count_solutions(K, L):
-        return
-    for cuts in combinations(range(1, K - L), L - 1):
-        ends = (0, *cuts, K - L)
-        yield tuple(b - a + 1 for a, b in zip(ends, ends[1:]))
 
 
 def brute_force_solve(

@@ -150,7 +150,7 @@ def _report(
     time.perf_counter() reading, to the report, or 0.0 without a start;
     the text report prints it as CPU (s).
     """
-    if nodes[0] != 1 or nodes[-1] != ft.K + 1:
+    if not nodes or nodes[0] != 1 or nodes[-1] != ft.K + 1:
         raise ValueError(f"path {nodes} does not span groups 1..{ft.K}")
     if len(nodes) - 1 != spec.L:
         raise ValueError(f"path has {len(nodes) - 1} arcs, spec wants {spec.L}")

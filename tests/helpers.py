@@ -31,7 +31,7 @@ from stratopt import (
     StratificationSolution,
     build_frequency_table,
     build_prefix_moments,
-    enumerate_compositions,
+    count_solutions,
     load_population,
     path_to_solution,
     segment_stats,
@@ -132,6 +132,21 @@ def random_composition(rng: random.Random, K: int, L: int) -> tuple[int, ...]:
         previous = bar
     parts.append(slots - 1 - previous)
     return tuple(part + 2 for part in parts)
+
+
+def enumerate_compositions(K: int, L: int) -> Iterator[tuple[int, ...]]:
+    """Yield every feasible composition once, in lexicographic order.
+
+    Stars and bars: the L widths less one each are L positive parts of
+    K - L, one per set of L - 1 cuts in 1..K-L-1, and cut sets in
+    lexicographic order give compositions in lexicographic order. The stream
+    is empty when K < 2L. Its length always equals count_solutions(K, L).
+    """
+    if not count_solutions(K, L):
+        return
+    for cuts in combinations(range(1, K - L), L - 1):
+        ends = (0, *cuts, K - L)
+        yield tuple(b - a + 1 for a, b in zip(ends, ends[1:]))
 
 
 def nodes_from_composition(widths) -> tuple[int, ...]:

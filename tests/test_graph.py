@@ -10,6 +10,7 @@ import pytest
 
 import stratopt.graph
 from stratopt import (
+    Arc,
     DataError,
     InfeasibleProblemError,
     arc_counts,
@@ -17,7 +18,6 @@ from stratopt import (
     build_layered_graph,
     build_prefix_moments,
     count_solutions,
-    dump_arcs,
     segment_stats,
     solve,
     unit_cost,
@@ -314,24 +314,25 @@ class TestCostTableBits:
 
 
 class TestDumpArcs:
+    """The arc listing a graph's layers give, every arc with its cost."""
+
     def test_one_line_per_arc(self):
-        g = build_layered_graph(8, 3)
-        lines = dump_arcs(g).splitlines()
-        assert len(lines) == arc_counts(8, 3)[3]
-        assert lines[0] == "1\t1\t3\t"
+        arcs = [arc for layer in build_layered_graph(8, 3).layers for arc in layer]
+        assert len(arcs) == arc_counts(8, 3)[3]
+        assert arcs[0] == Arc(tail=1, head=3, layer=1, cost=None)
 
     def test_costed_dump_carries_costs(self):
         ft = desk_table()
         g = attach_costs(build_layered_graph(5, 2), build_prefix_moments(ft))
-        first = dump_arcs(g).splitlines()[0].split("\t")
-        assert first[:3] == ["1", "1", "3"]
-        assert float(first[3]) == pytest.approx(4.0, rel=1e-12)
+        first = g.layers[0][0]
+        assert (first.layer, first.tail, first.head) == (1, 1, 3)
+        assert first.cost == pytest.approx(4.0, rel=1e-12)
 
     @pytest.mark.parametrize("seed", range(6))
     @pytest.mark.parametrize("data", ["random", "tie-heavy"])
     def test_costed_dump_matches_a_unit_derived_listing(self, data, seed):
-        """Byte for byte the listing of costs taken through exact 2^-1074
-        units and back, as when the table held units."""
+        """Bit for bit the costs taken through exact 2^-1074 units and back,
+        as when the table held units."""
         rng = random.Random(55_000 + seed)
         L = rng.randint(2, 6)
         K = rng.randint(2 * L, 60)
@@ -340,14 +341,16 @@ class TestDumpArcs:
         else:
             pairs = tie_heavy_pairs(rng, K)
         pm = build_prefix_moments(table_from_pairs(pairs))
-        listing = "\n".join(
-            f"{h}\t{i}\t{j}\t"
-            f"{units_to_float(exact_cost_units(unit_cost(segment_stats(pm, i, j))))!r}"
+        listing = [
+            (h, i, j, units_to_float(exact_cost_units(unit_cost(segment_stats(pm, i, j)))).hex())
             for h, (tails, first_head, head_stop) in enumerate(layer_bounds(K, L), start=1)
             for i in tails
             for j in range(max(i + 2, first_head), head_stop)
-        )
-        assert dump_arcs(attach_costs(build_layered_graph(K, L), pm)) == listing
+        ]
+        layers = attach_costs(build_layered_graph(K, L), pm).layers
+        assert [
+            (arc.layer, arc.tail, arc.head, arc.cost.hex()) for layer in layers for arc in layer
+        ] == listing
 
 
 class TestPathCounts:

@@ -288,9 +288,21 @@ class TestProblemSpec:
             ProblemSpec(L=2, n=3, N=9, fpc=fpc)
 
     @pytest.mark.parametrize(
+        "values",
+        [{"L": True, "n": 1, "N": 2}, {"L": 1, "n": True, "N": 2}, {"L": 1, "n": 1, "N": True}],
+        ids=["L", "n", "N"],
+    )
+    def test_counts_must_not_be_bools(self, values):
+        """A bool is an Integral, yet True read as 1 would solve a spec no
+        caller meant, as L=True would solve one stratum."""
+        name = next(name for name, value in values.items() if value is True)
+        with pytest.raises(InvalidSpecError, match=rf"^{name} must be an integer, got True$"):
+            ProblemSpec(**values)
+
+    @pytest.mark.parametrize(
         "change",
-        [{"L": 2.0}, {"L": 0}, {"N": 0}, {"n": 0}, {"n": 10}, {"fpc": "False"}],
-        ids=["non-integer-L", "L-below-1", "N-below-1", "n-below-1", "n-above-N", "non-bool-fpc"],
+        [{"L": 2.0}, {"L": True}, {"L": 0}, {"N": 0}, {"n": 0}, {"n": 10}, {"fpc": "False"}],
+        ids=["non-integer-L", "bool-L", "L-below-1", "N-below-1", "n-below-1", "n-above-N", "non-bool-fpc"],
     )
     @pytest.mark.parametrize("route", ["_replace", "_make", "pickle"])
     def test_copies_are_checked_as_construction_is(self, change, route):

@@ -24,7 +24,6 @@ from stratopt import (
     build_layered_graph,
     build_prefix_moments,
     count_solutions,
-    enumerate_compositions,
     solve_problem,
 )
 from stratopt.graph import cost_table, layer_bounds
@@ -32,6 +31,7 @@ from stratopt.oracle import _exact_units, _lists, _walk_compositions
 
 from helpers import (
     desk_table,
+    enumerate_compositions,
     nodes_from_composition,
     random_instance,
     random_pairs,
@@ -260,8 +260,6 @@ class TestBruteForceSolve:
         ft = random_instance(random.Random(40), 3, k_max=40, k_min=40)
         rows, final = cost_table(build_prefix_moments(ft), layer_bounds(ft.K, 3))
         tails = table_tails(rows, final)
-        # a solve of this problem would hand the check its table
-        stratopt.solver._kept.clear()
         calls = count_cost_rows(monkeypatch)
         brute_force_solve(ft, ProblemSpec(L=3, n=10, N=ft.N))
         assert calls == tails
@@ -320,7 +318,6 @@ class TestTableHandOff:
         ft, spec = self.problem()
         pm = build_prefix_moments(ft)
         tails = table_tails(*cost_table(pm, layer_bounds(ft.K, spec.L)))
-        stratopt.solver._kept.clear()
         if before == "solve-other-moments":
             other, other_spec = self.problem(seed=41)
             assert other.K == ft.K and build_prefix_moments(other) != pm
@@ -343,7 +340,6 @@ class TestTableHandOff:
     @pytest.mark.parametrize("L,K,data", PER_COMPOSITION_CASES)
     def test_check_after_its_solve_matches_the_check_alone(self, monkeypatch, L, K, data):
         ft, spec = per_composition_problem(L, K, data)
-        stratopt.solver._kept.clear()
         alone = brute_force_solve(ft, spec)
         solve_problem(ft, spec)
         calls = count_cost_rows(monkeypatch)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import re
 import sys
 import tracemalloc
 from functools import partial
@@ -339,6 +340,16 @@ class TestTableHandOff:
         alone = peak(second)
         assert peak(first, second) < 1.5 * alone
 
+    def test_a_solve_keeps_its_table(self, desk):
+        """With the next test, checks that every test starts with nothing
+        kept, whatever the test before it solved."""
+        ft, _ = desk
+        solve_problem(ft, ProblemSpec(L=2, n=3, N=9))
+        assert stratopt.solver._kept
+
+    def test_the_next_test_starts_with_nothing_kept(self):
+        assert not stratopt.solver._kept
+
 
 class TestPathToSolution:
     def test_worked_example_report(self, desk):
@@ -390,6 +401,16 @@ class TestPathToSolution:
         spec = ProblemSpec(L=2, n=3, N=9)
         with pytest.raises(ValueError):
             path_to_solution(PathSolution((1, 3, 5), 0.0), pm, ft, spec)
+
+    @pytest.mark.parametrize("nodes", [(), (1,)], ids=["empty", "source-only"])
+    def test_path_of_no_arc_is_refused(self, desk, nodes):
+        """A path with no arc spans no group: a ValueError names it, not an
+        IndexError from reading its first node."""
+        ft, pm = desk
+        spec = ProblemSpec(L=2, n=3, N=9)
+        message = rf"^path {re.escape(str(nodes))} does not span groups 1\.\.5$"
+        with pytest.raises(ValueError, match=message):
+            path_to_solution(PathSolution(nodes, 0.0), pm, ft, spec)
 
     @pytest.mark.parametrize(
         "nodes,stratum",
