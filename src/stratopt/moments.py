@@ -226,11 +226,12 @@ def variance_general(
 
     per_stratum yields (N_h, S2_h, n_h) triples; n_h may be fractional. Each
     stratum contributes N_h^2 * (S2_h / n_h) * (1 - n_h / N_h), the last
-    factor dropped when spec.fpc is false.
+    factor dropped when spec.fpc is false. Raises InfeasibleAllocationError
+    for an n_h outside (0, N_h], a NaN n_h included.
     """
     terms = []
     for n_pop, s2, n_h in per_stratum:
-        if n_h <= 0 or n_h > n_pop:
+        if not 0 < n_h <= n_pop:
             raise InfeasibleAllocationError(
                 f"stratum sample size {n_h} outside (0, {n_pop}]"
             )
@@ -253,10 +254,14 @@ def allocate_proportional(
     remainder, so equal remainders are exact ties, which go to the lower
     stratum index. The rounded sizes always sum to n; a rounded size of zero
     is possible and left to the caller to flag. Raises InvalidSpecError when
-    a size is not an integer or the sizes do not sum to N.
+    a size is not a nonnegative integer, a bool counting as none, or the
+    sizes do not sum to N.
     """
-    if not all(isinstance(size, Integral) for size in n_pops):
+    # a bool is an Integral, yet True would read as 1
+    if not all(isinstance(size, Integral) and not isinstance(size, bool) for size in n_pops):
         raise InvalidSpecError(f"stratum sizes must be integers, got {tuple(n_pops)!r}")
+    if any(size < 0 for size in n_pops):
+        raise InvalidSpecError(f"stratum sizes must be nonnegative, got {tuple(n_pops)!r}")
     if sum(n_pops) != spec.N:
         raise InvalidSpecError(
             f"stratum sizes sum to {sum(n_pops)}, expected N={spec.N}"
@@ -275,9 +280,13 @@ def allocate_neyman(
 ) -> tuple[float, ...]:
     """Dispersion-weighted (optimal) fractional allocation.
 
-    n_h = n * N_h * S_h / sum(N_l * S_l). Raises DegenerateAllocationError
-    when every stratum has zero dispersion.
+    n_h = n * N_h * S_h / sum(N_l * S_l). Raises ValueError when the two
+    sequences differ in length or a dispersion S_h is negative, NaN or
+    infinite, and DegenerateAllocationError when every stratum has zero
+    dispersion.
     """
+    if not all(0.0 <= sd < math.inf for sd in s):
+        raise ValueError(f"dispersions must be finite and nonnegative, got {tuple(s)!r}")
     weights = [size * sd for size, sd in zip(n_pops, s, strict=True)]
     total = math.fsum(weights)
     if total <= 0.0:
@@ -291,10 +300,11 @@ def coefficient_of_variation(variance: float, total: float) -> float:
     """Relative precision of the estimator, in percent: 100 * sqrt(V) / |total|.
 
     Never negative: a negative total gives the CV of its mirror image -y,
-    whose variance is the same. Raises UndefinedCVError when the total is
-    zero, or so close to zero that the CV overflows a float.
+    whose variance is the same. Raises ValueError when the variance is
+    negative or NaN, and UndefinedCVError when the total is zero, or so
+    close to zero that the CV overflows a float.
     """
-    if variance < 0.0:
+    if not variance >= 0.0:
         raise ValueError(f"variance must be nonnegative, got {variance}")
     if total == 0.0:
         raise UndefinedCVError("population total is zero, CV undefined")

@@ -44,11 +44,7 @@ def brute_force_solve(
     scores lower on the same float cost table, and that ties went to the
     smallest node sequence. The costs are not recomputed, so a costing
     error reaches both sides; the test suite checks the table's layout
-    against a per-segment reference scorer. Right after a solve_problem of
-    the same problem the check takes the table that solve kept: costed from
-    equal prefix moments and layer bounds, it is the one cost_table would
-    build, bit for bit. Otherwise the check costs its own. Either way, and
-    when it raises, it leaves no table kept. The costs become exact integer
+    against a per-segment reference scorer. The costs become exact integer
     units whose size the table's least positive cost sets, so totals do not
     depend on summation order and cost ties are genuine. The compositions
     are grouped by the node a at which their last ceil(L/2) strata start,
@@ -56,9 +52,21 @@ def brute_force_solve(
     strata before a and every total of the strata from a on is formed,
     and a group's least total is the least of the first plus the least of
     the second, exact in integer units. Its smallest tied composition is
-    the smallest tied prefix followed by the first tied suffix. The table,
-    which the solver's dynamic program only reads, is all the two searches
-    share.
+    the smallest tied prefix followed by the first tied suffix.
+
+    Right after a solve_problem handed the very same table object and an
+    equal spec, the check takes that solve's kept outcome. It skips
+    check_problem, as the solve validated these inputs and a
+    FrequencyTable cannot change; it still tests its cap. It scores the
+    kept cost table, the one cost_table would build from the same prefix
+    moments and layer bounds, bit for bit, and drops it before the walk.
+    When its walk lands on the solve's nodes it returns the solve's
+    report with its own elapsed, the one _report would rebuild from the
+    same inputs; otherwise it reports its own nodes. Every other check
+    validates and costs its own. Either way, and when it raises, it
+    leaves nothing kept. The two searches share the validated inputs, the
+    cost table, which the solver's dynamic program only reads, and the
+    report of nodes both reach; never a choice of nodes.
 
     Raises InfeasibleProblemError, InvalidSpecError and DataError from
     check_problem, the one validation point of both searches, before the
@@ -68,27 +76,29 @@ def brute_force_solve(
     raises after its check.
     """
     start = time.perf_counter()
-    try:
+    # the last solve's outcome leaves the slot whatever this check does
+    solved = _kept.pop() if _kept else None
+    if solved is None or solved.ft is not ft or solved.spec != spec:
+        solved = None
         bounds, pm = check_problem(ft, spec)
-        m = count_solutions(ft.K, spec.L)
-        if m > cap:
-            raise OracleTooLargeError(
-                f"enumeration needs {m} evaluations, above the cap of {cap}"
-            )
-        # cost_table reads nothing but pm and bounds, so the table kept for
-        # equal ones is the one it would build, bit for bit
-        table = _kept.pop((pm, bounds), None)
-    finally:
-        # another problem's table goes before this one is costed
-        _kept.clear()
+    else:
+        bounds, pm = solved.bounds, solved.pm
+    m = count_solutions(ft.K, spec.L)
+    if m > cap:
+        raise OracleTooLargeError(
+            f"enumeration needs {m} evaluations, above the cap of {cap}"
+        )
     # scored in exact units, independent of the solver's tie certificate
-    rows, final = _exact_units(*(table or cost_table(pm, bounds)))
-    del table  # the walk reads only the units
+    rows, final = _exact_units(*(solved.table if solved else cost_table(pm, bounds)))
+    reported = solved.solution if solved else None
+    del solved  # the walk reads only the units
     nodes, scored = _walk_compositions(rows, final, ft.K, spec.L)
     if scored != m:
         raise ConsistencyError(
             f"exhaustive walk scored {scored} compositions, expected {m}"
         )
+    if reported is not None and nodes == reported.nodes:
+        return reported._replace(elapsed=time.perf_counter() - start)
     return _report(nodes, pm, ft, spec, start)
 
 
@@ -106,7 +116,9 @@ def _exact_units(
     in one pass: 2**s past the float range, or a product that overflows to
     inf, raises OverflowError on its way to an integer, and the table then
     takes 2**-1074 units. Totals in these units are only compared, never
-    converted back, so s is not kept.
+    converted back, so s is not kept. Each product is a whole float, so
+    math.floor forms its integer exactly, as int would; on a float it runs
+    in about two thirds of int's time, which dominates the pass.
     """
     # filter(None, ...) drops the zeros and the None entries of final
     least = min(filter(None, chain(*rows, final)), default=math.inf)
@@ -114,8 +126,8 @@ def _exact_units(
     try:
         factor = 2.0**shift
         return (
-            [list(map(int, map(mul, row, repeat(factor)))) for row in rows],
-            [None if cost is None else int(cost * factor) for cost in final],
+            [list(map(math.floor, map(mul, row, repeat(factor)))) for row in rows],
+            [None if cost is None else math.floor(cost * factor) for cost in final],
         )
     except OverflowError:
         return (

@@ -28,18 +28,43 @@ class Population(NamedTuple):
         return sum(map(len, self.groups.values()))
 
 
-class FrequencyTable(NamedTuple):
-    """Per-distinct-x aggregates, ascending in x.
-
-    q holds the K distinct values, count their multiplicities, and y_sum and
-    y_sumsq the per-group totals of y and y squared. Groups are formed by
-    exact float equality, never by an epsilon merge.
-    """
+class _FrequencyFields(NamedTuple):
+    """The fields of FrequencyTable, which stores them as tuples."""
 
     q: tuple[float, ...]
     count: tuple[int, ...]
     y_sum: tuple[float, ...]
     y_sumsq: tuple[float, ...]
+
+
+class FrequencyTable(_FrequencyFields):
+    """Per-distinct-x aggregates, ascending in x.
+
+    q holds the K distinct values, count their multiplicities, and y_sum and
+    y_sumsq the per-group totals of y and y squared. Groups are formed by
+    exact float equality, never by an epsilon merge.
+
+    The four fields are stored as tuples however a table is made: built,
+    copied by _replace or _make, or unpickled. A table thus cannot change
+    once made, so a check handed the very table its solve was handed may
+    reuse that solve's work. Tuples pass through as they are.
+    """
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        q: Iterable[float],
+        count: Iterable[int],
+        y_sum: Iterable[float],
+        y_sumsq: Iterable[float],
+    ) -> FrequencyTable:
+        return super().__new__(cls, tuple(q), tuple(count), tuple(y_sum), tuple(y_sumsq))
+
+    @classmethod
+    def _make(cls, iterable: Iterable) -> FrequencyTable:
+        # the named tuple's own _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
     @property
     def K(self) -> int:
@@ -179,7 +204,7 @@ def build_frequency_table(population: Population) -> FrequencyTable:
         count.append(len(ys))
         y_sum.append(math.fsum(ys))
         y_sumsq.append(total_sq)
-    return FrequencyTable(tuple(q), tuple(count), tuple(y_sum), tuple(y_sumsq))
+    return FrequencyTable(q, count, y_sum, y_sumsq)
 
 
 def _column_index(header: list[str], name: str) -> int:

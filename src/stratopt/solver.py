@@ -33,11 +33,6 @@ _SELF_CHECK_RTOL = 1e-7
 _SELF_CHECK_FLOOR = 8 * 2.0**-53
 _SUBNORMAL_SPACING = 2.0**-1074
 
-# the cost table of the last solve_problem, keyed by the prefix moments and
-# layer bounds it was costed from, until brute_force_solve takes it; at
-# most one entry
-_kept: dict[tuple[PrefixMoments, Bounds], CostTable] = {}
-
 
 class PathSolution(NamedTuple):
     """Node sequence of one source to terminal path and its summed cost."""
@@ -79,6 +74,24 @@ class StratificationSolution(NamedTuple):
     @property
     def K(self) -> int:
         return self.nodes[-1] - 1
+
+
+class _Solved(NamedTuple):
+    """One solve_problem's outcome, kept for a check of the same problem:
+    the table and spec it was handed, their layer bounds and prefix
+    moments, its cost table and its report."""
+
+    ft: FrequencyTable
+    spec: ProblemSpec
+    bounds: Bounds
+    pm: PrefixMoments
+    table: CostTable
+    solution: StratificationSolution
+
+
+# the outcome of the last solve_problem that reported, until the next
+# search takes or drops it; at most one entry
+_kept: list[_Solved] = []
 
 
 def solve(graph: LayeredGraph) -> PathSolution:
@@ -237,11 +250,17 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     or LayeredGraph is built. L = 1 is the one-layer case. The result
     carries wall-clock elapsed seconds.
 
-    The table, about K^2/2 floats, stays kept until the next search: the
-    next solve_problem drops it before it costs its own, and the next
-    brute_force_solve takes it, reading it in place of costing its own when
-    it checks the same prefix moments and layer bounds. _cheapest_path only
-    reads its rows, so the check sees the table as costed.
+    Once reported, the solve's outcome stays kept until the next search:
+    the frequency table and spec it was handed, their layer bounds and
+    prefix moments, its cost table of about K^2/2 floats, and its report.
+    The next solve_problem drops it before it costs its own table. The
+    next brute_force_solve takes it when handed the very same table object
+    and an equal spec: it then skips check_problem, scores the kept table
+    in place of costing its own, and returns the kept report, its elapsed
+    replaced, when its walk lands on the same nodes. A FrequencyTable's
+    fields are tuples and _cheapest_path only reads its rows, so the check
+    sees the inputs as validated and the table as costed. A solve that
+    raises keeps nothing.
 
     Raises InfeasibleProblemError, InvalidSpecError and DataError from
     check_problem, before any costing; DataError also when a segment cost,
@@ -253,9 +272,10 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     bounds, pm = check_problem(ft, spec)
     # an earlier table goes before this one is costed, so two are never held
     _kept.clear()
-    _kept[pm, bounds] = table = cost_table(pm, bounds)
-    nodes = _cheapest_path(bounds, *table)
-    return _report(nodes, pm, ft, spec, start)
+    table = cost_table(pm, bounds)
+    solution = _report(_cheapest_path(bounds, *table), pm, ft, spec, start)
+    _kept.append(_Solved(ft, spec, bounds, pm, table, solution))
+    return solution
 
 
 def _cheapest_path(

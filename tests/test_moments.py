@@ -400,6 +400,13 @@ class TestVarianceFormulas:
         with pytest.raises(InfeasibleAllocationError):
             variance_general([(4, 1.0, 5.0)], spec)
 
+    def test_nan_allocation_rejected(self):
+        """NaN compares false both ways, so it must fail the range test, not
+        slip past two one-sided tests into a NaN variance."""
+        spec = ProblemSpec(L=1, n=3, N=9)
+        with pytest.raises(InfeasibleAllocationError, match=r"^stratum sample size nan outside"):
+            variance_general([(9, 1.0, math.nan)], spec)
+
     def test_no_strata_rejected(self):
         spec = ProblemSpec(L=1, n=3, N=9)
         with pytest.raises(ValueError) as info:
@@ -511,6 +518,19 @@ class TestLargestRemainderInIntegers:
         ):
             allocate_proportional((3.0, 6), ProblemSpec(L=2, n=3, N=9))
 
+    def test_sizes_must_not_be_bools(self):
+        """A bool is an Integral, yet True would read as a stratum of one."""
+        with pytest.raises(
+            InvalidSpecError, match=r"^stratum sizes must be integers, got \(True, 9\)$"
+        ):
+            allocate_proportional([True, 9], ProblemSpec(L=2, n=4, N=10))
+
+    def test_sizes_must_not_be_negative(self):
+        with pytest.raises(
+            InvalidSpecError, match=r"^stratum sizes must be nonnegative, got \(-1, 11\)$"
+        ):
+            allocate_proportional([-1, 11], ProblemSpec(L=2, n=4, N=10))
+
 
 class TestAllocateNeyman:
     def test_equal_dispersion_splits_proportionally(self):
@@ -531,6 +551,13 @@ class TestAllocateNeyman:
     def test_all_zero_dispersion_rejected(self):
         with pytest.raises(DegenerateAllocationError):
             allocate_neyman((5, 5), (0.0, 0.0), 6)
+
+    @pytest.mark.parametrize("sd", [math.nan, math.inf, -1.0], ids=["nan", "inf", "negative"])
+    def test_dispersion_must_be_finite_and_nonnegative(self, sd):
+        """No share is returned as NaN: a NaN or infinite dispersion is
+        refused, as is a negative one, which would give a negative share."""
+        with pytest.raises(ValueError, match=r"^dispersions must be finite and nonnegative"):
+            allocate_neyman((5, 5), (sd, 1.0), 4)
 
 
 class TestCoefficientOfVariation:
@@ -563,6 +590,11 @@ class TestCoefficientOfVariation:
     def test_negative_variance_rejected(self):
         with pytest.raises(ValueError):
             coefficient_of_variation(-1.0, 78.0)
+
+    def test_nan_variance_rejected(self):
+        """A NaN variance is the variance's fault, not the total's."""
+        with pytest.raises(ValueError, match=r"^variance must be nonnegative, got nan$"):
+            coefficient_of_variation(math.nan, 3.0)
 
 
 class TestTransformationLaws:

@@ -21,6 +21,7 @@ from stratopt import (
     ProblemSpec,
     attach_costs,
     brute_force_solve,
+    build_frequency_table,
     build_layered_graph,
     build_prefix_moments,
     count_solutions,
@@ -33,6 +34,7 @@ from helpers import (
     desk_table,
     enumerate_compositions,
     nodes_from_composition,
+    population_from_pairs,
     random_instance,
     random_pairs,
     reference_brute_force_solve,
@@ -364,6 +366,114 @@ class TestTableHandOff:
                 brute_force_solve(ft, ProblemSpec(L=3, n=10, N=ft.N + 1))
         else:
             brute_force_solve(ft, spec)
+        assert not stratopt.solver._kept
+
+
+def count_calls(monkeypatch, module, name) -> list:
+    """The argument tuples of every call to module.name from now on."""
+    calls = []
+    function = getattr(module, name)
+
+    def counting(*args):
+        calls.append(args)
+        return function(*args)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+class TestOutcomeHandOff:
+    """A check handed the very table and an equal spec of the solve just
+    run takes that solve's validated problem and report along with its
+    table; a check of an equal but distinct table repeats the work."""
+
+    @staticmethod
+    def problem(L: int, ties: bool):
+        rng = random.Random(f"outcome:{L}:{ties}")
+        if ties:
+            pairs = tie_heavy_pairs(rng, 2 * L + 12)
+        else:
+            pairs = random_pairs(rng, L, k_max=2 * L + 12, k_min=2 * L + 12)
+        population = population_from_pairs(pairs)
+        ft = build_frequency_table(population)
+        return population, ft, ProblemSpec(L=L, n=L, N=ft.N)
+
+    @staticmethod
+    def repeated_work(monkeypatch):
+        """Calls that validate, cost or report a problem, by name."""
+        return {
+            "build_prefix_moments": count_calls(monkeypatch, stratopt.solver, "build_prefix_moments"),
+            "_cost_row": count_calls(monkeypatch, stratopt.graph, "_cost_row"),
+            "segment_stats_direct": count_calls(monkeypatch, stratopt.solver, "segment_stats_direct"),
+        }
+
+    @pytest.mark.parametrize("same_spec", [True, False], ids=["same-spec", "equal-spec"])
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    @pytest.mark.parametrize("L", range(1, 7))
+    def test_check_after_its_solve_repeats_none_of_its_work(self, monkeypatch, L, ties, same_spec):
+        """No validation, no costing and no self-check: the check returns
+        the solve's report, equal in every field but elapsed."""
+        _, ft, spec = self.problem(L, ties)
+        solved = solve_problem(ft, spec)
+        work = self.repeated_work(monkeypatch)
+        checked = brute_force_solve(ft, spec if same_spec else ProblemSpec(*spec))
+        assert work == {name: [] for name in work}
+        assert checked._replace(elapsed=0.0) == solved._replace(elapsed=0.0)
+        assert checked.elapsed > 0.0
+        assert not stratopt.solver._kept
+
+    @pytest.mark.parametrize("ties", [False, True], ids=["random", "ties"])
+    def test_check_of_an_equal_table_validates_and_costs_its_own(self, monkeypatch, ties):
+        """A table rebuilt from the same population equals the solved one
+        but is another object: the check validates it, costs every row and
+        self-checks every stratum, and reports what the solve reported."""
+        L = 3
+        population, ft, spec = self.problem(L, ties)
+        twin = build_frequency_table(population)
+        assert twin == ft and twin is not ft
+        solved = solve_problem(ft, spec)
+        tails = table_tails(*cost_table(build_prefix_moments(ft), layer_bounds(ft.K, L)))
+        work = self.repeated_work(monkeypatch)
+        checked = brute_force_solve(twin, spec)
+        assert len(work["build_prefix_moments"]) == 1
+        assert [args[1] for args in work["_cost_row"]] == tails
+        assert len(work["segment_stats_direct"]) == L
+        assert checked._replace(elapsed=0.0) == solved._replace(elapsed=0.0)
+        assert not stratopt.solver._kept
+
+    def test_check_whose_walk_finds_other_nodes_reports_them(self, monkeypatch):
+        """Where the walk lands off the solve's nodes, the check self-checks
+        and reports its own nodes, not the kept report."""
+        L = 3
+        _, ft, spec = self.problem(L, False)
+        solved = solve_problem(ft, spec)
+        other = (1, 3, 5, ft.K + 1)
+        assert other != solved.nodes
+        walk = stratopt.oracle._walk_compositions
+        monkeypatch.setattr(
+            stratopt.oracle,
+            "_walk_compositions",
+            lambda rows, final, K, L: (other, walk(rows, final, K, L)[1]),
+        )
+        direct = count_calls(monkeypatch, stratopt.solver, "segment_stats_direct")
+        checked = brute_force_solve(ft, spec)
+        assert checked.nodes == other
+        assert len(direct) == L
+        expected = stratopt.solver._report(other, build_prefix_moments(ft), ft, spec)
+        assert checked._replace(elapsed=0.0) == expected
+        assert not stratopt.solver._kept
+
+    def test_a_solve_that_raises_keeps_nothing(self, monkeypatch):
+        """The outcome is kept only once the report has returned, so a check
+        after a failed solve validates and costs its own."""
+        _, ft, spec = self.problem(3, False)
+
+        def failing(*args):
+            raise ConsistencyError("report refused")
+
+        monkeypatch.setattr(stratopt.solver, "_report", failing)
+        with pytest.raises(ConsistencyError, match="report refused"):
+            solve_problem(ft, spec)
         assert not stratopt.solver._kept
 
 

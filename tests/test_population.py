@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import io
 import math
+import pickle
 import random
 import tracemalloc
 
@@ -13,6 +14,7 @@ import stratopt.population as population
 from stratopt import (
     DataError,
     EmptyPopulationError,
+    FrequencyTable,
     InputSchemaError,
     Population,
     build_frequency_table,
@@ -343,6 +345,36 @@ class TestByteOrderMark:
     def test_mark_alone_is_an_empty_input(self):
         with pytest.raises(EmptyPopulationError, match="^input has no header row$"):
             load_population(io.StringIO("\ufeff"))
+
+
+class TestFrequencyTable:
+    """A table stores its fields as tuples however it is made, so that no
+    table changes once made."""
+
+    LISTS = ([2.0, 4.0], [1, 2], [2.0, 8.0], [4.0, 32.0])
+
+    @pytest.mark.parametrize("route", ["built", "_replace", "_make", "pickle"])
+    def test_fields_are_tuples(self, route):
+        built = FrequencyTable(*self.LISTS)
+        ft = {
+            "built": lambda: built,
+            "_replace": lambda: built._replace(q=[1.0, 3.0], count=[2, 1]),
+            "_make": lambda: FrequencyTable._make(self.LISTS),
+            "pickle": lambda: pickle.loads(pickle.dumps(built)),
+        }[route]()
+        assert type(ft) is FrequencyTable
+        assert all(type(field) is tuple for field in ft), ft
+        if route == "_replace":
+            assert ft[:2] == ((1.0, 3.0), (2, 1))
+        else:
+            assert ft == tuple(map(tuple, self.LISTS))
+
+    def test_tuple_fields_pass_through(self):
+        """A table of tuples, as build_frequency_table makes, keeps the very
+        tuples it was handed."""
+        fields = tuple(map(tuple, self.LISTS))
+        ft = FrequencyTable(*fields)
+        assert all(map(lambda kept, given: kept is given, ft, fields))
 
 
 class TestBuildFrequencyTable:

@@ -301,7 +301,8 @@ class TestTableHandOff:
         else:
             ft = random_instance(rng, L, k_max=2 * L + 12, k_min=2 * L + 12)
         solve_problem(ft, ProblemSpec(L=L, n=L, N=ft.N))
-        [((pm, bounds), (rows, final))] = stratopt.solver._kept.items()
+        [kept] = stratopt.solver._kept
+        pm, bounds, (rows, final) = kept.pm, kept.bounds, kept.table
         assert pm == build_prefix_moments(ft)
         assert bounds == layer_bounds(ft.K, L)
         fresh_rows, fresh_final = cost_table(pm, bounds)
