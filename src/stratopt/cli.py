@@ -19,6 +19,7 @@ from .errors import (
     InputSchemaError,
     InvalidSpecError,
     OracleTooLargeError,
+    StratificationError,
     UndefinedCVError,
 )
 from .moments import ProblemSpec, allocate_neyman
@@ -53,7 +54,8 @@ def run(cfg: RunConfig) -> int:
     Nothing reaches stdout unless the run succeeds. Diagnostics go to
     stderr, one line each. Returns the process exit code: 0 on success, 2 on
     input or schema problems, 3 on infeasible problems or when memory runs
-    out, 4 on internal consistency failures.
+    out, 4 on internal consistency failures and on any other library error,
+    which valid use of the library never raises here.
     """
     try:
         try:
@@ -101,7 +103,7 @@ def run(cfg: RunConfig) -> int:
         return _fail(str(exc), EXIT_INPUT)
     except (InvalidSpecError, InfeasibleProblemError, UndefinedCVError) as exc:
         return _fail(str(exc), EXIT_INFEASIBLE)
-    except ConsistencyError as exc:
+    except StratificationError as exc:  # ConsistencyError, or a library bug
         return _fail(str(exc), EXIT_INTERNAL)
     except MemoryError:
         return _fail(

@@ -53,14 +53,6 @@ class LayeredGraph(NamedTuple):
     table: CostTable | None = None
 
     @property
-    def source(self) -> int:
-        return 1
-
-    @property
-    def sink(self) -> int:
-        return self.K + 1
-
-    @property
     def layers(self) -> tuple[tuple[Arc, ...], ...]:
         def cost(i: int, j: int) -> float | None:
             if self.table is None:

@@ -40,10 +40,6 @@ class PrefixMoments(NamedTuple):
     def K(self) -> int:
         return len(self.cum_count) - 1
 
-    @property
-    def N(self) -> int:
-        return self.cum_count[-1]
-
 
 class SegmentStats(NamedTuple):
     """Unit count, dispersion, and y total of one candidate stratum.
@@ -212,10 +208,11 @@ def total_variance_proportional(costs: Sequence[float], spec: ProblemSpec) -> fl
     """Variance of the estimated total under proportional allocation.
 
     (N/n) * (1 - n/N) * sum(costs) with the correction, (N/n) * sum(costs)
-    without (sampling with replacement).
+    without (sampling with replacement). Raises ValueError when costs is
+    empty or a cost is negative, NaN or infinite.
     """
-    if not costs:
-        raise ValueError("costs must be nonempty")
+    if not costs or not all(0.0 <= cost < math.inf for cost in costs):
+        raise ValueError(f"costs must be nonempty, finite and nonnegative, got {tuple(costs)!r}")
     return variance_factor(spec) * math.fsum(costs)
 
 
@@ -227,7 +224,8 @@ def variance_general(
     per_stratum yields (N_h, S2_h, n_h) triples; n_h may be fractional. Each
     stratum contributes N_h^2 * (S2_h / n_h) * (1 - n_h / N_h), the last
     factor dropped when spec.fpc is false. Raises InfeasibleAllocationError
-    for an n_h outside (0, N_h], a NaN n_h included.
+    for an n_h outside (0, N_h], a NaN n_h included, and then ValueError
+    for an S2_h that is negative, NaN or infinite.
     """
     terms = []
     for n_pop, s2, n_h in per_stratum:
@@ -235,6 +233,8 @@ def variance_general(
             raise InfeasibleAllocationError(
                 f"stratum sample size {n_h} outside (0, {n_pop}]"
             )
+        if not 0.0 <= s2 < math.inf:
+            raise ValueError(f"stratum dispersion S2_h must be finite and nonnegative, got {s2!r}")
         term = n_pop * n_pop * (s2 / n_h)
         if spec.fpc:
             term *= 1.0 - n_h / n_pop
@@ -301,11 +301,11 @@ def coefficient_of_variation(variance: float, total: float) -> float:
 
     Never negative: a negative total gives the CV of its mirror image -y,
     whose variance is the same. Raises ValueError when the variance is
-    negative or NaN, and UndefinedCVError when the total is zero, or so
-    close to zero that the CV overflows a float.
+    negative, NaN or infinite, and UndefinedCVError when the total is zero,
+    or so close to zero that the CV overflows a float.
     """
-    if not variance >= 0.0:
-        raise ValueError(f"variance must be nonnegative, got {variance}")
+    if not 0.0 <= variance < math.inf:
+        raise ValueError(f"variance must be finite and nonnegative, got {variance}")
     if total == 0.0:
         raise UndefinedCVError("population total is zero, CV undefined")
     cv = 100.0 * math.sqrt(variance) / abs(total)

@@ -18,7 +18,7 @@ from .errors import DEFAULT_ORACLE_CAP, ConsistencyError, OracleTooLargeError
 from .graph import cost_table
 from .moments import ProblemSpec, exact_cost_units
 from .population import FrequencyTable
-from .solver import StratificationSolution, _kept, _report, check_problem
+from .solver import StratificationSolution, _report, _take_kept, check_problem
 
 
 def count_solutions(K: int, L: int) -> int:
@@ -54,18 +54,16 @@ def brute_force_solve(
     the second, exact in integer units. Its smallest tied composition is
     the smallest tied prefix followed by the first tied suffix.
 
-    Right after a solve_problem handed the very same table object and an
-    equal spec, the check takes that solve's kept outcome. It skips
-    check_problem, as the solve validated these inputs and a
-    FrequencyTable cannot change; it still tests its cap. It scores the
-    kept cost table, the one cost_table would build from the same prefix
-    moments and layer bounds, bit for bit, and drops it before the walk.
-    When its walk lands on the solve's nodes it returns the solve's
-    report with its own elapsed, the one _report would rebuild from the
-    same inputs; otherwise it reports its own nodes. Every other check
-    validates and costs its own. Either way, and when it raises, it
-    leaves nothing kept. The two searches share the validated inputs, the
-    cost table, which the solver's dynamic program only reads, and the
+    The check first empties the solver's kept slot. When the solver's
+    _take_kept hands it the outcome of a solve_problem of this very table
+    and an equal spec, it skips check_problem, as the solve validated these
+    inputs; it still tests its cap. It scores the kept cost table, the one
+    cost_table would build from the same inputs, bit for bit, and drops it
+    before the walk. When its walk lands on the solve's nodes it returns
+    the solve's report with its own elapsed, the one _report would rebuild
+    from the same inputs; otherwise it reports its own nodes. Every other
+    check validates and costs its own, and no check leaves anything kept.
+    The two searches share the validated inputs, the cost table, and the
     report of nodes both reach; never a choice of nodes.
 
     Raises InfeasibleProblemError, InvalidSpecError and DataError from
@@ -77,12 +75,11 @@ def brute_force_solve(
     """
     start = time.perf_counter()
     # the last solve's outcome leaves the slot whatever this check does
-    solved = _kept.pop() if _kept else None
-    if solved is None or solved.ft is not ft or solved.spec != spec:
-        solved = None
+    solved = _take_kept(ft, spec)
+    if solved is None:
         bounds, pm = check_problem(ft, spec)
     else:
-        bounds, pm = solved.bounds, solved.pm
+        pm = solved.pm
     m = count_solutions(ft.K, spec.L)
     if m > cap:
         raise OracleTooLargeError(

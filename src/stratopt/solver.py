@@ -78,12 +78,12 @@ class StratificationSolution(NamedTuple):
 
 class _Solved(NamedTuple):
     """One solve_problem's outcome, kept for a check of the same problem:
-    the table and spec it was handed, their layer bounds and prefix
-    moments, its cost table and its report."""
+    the table and spec it was handed, their prefix moments, its cost table
+    and its report. Only this module reads or writes the slot that holds
+    it; a check takes it through _take_kept."""
 
     ft: FrequencyTable
     spec: ProblemSpec
-    bounds: Bounds
     pm: PrefixMoments
     table: CostTable
     solution: StratificationSolution
@@ -92,6 +92,18 @@ class _Solved(NamedTuple):
 # the outcome of the last solve_problem that reported, until the next
 # search takes or drops it; at most one entry
 _kept: list[_Solved] = []
+
+
+def _take_kept(ft: FrequencyTable, spec: ProblemSpec) -> _Solved | None:
+    """Empty the slot, returning the kept outcome when its solve was
+    handed the very same table object and an equal spec, else None.
+
+    A FrequencyTable's fields are tuples and _cheapest_path only reads the
+    cost table's rows, so the outcome returned holds the inputs as the
+    solve validated them and the table as it costed it.
+    """
+    solved = _kept.pop() if _kept else None
+    return solved if solved is not None and solved.ft is ft and solved.spec == spec else None
 
 
 def solve(graph: LayeredGraph) -> PathSolution:
@@ -250,17 +262,16 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     or LayeredGraph is built. L = 1 is the one-layer case. The result
     carries wall-clock elapsed seconds.
 
-    Once reported, the solve's outcome stays kept until the next search:
-    the frequency table and spec it was handed, their layer bounds and
-    prefix moments, its cost table of about K^2/2 floats, and its report.
-    The next solve_problem drops it before it costs its own table. The
-    next brute_force_solve takes it when handed the very same table object
-    and an equal spec: it then skips check_problem, scores the kept table
-    in place of costing its own, and returns the kept report, its elapsed
-    replaced, when its walk lands on the same nodes. A FrequencyTable's
-    fields are tuples and _cheapest_path only reads its rows, so the check
-    sees the inputs as validated and the table as costed. A solve that
-    raises keeps nothing.
+    Once reported, the solve's outcome stays kept in this module until the
+    next search: the frequency table and spec it was handed, their prefix
+    moments, its cost table of about K^2/2 floats, and its report. The
+    next solve_problem drops it before it costs its own table. The next
+    brute_force_solve empties the slot through _take_kept, which hands it
+    the outcome only for the very same table object and an equal spec: the
+    check then skips check_problem, scores the kept table in place of
+    costing its own, and returns the kept report, its elapsed replaced,
+    when its walk lands on the same nodes. A solve that raises keeps
+    nothing.
 
     Raises InfeasibleProblemError, InvalidSpecError and DataError from
     check_problem, before any costing; DataError also when a segment cost,
@@ -274,7 +285,7 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     _kept.clear()
     table = cost_table(pm, bounds)
     solution = _report(_cheapest_path(bounds, *table), pm, ft, spec, start)
-    _kept.append(_Solved(ft, spec, bounds, pm, table, solution))
+    _kept.append(_Solved(ft, spec, pm, table, solution))
     return solution
 
 

@@ -278,7 +278,7 @@ def exact_dp_nodes(pairs, L: int) -> tuple[int, ...]:
 
 def count_paths(graph: LayeredGraph) -> int:
     """Number of source to terminal paths using one arc per layer."""
-    ways = {graph.source: 1}
+    ways = {1: 1}
     for layer in graph.layers:
         onward: dict[int, int] = {}
         for arc in layer:
@@ -286,7 +286,7 @@ def count_paths(graph: LayeredGraph) -> int:
             if weight:
                 onward[arc.head] = onward.get(arc.head, 0) + weight
         ways = onward
-    return ways.get(graph.sink, 0)
+    return ways.get(graph.K + 1, 0)
 
 
 def reference_cost_table(

@@ -17,6 +17,7 @@ import stratopt
 from stratopt import (
     InputSchemaError,
     ProblemSpec,
+    StratificationError,
     build_frequency_table,
     cli,
     load_population,
@@ -54,6 +55,11 @@ def write_rows(tmp_path, rows, header="x,y"):
     path = tmp_path / "pop.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
     return str(path)
+
+
+def library_errors(base):
+    """base and every subclass of it, at any depth."""
+    return [base, *(sub for child in base.__subclasses__() for sub in library_errors(child))]
 
 
 def reject_constant(name):
@@ -844,6 +850,24 @@ class TestNoTraceback:
             ):
                 failures.append((case, pairs, strata, n, code, out, err))
         assert failures == []
+
+    @pytest.mark.parametrize(
+        "error", library_errors(StratificationError), ids=lambda error: error.__name__
+    )
+    def test_every_library_error_exits_with_one_line(self, capsys, desk_csv, monkeypatch, error):
+        """Every exception type of the package, the base class and each
+        subclass at any depth, that reaches the command line from a solve
+        exits 2, 3 or 4 with empty stdout and one error line, not a
+        traceback."""
+
+        def failing(*args, **kwargs):
+            raise error("raised for the test")
+
+        monkeypatch.setattr(cli, "solve_problem", failing)
+        code, out, err = run_cli(capsys, "--input", desk_csv, "--strata", "2", "--sample-size", "3")
+        assert code in (2, 3, 4)
+        assert out == ""
+        assert err == "error: raised for the test\n"
 
     @pytest.mark.parametrize(
         "owner,stage",

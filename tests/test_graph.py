@@ -55,11 +55,6 @@ class TestBuildLayeredGraph:
         assert arc_pairs(g, 1) == [(1, 3), (1, 4)]
         assert arc_pairs(g, 2) == [(3, 6), (4, 6)]
 
-    def test_source_and_sink(self):
-        g = build_layered_graph(8, 3)
-        assert g.source == 1
-        assert g.sink == 9
-
     def test_minimal_graph_single_path(self):
         """K = 2L leaves exactly one arc per layer through the odd nodes."""
         g = build_layered_graph(6, 3)

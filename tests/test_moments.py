@@ -62,7 +62,6 @@ class TestPrefixMoments:
         assert pm.cum_y == (0.0, 2.0, 10.0, 18.0, 48.0, 78.0)
         assert pm.cum_y2 == (0.0, 4.0, 36.0, 100.0, 400.0, 850.0)
         assert pm.K == 5
-        assert pm.N == 9
 
     def test_leading_zeros(self, desk):
         _, pm = desk
@@ -358,6 +357,13 @@ class TestVarianceFormulas:
         with pytest.raises(ValueError):
             total_variance_proportional([], ProblemSpec(L=1, n=1, N=2))
 
+    @pytest.mark.parametrize("cost", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_costs_must_be_finite_and_nonnegative(self, cost):
+        """A NaN, negative or infinite cost would give a NaN, understated or
+        infinite variance."""
+        with pytest.raises(ValueError, match=r"^costs must be nonempty, finite and nonnegative"):
+            total_variance_proportional([3.0, cost], ProblemSpec(L=2, n=3, N=9))
+
     def test_general_formula_single_stratum(self):
         """9^2 * (21.75 / 3) * (1 - 3/9) = 391.5."""
         spec = ProblemSpec(L=1, n=3, N=9)
@@ -406,6 +412,14 @@ class TestVarianceFormulas:
         spec = ProblemSpec(L=1, n=3, N=9)
         with pytest.raises(InfeasibleAllocationError, match=r"^stratum sample size nan outside"):
             variance_general([(9, 1.0, math.nan)], spec)
+
+    @pytest.mark.parametrize("s2", [math.nan, -1.0, math.inf], ids=["nan", "negative", "inf"])
+    def test_dispersion_must_be_finite_and_nonnegative(self, s2):
+        """A NaN, negative or infinite S2_h would give a NaN, understated or
+        infinite variance."""
+        spec = ProblemSpec(L=2, n=3, N=9)
+        with pytest.raises(ValueError, match=r"^stratum dispersion S2_h must be finite"):
+            variance_general([(4, 1.0, 1.0), (5, s2, 2.0)], spec)
 
     def test_no_strata_rejected(self):
         spec = ProblemSpec(L=1, n=3, N=9)
@@ -593,8 +607,13 @@ class TestCoefficientOfVariation:
 
     def test_nan_variance_rejected(self):
         """A NaN variance is the variance's fault, not the total's."""
-        with pytest.raises(ValueError, match=r"^variance must be nonnegative, got nan$"):
+        with pytest.raises(ValueError, match=r"^variance must be finite and nonnegative, got nan$"):
             coefficient_of_variation(math.nan, 3.0)
+
+    def test_infinite_variance_rejected(self):
+        """An infinite variance is the variance's fault, not the total's."""
+        with pytest.raises(ValueError, match=r"^variance must be finite and nonnegative, got inf$"):
+            coefficient_of_variation(math.inf, 3.0)
 
 
 class TestTransformationLaws:

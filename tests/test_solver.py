@@ -302,10 +302,9 @@ class TestTableHandOff:
             ft = random_instance(rng, L, k_max=2 * L + 12, k_min=2 * L + 12)
         solve_problem(ft, ProblemSpec(L=L, n=L, N=ft.N))
         [kept] = stratopt.solver._kept
-        pm, bounds, (rows, final) = kept.pm, kept.bounds, kept.table
+        pm, (rows, final) = kept.pm, kept.table
         assert pm == build_prefix_moments(ft)
-        assert bounds == layer_bounds(ft.K, L)
-        fresh_rows, fresh_final = cost_table(pm, bounds)
+        fresh_rows, fresh_final = cost_table(pm, layer_bounds(ft.K, L))
 
         def bits(costs):
             return [None if cost is None else cost.hex() for cost in costs]

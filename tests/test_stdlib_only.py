@@ -1,7 +1,8 @@
 """The core package stays standard-library only, the tests need only
-pytest besides it, a problem is judged valid in one place, importing
-the package loads neither dataclasses nor the oracle, and the command
-line loads the oracle only to run it."""
+pytest besides it, a problem is judged valid in one place, only the
+solver names its kept outcome, importing the package loads neither
+dataclasses nor the oracle, and the command line loads the oracle only
+to run it."""
 
 from __future__ import annotations
 
@@ -85,11 +86,9 @@ def test_invalid_problems_are_rejected_in_four_places():
     }
 
 
-def test_the_oracle_shares_no_search_with_the_solver():
-    """The oracle certifies the solver's answers only as long as it finds
-    its own: oracle.py neither imports nor names the solver's search,
-    _cheapest_path, solve_problem or solve, under any alias."""
-    path = ROOT / "src" / "stratopt" / "oracle.py"
+def names_in(path):
+    """Every name path imports, binds, reads or takes as an attribute,
+    with the last part of each imported name and each alias."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
         if isinstance(node, ast.alias):
@@ -98,8 +97,23 @@ def test_the_oracle_shares_no_search_with_the_solver():
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
+    return names
+
+
+def test_the_oracle_shares_no_search_with_the_solver():
+    """The oracle certifies the solver's answers only as long as it finds
+    its own: oracle.py neither imports nor names the solver's search,
+    _cheapest_path, solve_problem or solve, under any alias."""
+    names = names_in(ROOT / "src" / "stratopt" / "oracle.py")
     assert {"check_problem", "_report"} <= names
     assert names & {"_cheapest_path", "solve_problem", "solve"} == set()
+
+
+def test_only_the_solver_names_its_kept_outcome():
+    """The solver alone reads or writes _kept, the slot holding the last
+    solve's outcome, and decides when a check may take it: no other module
+    of the package imports or names it, under any alias."""
+    assert [path.name for path in SOURCES if "_kept" in names_in(path)] == ["solver.py"]
 
 
 COLD_IMPORT = """
