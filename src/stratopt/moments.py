@@ -62,6 +62,11 @@ class _ProblemFields(NamedTuple):
     fpc: bool = True
 
 
+def _is_integer(value: object) -> bool:
+    # a bool is an Integral, yet True would read as 1
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 class ProblemSpec(_ProblemFields):
     """Stratum count L, sample size n and population size N, integers but
     not bools, and the without-replacement correction switch (fpc), a bool.
@@ -74,8 +79,7 @@ class ProblemSpec(_ProblemFields):
 
     def __new__(cls, L: int, n: int, N: int, fpc: bool = True) -> ProblemSpec:
         for name, value in (("L", L), ("n", n), ("N", N)):
-            # a bool is an Integral, yet True would read as 1
-            if not isinstance(value, Integral) or isinstance(value, bool):
+            if not _is_integer(value):
                 raise InvalidSpecError(f"{name} must be an integer, got {value!r}")
         if L < 1:
             raise InvalidSpecError(f"stratum count must be at least 1, got {L}")
@@ -244,6 +248,20 @@ def variance_general(
     return math.fsum(terms)
 
 
+def _check_allocation(n_pops: Sequence[int], n: int, N: int | None = None) -> None:
+    """Raise InvalidSpecError unless every stratum size is a nonnegative
+    integer, the sample size n an integer of at least 1, a bool counting as
+    neither, and the sizes sum to N when N is given."""
+    if not all(map(_is_integer, n_pops)):
+        raise InvalidSpecError(f"stratum sizes must be integers, got {tuple(n_pops)!r}")
+    if any(size < 0 for size in n_pops):
+        raise InvalidSpecError(f"stratum sizes must be nonnegative, got {tuple(n_pops)!r}")
+    if not _is_integer(n) or n < 1:
+        raise InvalidSpecError(f"sample size must be an integer of at least 1, got {n!r}")
+    if N is not None and sum(n_pops) != N:
+        raise InvalidSpecError(f"stratum sizes sum to {sum(n_pops)}, expected N={N}")
+
+
 def allocate_proportional(
     n_pops: Sequence[int], spec: ProblemSpec
 ) -> tuple[tuple[float, ...], tuple[int, ...]]:
@@ -257,15 +275,7 @@ def allocate_proportional(
     a size is not a nonnegative integer, a bool counting as none, or the
     sizes do not sum to N.
     """
-    # a bool is an Integral, yet True would read as 1
-    if not all(isinstance(size, Integral) and not isinstance(size, bool) for size in n_pops):
-        raise InvalidSpecError(f"stratum sizes must be integers, got {tuple(n_pops)!r}")
-    if any(size < 0 for size in n_pops):
-        raise InvalidSpecError(f"stratum sizes must be nonnegative, got {tuple(n_pops)!r}")
-    if sum(n_pops) != spec.N:
-        raise InvalidSpecError(
-            f"stratum sizes sum to {sum(n_pops)}, expected N={spec.N}"
-        )
+    _check_allocation(n_pops, spec.n, spec.N)
     fractional = tuple(spec.n * size / spec.N for size in n_pops)
     parts = [divmod(spec.n * size, spec.N) for size in n_pops]
     rounded = [floor for floor, _ in parts]
@@ -280,11 +290,13 @@ def allocate_neyman(
 ) -> tuple[float, ...]:
     """Dispersion-weighted (optimal) fractional allocation.
 
-    n_h = n * N_h * S_h / sum(N_l * S_l). Raises ValueError when the two
-    sequences differ in length or a dispersion S_h is negative, NaN or
-    infinite, and DegenerateAllocationError when every stratum has zero
-    dispersion.
+    n_h = n * N_h * S_h / sum(N_l * S_l). Raises InvalidSpecError when a
+    size is not a nonnegative integer or n is not an integer of at least 1,
+    a bool counting as neither; ValueError when the two sequences differ in
+    length or a dispersion S_h is negative, NaN or infinite; and
+    DegenerateAllocationError when every stratum has zero dispersion.
     """
+    _check_allocation(n_pops, n)
     if not all(0.0 <= sd < math.inf for sd in s):
         raise ValueError(f"dispersions must be finite and nonnegative, got {tuple(s)!r}")
     weights = [size * sd for size, sd in zip(n_pops, s, strict=True)]

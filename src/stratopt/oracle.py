@@ -2,7 +2,10 @@
 
 A stratification is a composition of the K distinct values into L runs of at
 least two, so small instances can be enumerated outright and every one of
-them scored. The path solver must never disagree with this.
+them scored. The path solver must never disagree with this. The walk splits
+each composition around one middle stratum, forms every total of the strata
+on either side of it in exact integer units, and counts the compositions
+its groups cover, which must be all of them.
 """
 
 from __future__ import annotations
@@ -46,13 +49,16 @@ def brute_force_solve(
     error reaches both sides; the test suite checks the table's layout
     against a per-segment reference scorer. The costs become exact integer
     units whose size the table's least positive cost sets, so totals do not
-    depend on summation order and cost ties are genuine. The compositions
-    are grouped by the node a at which their last ceil(L/2) strata start,
-    so neither side of a path holds most of its strata. Every total of the
-    strata before a and every total of the strata from a on is formed,
-    and a group's least total is the least of the first plus the least of
-    the second, exact in integer units. Its smallest tied composition is
-    the smallest tied prefix followed by the first tied suffix.
+    depend on summation order and cost ties are genuine. Each composition
+    is split around one middle stratum a -> b, floor((L-1)/2) strata
+    ending at a and floor(L/2) starting at b, so no side of a path holds
+    most of its strata. Every total of the strata before a and every total
+    of the strata from b on is formed. The compositions through a form a
+    group, whose least total is the least of the first plus the least,
+    over b, of the middle arc plus the least of the second, exact in
+    integer units. Its smallest tied composition is the smallest tied
+    prefix, then the smallest tied b, then the first tied suffix of b. The
+    groups must cover count_solutions(K, L) compositions in all.
 
     The check first empties the solver's kept slot. When the solver's
     _take_kept hands it the outcome of a solve_problem of this very table
@@ -139,62 +145,72 @@ def _walk_compositions(
     """Cheapest node sequence over every composition, and the number of
     compositions covered.
 
-    A path 1 = n_0 < ... < n_L = K + 1 is split at a node a into a prefix
-    of p = floor(L/2) strata ending at a and a suffix of e = ceil(L/2)
-    strata starting there; at L = 1 and 2 the one path, or the K - 3 paths,
-    are scored directly. Both sides are formed by one list builder
-    (_lists). The list of every d-stratum prefix ending at t is, for each
-    end node s before t in ascending order, the block of (d-1)-stratum
-    prefixes ending at s plus the arc s -> t; the list of every d-stratum
-    suffix starting at i is, for each node j after i in ascending order,
-    the arc i -> j plus the block of (d-1)-stratum suffixes starting at j.
-    Lists hold plain integer totals, prefix lists in colexicographic order
-    and suffix lists in lexicographic order. Their block starts are
-    counted, never stored, both by the hockey-stick identity: in a
-    d-stratum prefix list the block of s starts at comb(s-d-1, d-1),
-    whatever the list's end node, and in the d-stratum suffix list of i the
-    block of j starts at comb(K-i-d, d-1) - comb(K+2-j-d, d-1).
+    A path 1 = n_0 < ... < n_L = K + 1 is split around one middle stratum
+    a -> b into a prefix of p = floor((L-1)/2) strata ending at a, the
+    middle arc, and a suffix of e = floor(L/2) strata starting at b; at
+    L = 1 and 2 the one path, or the K - 3 paths, are scored directly. Both
+    sides are formed by one list builder (_lists). The list of every
+    d-stratum prefix ending at t is, for each end node s before t in
+    ascending order, the block of (d-1)-stratum prefixes ending at s plus
+    the arc s -> t; the list of every d-stratum suffix starting at i is,
+    for each node j after i in ascending order, the arc i -> j plus the
+    block of (d-1)-stratum suffixes starting at j. Lists hold plain integer
+    totals, prefix lists in colexicographic order and suffix lists in
+    lexicographic order. Their block starts are counted, never stored, both
+    by the hockey-stick identity: in a d-stratum prefix list the block of s
+    starts at comb(s-d-1, d-1), whatever the list's end node, and in the
+    d-stratum suffix list of i the block of j starts at
+    comb(K-i-d, d-1) - comb(K+2-j-d, d-1).
 
-    The compositions through a form one group, built when it is scored:
-    its bases, the totals of every p-stratum prefix ending at a, and its
-    flat list, the totals of every e-stratum suffix starting there. Any
-    prefix ending at a and any suffix starting there make a composition,
-    so the group covers len(bases) * len(flat) compositions and its least
-    total is min(bases) + min(flat), exact because the totals are integers.
-    The path is split once, at a, and no minimum is taken within either
-    side: every prefix total and every suffix total is formed, and nothing
-    follows the solver's recurrence.
+    Every e-stratum suffix list is formed once, before the first group,
+    and only its least total and its length are kept, by node; the list is
+    dropped. The compositions through a form one group: its bases, the
+    totals of every p-stratum prefix ending at a, formed when it is scored,
+    and for each b after a the middle arc a -> b plus the least suffix
+    total of b, priced in one C-level pass. Any prefix ending at a, any
+    middle arc from a and any suffix starting at its b make a composition,
+    so the group covers len(bases) times the summed suffix list lengths of
+    those b, and its least total is min(bases) plus the least priced arc,
+    exact because the totals are integers. Every prefix total and every
+    suffix total is formed; a least is taken over one side list at a time
+    and over the one middle arc, and nothing follows the solver's
+    recurrence. The caller checks that the groups cover
+    count_solutions(K, L) compositions.
 
     Ties go by the (exact total, nodes) order: the walk keeps best, the
     least (total, nodes) pair so far, so a lower total wins and an equal
     one, a genuine tie, goes to the smaller node sequence. A composition of
-    the group reaches its least total only with a least base and a least
-    flat entry, and every prefix ends at a, so the group's least pair holds
-    the smallest prefix with a least base followed by the first least flat
-    entry. Every prefix with a least base is unranked from its position
-    through the counted block starts, one level for all of them at a time,
-    and the smallest is kept; the first least flat entry is unranked the
-    same way. No prefix ending at a is smaller than floor = (1, 3, ..., a),
-    so a group is followed up only when (low, floor) < best, and is then
-    kept by best = min(best, (low, nodes)).
+    the group reaches its least total only with a least base, a b whose
+    priced arc is least and a least suffix of that b, and every prefix ends
+    at a, so the group's least pair holds the smallest prefix with a least
+    base, then the smallest such b, then the first least entry of b's
+    suffix list. Every prefix with a least base is unranked from its
+    position through the counted block starts, one level for all of them
+    at a time, and the smallest is kept; b's list is formed again and its
+    first least entry unranked the same way. No prefix ending at a is
+    smaller than floor = (1, 3, ..., a), so a group is followed up only
+    when (low, floor) < best, and is then kept by
+    best = min(best, (low, nodes)).
 
     Memory holds the table, the prefix lists of depth p-1 and the suffix
     lists of depth e-1 of every node (and of one depth less while those are
-    built), and one group's bases and flat list, freed before the next
-    group is built. Only while a group's tie is followed up does it hold
-    the block starts of each depth, and the positions and nodes of its
-    prefixes with a least base.
+    built), the least suffix total and a running suffix count of every
+    node, one suffix list while its least is taken, and one group's bases
+    and priced arcs, with the next group's bases while those are built.
+    Only while a group's tie is followed up does it hold b's suffix list
+    again, the block starts of each depth, and the positions and nodes of
+    its prefixes with a least base.
     """
     if L == 1:
         return (1, K + 1), 1
     if L == 2:
         totals = list(map(add, rows[1], final[3:K]))
         return (1, 3 + totals.index(min(totals)), K + 1), len(totals)
-    p, e = L // 2, L - L // 2
-    # the lists one stratum short of each side's groups, indexed by node, a
-    # list of one total held as that total: the one-stratum prefix ending
-    # at t totals rows[1][t-3] (the zero-stratum prefix, at node 1, 0) and
-    # the one-stratum suffix starting at j totals final[j]
+    p, e = (L - 1) // 2, L // 2
+    # the lists one stratum short of each side's, indexed by node, a list of
+    # one total held as that total: the one-stratum prefix ending at t
+    # totals rows[1][t-3] (the zero-stratum prefix, at node 1, 0) and the
+    # one-stratum suffix starting at j totals final[j]
     heads = [0, 0] if p == 1 else [0, 0, 0, *rows[1]]
     tails = final[:-1]
     # a d-stratum prefix ends at a node in 2d+1 .. K+1-2(L-d), and a
@@ -205,15 +221,25 @@ def _walk_compositions(
     for d in range(2, e):
         span = range(2 * (L - d) + 1, K + 2 - 2 * d)
         tails = [[]] * span.start + list(_lists(rows, d, tails, span, True))
+    # indexed by node, least[b] is the least total of b's e-stratum suffix
+    # list and before[b+1] - before[b] its length, each list dropped once
+    # read; a one-stratum suffix list is the one total of its last stratum
+    least, before = tails, range(K + 1)
+    if e > 1:
+        span = range(2 * p + 3, K + 2 - 2 * e)
+        least, before = [0] * span.start, [0] * (span.start + 1)
+        for flat in _lists(rows, e, tails, span, True):
+            least.append(min(flat))
+            before.append(before[-1] + len(flat))
     best: tuple[float, tuple[int, ...]] = (math.inf, ())
     scored = 0
-    groups = range(2 * p + 1, K + 2 - 2 * e)
-    for a, bases, flat in zip(
-        groups, _lists(rows, p, heads, groups), _lists(rows, e, tails, groups, True)
-    ):
-        scored += len(bases) * len(flat)
-        base, entry = min(bases), min(flat)
-        low = base + entry
+    groups = range(2 * p + 1, K - 2 * e)
+    for a, bases in zip(groups, _lists(rows, p, heads, groups)):
+        # the middle arc a -> b plus the least suffix from b, b ascending
+        arcs = list(map(add, rows[a], least[a + 2 :]))
+        scored += len(bases) * (before[a + 2 + len(arcs)] - before[a + 2])
+        base, arc = min(bases), min(arcs)
+        low = base + arc
         # no prefix ending at a is smaller than floor, so no composition of
         # a group whose (low, floor) is not below best can win
         floor = (*range(1, 2 * p, 2), a)
@@ -234,18 +260,21 @@ def _walk_compositions(
                     columns.append(list(map(add, blocks, repeat(2 * d - 1))))
                 columns.append(map(add, positions, repeat(3)))
                 prefix = (1, *min(zip(*reversed(columns))), a)
-            # the first least flat entry is the smallest suffix
-            nodes, at = prefix, flat.index(entry)
-            for d in range(e, 2, -1):
-                # starts[j - i - 2] is where the block of node j starts
-                i = nodes[-1]
-                top = math.comb(K - i - d, d - 1)
-                starts = [top - math.comb(m, d - 1) for m in range(K - i - d, d - 2, -1)]
-                block = bisect_right(starts, at) - 1
-                nodes, at = (*nodes, i + 2 + block), at - starts[block]
-            nodes = (*nodes, nodes[-1] + 2 + at, K + 1)
-            best = min(best, (low, nodes))
-        del flat, bases
+            nodes = (*prefix, a + 2 + arcs.index(arc))
+            if e > 1:
+                # the first least entry of b's list, formed again, is its
+                # smallest least suffix
+                b = nodes[-1]
+                at = next(_lists(rows, e, tails, (b,), True)).index(least[b])
+                for d in range(e, 2, -1):
+                    # starts[j - i - 2] is where the block of node j starts
+                    i = nodes[-1]
+                    top = math.comb(K - i - d, d - 1)
+                    starts = [top - math.comb(m, d - 1) for m in range(K - i - d, d - 2, -1)]
+                    block = bisect_right(starts, at) - 1
+                    nodes, at = (*nodes, i + 2 + block), at - starts[block]
+                nodes = (*nodes, nodes[-1] + 2 + at)
+            best = min(best, (low, (*nodes, K + 1)))
     return best[1], scored
 
 

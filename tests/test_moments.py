@@ -573,6 +573,34 @@ class TestAllocateNeyman:
         with pytest.raises(ValueError, match=r"^dispersions must be finite and nonnegative"):
             allocate_neyman((5, 5), (sd, 1.0), 4)
 
+    @pytest.mark.parametrize(
+        "sizes,message",
+        [
+            pytest.param((5, -5), r"nonnegative, got \(5, -5\)", id="negative"),
+            pytest.param((-5, 5), r"nonnegative, got \(-5, 5\)", id="negative-first"),
+            pytest.param((True, 5), r"integers, got \(True, 5\)", id="bool"),
+            pytest.param((5.0, 5), r"integers, got \(5\.0, 5\)", id="float"),
+        ],
+    )
+    def test_sizes_must_be_nonnegative_integers(self, sizes, message):
+        """The sizes are refused as allocate_proportional refuses them:
+        (-5, 5) would give the shares (-4.0, 8.0), and True would read as
+        a stratum of one."""
+        with pytest.raises(InvalidSpecError, match=rf"^stratum sizes must be {message}$"):
+            allocate_neyman(sizes, (1.0, 2.0), 4)
+
+    @pytest.mark.parametrize(
+        "n", [-4, 0, True, False, 4.0, "4"], ids=["negative", "zero", "true", "false", "float", "str"]
+    )
+    def test_sample_size_must_be_an_integer_of_at_least_one(self, n):
+        """An n of -4 would give the shares (-2.0, -2.0), and True would
+        read as 1."""
+        with pytest.raises(
+            InvalidSpecError,
+            match=rf"^sample size must be an integer of at least 1, got {re.escape(repr(n))}$",
+        ):
+            allocate_neyman((5, 5), (1.0, 1.0), n)
+
 
 class TestCoefficientOfVariation:
     def test_worked_example(self):

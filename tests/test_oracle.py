@@ -531,9 +531,11 @@ class TestGroupedWalk:
     def test_matches_the_per_prefix_walk_at_deep_L(self):
         """320 seeded tables, random and tie-heavy, L from 7 to 10 and K
         from 2L to 2L + 10: the same nodes, the same number of compositions
-        scored. Only at this depth do suffixes hold four or five strata, so
-        that suffix lists take more than one step and a group's first least
-        flat entry is unranked through two or three levels."""
+        scored. Prefixes hold three or four strata, then comes the middle
+        stratum, and from L = 8 on suffixes hold four or five strata, which
+        no shallower case reaches: their lists take more than one step, and
+        the first least suffix of b is unranked through two or three
+        levels."""
         rng = random.Random(1807)
         for case in range(320):
             L = case % 4 + 7
@@ -559,15 +561,15 @@ class TestGroupedWalk:
         ],
     )
     def test_tie_within_a_group_goes_to_the_smaller_nodes(self, K, side):
-        """The prefixes (1, 5, 7, 11) and (1, 3, 9, 11) of the group of last
-        node 11 tie, and both continue through 13 and 15 at the minimum.
-        The group lists the prefixes through 7 before those through 9, so
-        the lexicographically smaller (1, 3, 9, 11) comes later and must
-        still win. The group holds 15 prefixes against 15 flat entries at
-        K = 20 and 3 at K = 17, the two sides an earlier walk chose between.
-        At K = 18 the continuation through 14 and 16 ties with that through
-        13 and 15, later in the group's (i, j) order, so the first least
-        flat entry must win as well."""
+        """The paths (1, 5, 7, 11) and (1, 3, 9, 11) tie, and both continue
+        through 13 and 15 at the minimum. Split around one middle stratum,
+        they fall in the groups of 7 and 9, and the group of 7 is scored
+        first, so the lexicographically smaller (1, 3, 9, 11) comes later
+        and must still win. At K = 20 and 17 the three-stratum prefixes and
+        suffixes around 11 number 15 against 15 and 3, the two sides an
+        earlier walk chose between. At K = 18 the suffix of 11 through 14
+        and 16 ties with that through 13 and 15, later in 11's list, so the
+        first least suffix must win as well."""
         L = 6
         rows, final = _full_rows(K, L, 100)
         for (t, h), cost in {
@@ -611,12 +613,11 @@ class TestGroupedWalk:
     def test_four_strata_ties_go_to_the_smaller_nodes(self, arcs, finals, nodes):
         """K = 14, L = 4, every arc 100 units but a few: two compositions
         tie at 40 units, every other one costs more. At L = 4 a group is
-        the two-stratum prefixes ending at a, in ascending order of their
-        middle node, and the last-two list of a. Within the group of 9,
-        (1, 3, 9) comes before (1, 5, 9); within the group of 5, the split
-        at 7 comes before that at 9; and the group of 7, holding
-        (1, 5, 7, 11, 15), is scored before the group of 9, holding the
-        smaller (1, 3, 9, 11, 15). The smaller composition must win each
+        the one-stratum prefix ending at a, every middle arc a -> b, and
+        the two-stratum suffixes of each b. (1, 3, 9) and (1, 5, 9) fall in
+        the groups of 3 and 5; the suffixes of 5 list the split at 7 before
+        that at 9; and (1, 3, 9, 11, 15) and (1, 5, 7, 11, 15) fall in the
+        groups of 3 and 5 again. The smaller composition must win each
         tie."""
         K, L = 14, 4
         rows, final = _full_rows(K, L, 100)
@@ -643,11 +644,12 @@ class TestGroupedWalk:
     def test_tie_floor_skips_groups_above_the_best_nodes(self, monkeypatch):
         """At K = 34, L = 9 every composition ties, and every group after
         the first has a floor above the best nodes, so only the first is
-        followed up: its one prefix needs no unranking and its suffix of
-        five strata one bisect_right call per level above two. A walk that
-        follows up every tie makes 9,739 calls and takes about twice as
-        long (298,465 calls and 19 times as long when the suffix held at
-        most three strata)."""
+        followed up: its one prefix needs no unranking, its smallest b is
+        11, and b's suffix of four strata takes one bisect_right call per
+        level above two, 2 in all. With four prefix and five suffix strata
+        around one split node, a walk that followed up every tie made 9,739
+        calls and took about twice as long (298,465 calls and 19 times as
+        long when the suffix held at most three strata)."""
         K, L = 34, 9
         rows, final = _full_rows(K, L, 100)
         calls = []
@@ -666,10 +668,12 @@ class TestGroupedWalk:
         """At K = 34, L = 9, every arc 100 units but 1 -> 3 at 200, every
         composition that avoids that arc ties, and every group from node 10
         on is followed up, unranking every tied prefix it holds. With four
-        prefix strata and five suffix strata a group holds at most 969
-        prefixes; a walk that gave the suffix at most three strata, and so
-        the prefix six, held up to 20,349, made 217,073 bisect_right calls
-        here and took about 10 times as long."""
+        prefix strata, the middle stratum and four suffix strata a group
+        holds at most 969 prefixes, and the walk makes 7,786 bisect_right
+        calls (7,803 with four prefix and five suffix strata around one
+        split node); a walk that gave the suffix at most three strata, and
+        so the prefix six, held up to 20,349, made 217,073 calls here and
+        took about 10 times as long."""
         K, L = 34, 9
         rows, final = _full_rows(K, L, 100)
         rows[1][0] = 200
@@ -700,12 +704,13 @@ class TestGroupedWalk:
         ],
     )
     def test_eight_strata_tie_goes_to_the_smaller_suffix(self, cheap, nodes):
-        """K = 22, L = 8, every arc 100 units but those of the prefix
+        """K = 22, L = 8, every arc 100 units but those of the path
         (1, 3, 5, 7, 9) and of two suffixes from 9, each of four strata and
         10 units an arc: two compositions tie at 80 units, both in the
-        group of 9, and every other one costs more. The suffixes first
-        differ at their second, third or fourth node; the group lists the
-        smaller first, and it must win."""
+        group of 7 with the middle arc 7 -> 9, and every other one costs
+        more. The suffixes first differ at their second, third or fourth
+        node; the suffix list of 9 holds the smaller first, and it must
+        win."""
         K, L = 22, 8
         rows, final = _full_rows(K, L, 100)
         for t, h in zip((1, 3, 5, 7), (3, 5, 7, 9)):
@@ -839,11 +844,11 @@ class TestGroupedWalk:
             brute_force_solve(ft, ProblemSpec(L=2, n=1, N=4))
 
     def test_three_strata_memory(self):
-        """At K = 400, L = 3 the walk holds the units table and the
-        last-two lists, each about K^2/2 narrow integers; a group's suffix
-        list is the last-two list of its node, not a copy. Its tracemalloc
-        peak must stay below that of the per-prefix walk over 2^-1074 units
-        on this input: 16,857,616 bytes on CPython 3.11."""
+        """At K = 400, L = 3 the walk holds the units table, about K^2/2
+        narrow integers, and one group's priced middle arcs, each the arc
+        a -> b plus the last stratum from b. Its tracemalloc peak must stay
+        below that of the per-prefix walk over 2^-1074 units on this input:
+        16,857,616 bytes on CPython 3.11."""
         rng = random.Random(400)
         ft = table_from_pairs(
             [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(400) for _ in range(2)]
@@ -858,10 +863,12 @@ class TestGroupedWalk:
         assert peak < 16_857_616
 
     def test_three_strata_memory_forms_each_suffix_list_when_read(self):
-        """At L = 3 each last-two list is read by one group only, so it is
-        formed when that group is scored, not all before the first group.
-        Tracemalloc peaks on this input, CPython 3.11: 6,209,588 bytes;
-        7,435,400 when every last-two list is held from the start."""
+        """At L = 3 each group's priced middle arcs, a -> b plus the last
+        stratum from b, are read by that group only, so they are formed
+        when it is scored, not all before the first group. Tracemalloc
+        peaks on this input, CPython 3.11: 6,205,212 bytes, the same when
+        each group's last two strata were its suffix list; 7,435,400 when
+        every such list is held from the start."""
         rng = random.Random(400)
         ft = table_from_pairs(
             [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(400) for _ in range(2)]
@@ -877,12 +884,16 @@ class TestGroupedWalk:
 
     def test_nine_strata_memory(self):
         """At K = 34, L = 9 (735,471 compositions) the walk holds integer
-        totals for one depth of each side and one group, never every group
-        or a node tuple per prefix. Tracemalloc peaks on CPython 3.11:
-        736,284 bytes; 1,840,676 when the suffix held at most three strata
-        and the prefix six; 3,786,384 for the walk that listed every prefix
-        as a tuple; 4,241,348 when every group's totals are kept; 5,610,928
-        when each group also holds its prefixes' node tuples."""
+        totals for one depth of each side, the least total and size of each
+        suffix list, and one group, never every group or a node tuple per
+        prefix. Tracemalloc peaks on CPython 3.11: 212,316 bytes with four
+        prefix strata, the middle stratum and four suffix strata; 736,460
+        when the suffix list of every split node was held whole, four
+        prefix strata against five suffix strata; 1,840,676 when the suffix
+        held at most three strata and the prefix six; 3,786,384 for the
+        walk that listed every prefix as a tuple; 4,241,348 when every
+        group's totals are kept; 5,610,928 when each group also holds its
+        prefixes' node tuples."""
         rng = random.Random(34)
         ft = table_from_pairs(
             [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(34) for _ in range(2)]
@@ -898,10 +909,12 @@ class TestGroupedWalk:
         assert peak < 3 * 2**20
 
     def test_nine_strata_memory_with_balanced_sides(self):
-        """The input of test_nine_strata_memory: with four prefix strata
-        and five suffix strata a group's lists hold at most 969 and 4,845
-        totals, and the tracemalloc peak stays under 1 MiB (736,284 bytes on
-        CPython 3.11); 1,840,676 when the suffix held at most three strata
+        """The input of test_nine_strata_memory: with four prefix strata,
+        the middle stratum and four suffix strata a group's prefixes and
+        each suffix list hold at most 969 totals, and the tracemalloc peak
+        stays under 1 MiB (212,316 bytes on CPython 3.11; 736,460 with four
+        prefix strata against five suffix strata, whose lists held up to
+        4,845 totals); 1,840,676 when the suffix held at most three strata
         and a group's six-stratum prefixes up to 20,349."""
         rng = random.Random(34)
         ft = table_from_pairs(
@@ -915,3 +928,44 @@ class TestGroupedWalk:
         finally:
             tracemalloc.stop()
         assert peak < 2**20
+
+    def test_two_middle_arcs_from_one_node_tie(self):
+        """K = 14, L = 5, every arc 100 units but those of
+        (1, 3, 5, 7, 11, 15) and (1, 3, 5, 9, 11, 15), which tie at 60
+        units: the same prefix ending at 5, then the middle arc 5 -> 7 or
+        5 -> 9, each at the same least total once the least suffix of its
+        b is added. The smaller b must win."""
+        K, L = 14, 5
+        rows, final = _full_rows(K, L, 100)
+        for (t, h), cost in {
+            (1, 3): 10, (3, 5): 10,
+            (5, 7): 10, (7, 11): 20,
+            (5, 9): 20, (9, 11): 10,
+        }.items():
+            rows[t][h - t - 2] = cost
+        final[11] = 10
+        nodes, scored = (1, 3, 5, 7, 11, 15), count_solutions(K, L)
+        assert reference_walk_compositions(rows, final, K, L) == (nodes, 60, scored)
+        assert _walk_compositions(rows, final, K, L) == (nodes, scored)
+
+    def test_seven_strata_walk_memory(self):
+        """At K = 40, L = 7 the walk alone, on a units table built before
+        tracing starts, keeps of each suffix list only its least total and
+        its size. Tracemalloc peaks on CPython 3.11: 82,352 bytes with three
+        prefix strata, the middle stratum and three suffix strata; 541,908
+        when the suffix list of every split node was held whole, three
+        prefix strata against four suffix strata."""
+        K, L = 40, 7
+        rng = random.Random(K)
+        ft = table_from_pairs(
+            [(float(x), rng.lognormvariate(0.0, 1.0)) for x in range(K) for _ in range(2)]
+        )
+        units = _exact_units(*cost_table(build_prefix_moments(ft), layer_bounds(K, L)))
+        tracemalloc.start()
+        try:
+            _, scored = _walk_compositions(*units, K, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scored == count_solutions(K, L)
+        assert peak < 250_000

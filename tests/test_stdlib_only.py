@@ -76,13 +76,14 @@ def raise_sites(paths, names):
 
 def test_invalid_problems_are_rejected_in_four_places():
     """A spec is checked on its own when built, against its table once
-    before any work, and by the allocation its report makes; nothing else
-    raises InvalidSpecError or InfeasibleProblemError."""
+    before any work, and by the one check both allocations make of their
+    sizes and sample size; nothing else raises InvalidSpecError or
+    InfeasibleProblemError."""
     assert raise_sites(SOURCES, {"InvalidSpecError", "InfeasibleProblemError"}) == {
         ("moments.py", "__new__"),
         ("graph.py", "check_feasible"),
         ("solver.py", "check_problem"),
-        ("moments.py", "allocate_proportional"),
+        ("moments.py", "_check_allocation"),
     }
 
 
