@@ -10,14 +10,16 @@ The solver never materialises the graph. It runs over layer_bounds and the
 cost_table of segment costs, plain floats; LayeredGraph is a view of that
 same table that builds its Arc objects only when its layers are read.
 cost_table zips the prefix moments once into a list of (count, y total,
-squared y total) triples and costs each tail's row in one pass over a slice
-of it, the row's end read from layer_bounds through a node-indexed list.
+squared y total) triples and hands every tail to one kernel, _cost_rows,
+which costs the rows of any list of tails in one comprehension, each row
+over a slice of the triples whose end it reads from layer_bounds through a
+node-indexed list.
 """
 
 from __future__ import annotations
 
 import math
-from itertools import repeat
+from itertools import compress, repeat
 from typing import NamedTuple
 
 from .errors import DataError, InfeasibleProblemError
@@ -139,13 +141,17 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
     squared y total) triples, index t for groups 1..t, the counts as floats.
     A node-indexed list holds where each tail's row ends: i + 2 for a tail
     of layer L alone, else the head stop of the last inner layer holding
-    it, head stops rising with the layer. Tails are costed in ascending
-    order, each row in one float pass over a slice of the triples, with the
-    terminal triple appended for a tail of layer L (_cost_row). Every cost
-    is a finite float >= 0, which the solver's tie certificate relies on:
-    raises DataError at the first segment of a row whose squared y total
-    overflows, else at the first whose cost does, the last stratum being
-    the row's last segment.
+    it, head stops rising with the layer. Every tail is handed, in
+    ascending order, to one call of _cost_rows, which costs each row over a
+    slice of the triples, with the terminal triple appended for a tail of
+    layer L. Every cost is a finite float >= 0, which the solver's tie
+    certificate relies on. Finiteness is tested once, on the sum of the
+    whole table; only when that sum is not finite are the rows searched,
+    in ascending tail order, for an overflow mark: raises DataError at the
+    first segment of the first marked row whose squared y total overflows,
+    else at the first whose cost does, the last stratum being the row's
+    last segment. Finite costs that merely sum past the float range carry
+    no mark and raise nothing.
     """
     K = pm.K
     *inner, (last_tails, _, _) = bounds
@@ -158,52 +164,62 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
         stops[tails.start : tails.stop] = repeat(head_stop, len(tails))
     # exact: a unit count stays below 2^53
     prefix = list(zip(map(float, pm.cum_count), pm.cum_y, pm.cum_y2))
-    rows: list[list[float]] = [[] for _ in range(K + 1)]
-    final: list[float | None] = [None] * (K + 1)
-    for i, stop in enumerate(stops):
-        if not stop:
-            continue
-        last = i in last_tails
-        row = _cost_row(prefix, i, stop, last)
-        # without an overflow mark, a row's finite costs summed past the
-        # float range, which is no error
-        if not math.isfinite(sum(row)):
-            heads = [*range(i + 2, stop), *((K + 1,) if last else ())]
+    tails = list(compress(range(K + 1), stops))
+    costed = _cost_rows(prefix, tails, stops, last_tails)
+    if not math.isfinite(sum(map(sum, costed))):
+        for i, row in zip(tails, costed):
             for mark, what in ((-math.inf, "squared y total"), (math.inf, "cost")):
                 if mark in row:
-                    j = heads[row.index(mark)]
+                    at = row.index(mark)
+                    j = i + 2 + at if at < stops[i] - i - 2 else K + 1
                     raise DataError(
                         f"y values too large: the {what} of groups {i}..{j - 1} "
                         "overflows a float"
                     )
-        if last:
-            final[i] = row.pop()
+    rows: list[list[float]] = [[] for _ in range(K + 1)]
+    for i, row in zip(tails, costed):
         rows[i] = row
+    # the tails of layer L are the highest, each row ending in its last stratum
+    final: list[float | None] = [None] * (K + 1)
+    final[last_tails.start : last_tails.stop] = map(list.pop, costed[-len(last_tails) :])
     return rows, final
 
 
-def _cost_row(
-    prefix: list[tuple[float, float, float]], i: int, stop: int, last: bool
-) -> list[float]:
-    """N_h * S2_h of the segments i..j-1 for the heads j = i+2 .. stop-1,
-    then for j = K+1 when last, from the prefix triples of cost_table.
+def _cost_rows(
+    prefix: list[tuple[float, float, float]],
+    tails: list[int],
+    stops: list[int],
+    last: range,
+) -> list[list[float]]:
+    """The row of each tail i of tails: N_h * S2_h of the segments i..j-1
+    for the heads j = i+2 .. stops[i]-1, then for j = K+1 when i is in
+    last, from the prefix triples of cost_table.
 
-    The float operations of segment_stats in the same order, so each cost
-    matches it bit for bit, a negative sum of squares clamped to 0 alike.
-    A segment whose squared y total overflowed, which makes its sum of
-    squares -inf, is marked -inf; a cost that overflows stays inf.
-    cost_table names the overflow from these marks alone.
+    One comprehension costs every row. Each row's end triples are sliced
+    only when that row is costed, so no list of every row's slices is ever
+    held, and every name bound per segment is a local of the inner
+    comprehension, not a closure cell. The float operations of
+    segment_stats in the same order, so each cost matches it bit for bit, a
+    negative sum of squares clamped to 0 alike. A segment whose squared y
+    total overflowed, which makes its sum of squares -inf, is marked -inf;
+    a cost that overflows stays inf. cost_table names the overflow from
+    these marks alone.
     """
-    c0, y0, q0 = prefix[i - 1]
-    ends = prefix[i + 1 : stop - 1]
-    if last:
-        ends += prefix[-1:]
     inf = math.inf
+    terminal, none = prefix[-1:], []
     return [
-        m * (ss / (m - 1.0))
-        if (ss := q - q0 - (u := t - y0) * u / (m := n - c0)) >= 0.0
-        else 0.0 if ss > -inf else -inf
-        for n, t, q in ends
+        [
+            m * (ss / (m - 1.0)) if ss >= 0.0 else 0.0 if ss > -inf else -inf
+            for (c0, y0, q0), ends in (row,)
+            for n, t, q in ends
+            for m in (n - c0,)
+            for u in (t - y0,)
+            for ss in (q - q0 - u * u / m,)
+        ]
+        for i in tails
+        for row in (
+            (prefix[i - 1], prefix[i + 1 : stops[i] - 1] + (terminal if i in last else none)),
+        )
     ]
 
 

@@ -104,18 +104,23 @@ def build_prefix_moments(ft: FrequencyTable) -> PrefixMoments:
     """Accumulate per-group aggregates into prefix arrays.
 
     Float prefixes use compensated accumulation so long tables do not drift.
-    Raises DataError when the table's four fields differ in length, when a
-    group holds fewer than one unit or its x does not exceed the x before
-    it (the message names the first such group), or when a running sum of
-    y or y^2 overflows a float. Tables from build_frequency_table always
-    pass the first three checks.
+    Raises DataError when the table's four fields differ in length; when a
+    group's count is not an integer (a float or a bool) or is below 1, its
+    squared y total is negative, or its x does not exceed the x before it,
+    the message naming the first such group; or when a running sum of y or
+    y^2 overflows a float. Tables from build_frequency_table always pass
+    every check but the last.
     """
     lengths = dict(zip(ft._fields, map(len, ft)))
     if len(set(lengths.values())) > 1:
         raise DataError(f"frequency table fields differ in length: {lengths}")
-    for t, (x, count) in enumerate(zip(ft.q, ft.count), start=1):
+    for t, (x, count, y2) in enumerate(zip(ft.q, ft.count, ft.y_sumsq), start=1):
+        if isinstance(count, bool) or not isinstance(count, int):
+            raise DataError(f"group {t} (x={x!r}) holds {count!r} units, not an integer")
         if count < 1:
             raise DataError(f"group {t} (x={x!r}) holds {count} units, fewer than 1")
+        if y2 < 0.0:
+            raise DataError(f"group {t} (x={x!r}) has a squared y total of {y2!r}, below 0")
         if t > 1 and not ft.q[t - 2] < x:
             raise DataError(
                 f"x does not ascend strictly: group {t} (x={x!r}) follows x={ft.q[t - 2]!r}"
@@ -313,11 +318,14 @@ def coefficient_of_variation(variance: float, total: float) -> float:
 
     Never negative: a negative total gives the CV of its mirror image -y,
     whose variance is the same. Raises ValueError when the variance is
-    negative, NaN or infinite, and UndefinedCVError when the total is zero,
-    or so close to zero that the CV overflows a float.
+    negative, NaN or infinite or the total NaN or infinite, and
+    UndefinedCVError when the total is zero, or so close to zero that the
+    CV overflows a float.
     """
     if not 0.0 <= variance < math.inf:
         raise ValueError(f"variance must be finite and nonnegative, got {variance}")
+    if not math.isfinite(total):
+        raise ValueError(f"population total must be finite, got {total}")
     if total == 0.0:
         raise UndefinedCVError("population total is zero, CV undefined")
     cv = 100.0 * math.sqrt(variance) / abs(total)

@@ -5,7 +5,8 @@ least two, so small instances can be enumerated outright and every one of
 them scored. The path solver must never disagree with this. The walk splits
 each composition around one middle stratum, forms every total of the strata
 on either side of it in exact integer units, and counts the compositions
-its groups cover, which must be all of them.
+its groups cover, which must be all of them. It prices every group in batch
+passes first and follows up only the groups that reach the least total.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_right
-from itertools import chain, compress, count, repeat
+from itertools import accumulate, chain, compress, count, repeat
 from operator import add, eq, getitem, mul, sub
 from typing import Iterable, Iterator
 
@@ -56,9 +57,12 @@ def brute_force_solve(
     of the strata from b on is formed. The compositions through a form a
     group, whose least total is the least of the first plus the least,
     over b, of the middle arc plus the least of the second, exact in
-    integer units. Its smallest tied composition is the smallest tied
-    prefix, then the smallest tied b, then the first tied suffix of b. The
-    groups must cover count_solutions(K, L) compositions in all.
+    integer units. Every group is priced before any is followed up, and
+    only the groups whose least total is the least of all are: in each, the
+    smallest tied composition is the smallest tied prefix, then the
+    smallest tied b, then the first tied suffix of b. The groups must cover
+    count_solutions(K, L) compositions in all, a count taken from the
+    lengths of the lists formed.
 
     The check first empties the solver's kept slot. When the solver's
     _take_kept hands it the outcome of a solve_problem of this very table
@@ -114,17 +118,23 @@ def _exact_units(
     s = 53 - e with e that of the least positive cost makes every cost an
     integer, and c * 2**s forms it exactly as a float while that product
     stays in range. The table's own precision thus sets the unit, which
-    keeps the integers narrow. A table whose costs span too wide a range for
-    that takes 2**-1074 units, which hold any float. The table is converted
-    in one pass: 2**s past the float range, or a product that overflows to
-    inf, raises OverflowError on its way to an integer, and the table then
-    takes 2**-1074 units. Totals in these units are only compared, never
-    converted back, so s is not kept. Each product is a whole float, so
-    math.floor forms its integer exactly, as int would; on a float it runs
-    in about two thirds of int's time, which dominates the pass.
+    keeps the integers narrow. The least positive cost is the least of the
+    row minima and of final's positive entries when no row minimum is 0;
+    only a row holding a 0 sends the search through every entry. A table
+    whose costs span too wide a range for that takes 2**-1074 units, which
+    hold any float. The table is converted in one pass: 2**s past the float
+    range, or a product that overflows to inf, raises OverflowError on its
+    way to an integer, and the table then takes 2**-1074 units. Totals in
+    these units are only compared, never converted back, so s is not kept.
+    Each product is a whole float, so math.floor forms its integer exactly,
+    as int would; on a float it runs in about two thirds of int's time,
+    which dominates the pass.
     """
-    # filter(None, ...) drops the zeros and the None entries of final
-    least = min(filter(None, chain(*rows, final)), default=math.inf)
+    # filter(None, ...) drops the empty rows, and the zeros and the None
+    # entries of final
+    least = min(chain(map(min, filter(None, rows)), filter(None, final)), default=math.inf)
+    if not least:
+        least = min(filter(None, chain(*rows, final)), default=math.inf)
     shift = 0 if least == math.inf else max(0, 53 - math.frexp(least)[1])
     try:
         factor = 2.0**shift
@@ -162,31 +172,36 @@ def _walk_compositions(
     d-stratum suffix list of i the block of j starts at
     comb(K-i-d, d-1) - comb(K+2-j-d, d-1).
 
-    Every e-stratum suffix list is formed once, before the first group,
-    and only its least total and its length are kept, by node; the list is
-    dropped. The compositions through a form one group: its bases, the
-    totals of every p-stratum prefix ending at a, formed when it is scored,
-    and for each b after a the middle arc a -> b plus the least suffix
-    total of b, priced in one C-level pass. Any prefix ending at a, any
+    The walk runs in two phases. The first prices every group before any
+    is followed up. Every e-stratum suffix list is formed once and only its
+    least total and its length are kept, by node; the list is dropped. The
+    compositions through a form one group, whose bases are the totals of
+    every p-stratum prefix ending at a: one pass forms each group's bases
+    once and keeps their least and their length, dropping the list. One
+    C-level pass then takes, for each a, the least over b of the middle arc
+    a -> b plus the least suffix total of b. Any prefix ending at a, any
     middle arc from a and any suffix starting at its b make a composition,
     so the group covers len(bases) times the summed suffix list lengths of
-    those b, and its least total is min(bases) plus the least priced arc,
+    those b, and its least total is min(bases) plus its least priced arc,
     exact because the totals are integers. Every prefix total and every
-    suffix total is formed; a least is taken over one side list at a time
-    and over the one middle arc, and nothing follows the solver's
-    recurrence. The caller checks that the groups cover
-    count_solutions(K, L) compositions.
+    suffix total is formed, and the count comes from the lengths of the
+    lists formed; a least is taken over one side list at a time and over
+    the middle arcs, and nothing follows the solver's recurrence. The
+    caller checks that the groups cover count_solutions(K, L)
+    compositions.
 
-    Ties go by the (exact total, nodes) order: the walk keeps best, the
-    least (total, nodes) pair so far, so a lower total wins and an equal
-    one, a genuine tie, goes to the smaller node sequence. A composition of
-    the group reaches its least total only with a least base, a b whose
-    priced arc is least and a least suffix of that b, and every prefix ends
-    at a, so the group's least pair holds the smallest prefix with a least
-    base, then the smallest such b, then the first least entry of b's
-    suffix list. Every prefix with a least base is unranked from its
-    position through the counted block starts, one level for all of them
-    at a time, and the smallest is kept; b's list is formed again and its
+    The second phase follows up, in ascending a, only the groups whose
+    least total equals the least over all groups. Ties go by the (exact
+    total, nodes) order: the walk keeps best, the least (total, nodes) pair
+    so far, so a lower total wins and an equal one, a genuine tie, goes to
+    the smaller node sequence. A composition of the group reaches its least
+    total only with a least base, a b whose priced arc is least and a least
+    suffix of that b, and every prefix ends at a, so the group's least pair
+    holds the smallest prefix with a least base, then the smallest such b,
+    then the first least entry of b's suffix list. The group's bases are
+    formed again, every prefix with a least base is unranked from its
+    position through the counted block starts, one level for all of them at
+    a time, and the smallest is kept; b's list is formed again and its
     first least entry unranked the same way. No prefix ending at a is
     smaller than floor = (1, 3, ..., a), so a group is followed up only
     when (low, floor) < best, and is then kept by
@@ -194,12 +209,13 @@ def _walk_compositions(
 
     Memory holds the table, the prefix lists of depth p-1 and the suffix
     lists of depth e-1 of every node (and of one depth less while those are
-    built), the least suffix total and a running suffix count of every
-    node, one suffix list while its least is taken, and one group's bases
-    and priced arcs, with the next group's bases while those are built.
-    Only while a group's tie is followed up does it hold b's suffix list
-    again, the block starts of each depth, and the positions and nodes of
-    its prefixes with a least base.
+    built), and by node the least suffix total, a running suffix count, and
+    each group's least base, base count and least total: O(K) integers
+    beside the deeper lists. Of the lists the first phase forms it holds
+    one at a time, while its least and length are taken. Only while a
+    group is followed up does it hold that group's bases again, b's suffix
+    list again, the block starts of each depth, and the positions and
+    nodes of its prefixes with a least base.
     """
     if L == 1:
         return (1, K + 1), 1
@@ -227,29 +243,39 @@ def _walk_compositions(
     least, before = tails, range(K + 1)
     if e > 1:
         span = range(2 * p + 3, K + 2 - 2 * e)
-        least, before = [0] * span.start, [0] * (span.start + 1)
-        for flat in _lists(rows, e, tails, span, True):
-            least.append(min(flat))
-            before.append(before[-1] + len(flat))
-    best: tuple[float, tuple[int, ...]] = (math.inf, ())
-    scored = 0
+        flats = _lists(rows, e, tails, span, True)
+        ends, lengths = zip(*[(min(flat), len(flat)) for flat in flats])
+        least = [0] * span.start + list(ends)
+        before = [0] * span.start + list(accumulate(lengths, initial=0))
+    # by group, the least base and the number of bases, each list of bases
+    # dropped once read
     groups = range(2 * p + 1, K - 2 * e)
-    for a, bases in zip(groups, _lists(rows, p, heads, groups)):
-        # the middle arc a -> b plus the least suffix from b, b ascending
-        arcs = list(map(add, rows[a], least[a + 2 :]))
-        scored += len(bases) * (before[a + 2 + len(arcs)] - before[a + 2])
-        base, arc = min(bases), min(arcs)
-        low = base + arc
+    lows, sizes = zip(*[(min(bases), len(bases)) for bases in _lists(rows, p, heads, groups)])
+    # by group, its least base plus its least middle arc a -> b plus least
+    # suffix of b, over b ascending from a + 2
+    firsts = range(groups.start + 2, groups.stop + 2)
+    suffixes = map(least.__getitem__, map(slice, firsts, repeat(None)))
+    arcs = map(map, repeat(add), rows[groups.start : groups.stop], suffixes)
+    totals = list(map(add, lows, map(min, arcs)))
+    # a's row reaches every b a suffix starts at, so the group of a covers
+    # its bases times every suffix starting after a + 1
+    after = map(sub, repeat(before[-1]), before[firsts.start : firsts.stop])
+    scored = sum(map(mul, sizes, after))
+    low = min(totals)
+    best: tuple[float, tuple[int, ...]] = (math.inf, ())
+    for a in compress(groups, map(eq, totals, repeat(low))):
         # no prefix ending at a is smaller than floor, so no composition of
         # a group whose (low, floor) is not below best can win
         floor = (*range(1, 2 * p, 2), a)
         if (low, floor) < best:
-            if len(bases) == 1:  # the group's one prefix is its floor
+            base = lows[a - groups.start]
+            if sizes[a - groups.start] == 1:  # the group's one prefix is its floor
                 prefix = floor
             else:
                 # the block holding a position names its node one level
                 # down and its offset in that node's list; at depth 2 each
                 # block holds one prefix, so n_1 = position + 3
+                bases = next(_lists(rows, p, heads, (a,)))
                 positions = list(compress(count(), map(eq, bases, repeat(base))))
                 columns = []
                 for d in range(p, 2, -1):
@@ -260,7 +286,9 @@ def _walk_compositions(
                     columns.append(list(map(add, blocks, repeat(2 * d - 1))))
                 columns.append(map(add, positions, repeat(3)))
                 prefix = (1, *min(zip(*reversed(columns))), a)
-            nodes = (*prefix, a + 2 + arcs.index(arc))
+            # the smallest b whose middle arc plus least suffix is least
+            priced = list(map(add, rows[a], least[a + 2 :]))
+            nodes = (*prefix, a + 2 + priced.index(low - base))
             if e > 1:
                 # the first least entry of b's list, formed again, is its
                 # smallest least suffix

@@ -120,6 +120,16 @@ MALFORMED_TABLES = [
         id="repeated-x",
     ),
     pytest.param(
+        FrequencyTable((1.0, 2.0, 3.0, 4.0), (1, True, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0)),
+        r"^group 2 \(x=2\.0\) holds True units, not an integer$",
+        id="bool-count",
+    ),
+    pytest.param(
+        FrequencyTable((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, -4.0, 9.0, 16.0)),
+        r"^group 2 \(x=2\.0\) has a squared y total of -4\.0, below 0$",
+        id="negative-squared-total",
+    ),
+    pytest.param(
         FrequencyTable((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, 2.0, 3.0), (1.0, 4.0, 9.0, 16.0)),
         r"^frequency table fields differ in length: "
         r"\{'q': 4, 'count': 4, 'y_sum': 3, 'y_sumsq': 4\}$",
@@ -154,6 +164,26 @@ class TestMalformedTable:
     def test_every_route_raises_a_data_error(self, route, table, message):
         with pytest.raises(DataError, match=message):
             route(table)
+
+    @pytest.mark.parametrize("count", [1.5, 2.0])
+    def test_float_count_raises_a_data_error(self, count):
+        """A count of 1.5 or of 2.0 is not a number of units, even where
+        the counts total a whole N."""
+        table = FrequencyTable(
+            (1.0, 2.0, 3.0, 4.0), (count, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0)
+        )
+        with pytest.raises(DataError, match=rf"^group 1 \(x=1\.0\) holds {count} units, not an integer$"):
+            build_prefix_moments(table)
+
+    @pytest.mark.parametrize("search", [solve_problem, brute_force_solve], ids=["solver", "oracle"])
+    def test_whole_float_count_raises_before_the_search(self, search):
+        """Counts (2.0, 1, 1, 1) total N = 5, which a spec can match, so
+        both searches refuse the table before they cost it."""
+        table = FrequencyTable(
+            (1.0, 2.0, 3.0, 4.0), (2.0, 1, 1, 1), (2.0, 2.0, 3.0, 4.0), (2.0, 4.0, 9.0, 16.0)
+        )
+        with pytest.raises(DataError, match=r"^group 1 \(x=1\.0\) holds 2\.0 units, not an integer$"):
+            search(table, ProblemSpec(L=2, n=2, N=5))
 
     @pytest.mark.parametrize("seed", range(20))
     def test_tabulated_tables_pass(self, seed):
@@ -642,6 +672,13 @@ class TestCoefficientOfVariation:
         """An infinite variance is the variance's fault, not the total's."""
         with pytest.raises(ValueError, match=r"^variance must be finite and nonnegative, got inf$"):
             coefficient_of_variation(math.inf, 3.0)
+
+    @pytest.mark.parametrize("total", [math.nan, math.inf, -math.inf])
+    def test_total_that_is_not_finite_rejected(self, total):
+        """A NaN total is not one too close to zero, and an infinite one
+        does not make the CV 0."""
+        with pytest.raises(ValueError, match=rf"^population total must be finite, got {total}$"):
+            coefficient_of_variation(4.0, total)
 
 
 class TestTransformationLaws:

@@ -77,15 +77,16 @@ def per_composition_problem(L, K, data):
 
 
 def count_cost_rows(monkeypatch) -> list[int]:
-    """The tails of the cost-table rows costed from now on, in call order."""
+    """The tails of the cost-table rows costed from now on, in the order
+    they are handed to the row kernel."""
     calls = []
-    cost_row = stratopt.graph._cost_row
+    cost_rows = stratopt.graph._cost_rows
 
-    def counting(prefix, i, stop, last):
-        calls.append(i)
-        return cost_row(prefix, i, stop, last)
+    def counting(prefix, tails, stops, last):
+        calls.extend(tails)
+        return cost_rows(prefix, tails, stops, last)
 
-    monkeypatch.setattr(stratopt.graph, "_cost_row", counting)
+    monkeypatch.setattr(stratopt.graph, "_cost_rows", counting)
     return calls
 
 
@@ -241,6 +242,26 @@ class TestBruteForceSolve:
         ft = random_instance(random.Random(L), L, k_max=10, k_min=10)
         with pytest.raises(ConsistencyError, match="scored"):
             brute_force_solve(ft, ProblemSpec(L=L, n=3, N=ft.N))
+
+    @pytest.mark.parametrize("side", [False, True], ids=["prefix", "suffix"])
+    def test_scored_counts_the_lists_formed(self, monkeypatch, side):
+        """scored is counted from the lists the walk forms, not from their
+        sizes in closed form: one total dropped from one prefix list, or
+        from one suffix list, leaves compositions unscored."""
+        lists = stratopt.oracle._lists
+        dropped = []
+
+        def dropping(rows, d, below, nodes, suffix=False):
+            for totals in lists(rows, d, below, nodes, suffix):
+                if suffix == side and not dropped and len(totals) > 1:
+                    dropped.append(totals.pop())
+                yield totals
+
+        monkeypatch.setattr(stratopt.oracle, "_lists", dropping)
+        ft = random_instance(random.Random(5), 5, k_max=16, k_min=16)
+        with pytest.raises(ConsistencyError, match="scored"):
+            brute_force_solve(ft, ProblemSpec(L=5, n=5, N=ft.N))
+        assert dropped
 
     @pytest.mark.parametrize("L,K,data", PER_COMPOSITION_CASES)
     def test_matches_per_composition_reference(self, L, K, data):
@@ -403,7 +424,7 @@ class TestOutcomeHandOff:
         """Calls that validate, cost or report a problem, by name."""
         return {
             "build_prefix_moments": count_calls(monkeypatch, stratopt.solver, "build_prefix_moments"),
-            "_cost_row": count_calls(monkeypatch, stratopt.graph, "_cost_row"),
+            "_cost_rows": count_cost_rows(monkeypatch),
             "segment_stats_direct": count_calls(monkeypatch, stratopt.solver, "segment_stats_direct"),
         }
 
@@ -436,7 +457,7 @@ class TestOutcomeHandOff:
         work = self.repeated_work(monkeypatch)
         checked = brute_force_solve(twin, spec)
         assert len(work["build_prefix_moments"]) == 1
-        assert [args[1] for args in work["_cost_row"]] == tails
+        assert work["_cost_rows"] == tails
         assert len(work["segment_stats_direct"]) == L
         assert checked._replace(elapsed=0.0) == solved._replace(elapsed=0.0)
         assert not stratopt.solver._kept
