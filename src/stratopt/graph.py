@@ -176,12 +176,14 @@ def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:
                         f"y values too large: the {what} of groups {i}..{j - 1} "
                         "overflows a float"
                     )
-    rows: list[list[float]] = [[] for _ in range(K + 1)]
-    for i, row in zip(tails, costed):
-        rows[i] = row
     # the tails of layer L are the highest, each row ending in its last stratum
     final: list[float | None] = [None] * (K + 1)
     final[last_tails.start : last_tails.stop] = map(list.pop, costed[-len(last_tails) :])
+    # rows by node, an empty one only where no layer has a tail: K + 1
+    # empty rows made first would double the live lists while the table is
+    # built, which can start a garbage collection mid-table
+    by_tail = iter(costed)
+    rows = [next(by_tail) if stop else [] for stop in stops]
     return rows, final
 
 
