@@ -19,10 +19,10 @@ class InputSchemaError(StratificationError):
 
 class DataError(StratificationError):
     """The input is not UTF-8 text or not well-formed CSV; a cell is missing
-    or does not parse to a finite number; a frequency table's fields differ
-    in length, a group holds fewer than one unit or x does not ascend
-    strictly; or a sum of y or y^2, a squared y total, a segment cost, a
-    total cost or the variance overflows a float."""
+    or does not parse to a finite number; a FrequencyTable being made is
+    not one some population tabulates into; or a running sum of y or y^2, a
+    squared y total, a segment cost, a total cost or the variance overflows
+    a float."""
 
 
 class EmptyPopulationError(StratificationError):

@@ -104,27 +104,9 @@ def build_prefix_moments(ft: FrequencyTable) -> PrefixMoments:
     """Accumulate per-group aggregates into prefix arrays.
 
     Float prefixes use compensated accumulation so long tables do not drift.
-    Raises DataError when the table's four fields differ in length; when a
-    group's count is not an integer (a float or a bool) or is below 1, its
-    squared y total is negative, or its x does not exceed the x before it,
-    the message naming the first such group; or when a running sum of y or
-    y^2 overflows a float. Tables from build_frequency_table always pass
-    every check but the last.
+    The table checked its groups when it was made; this raises DataError
+    only when a running sum of y or y^2 overflows a float.
     """
-    lengths = dict(zip(ft._fields, map(len, ft)))
-    if len(set(lengths.values())) > 1:
-        raise DataError(f"frequency table fields differ in length: {lengths}")
-    for t, (x, count, y2) in enumerate(zip(ft.q, ft.count, ft.y_sumsq), start=1):
-        if isinstance(count, bool) or not isinstance(count, int):
-            raise DataError(f"group {t} (x={x!r}) holds {count!r} units, not an integer")
-        if count < 1:
-            raise DataError(f"group {t} (x={x!r}) holds {count} units, fewer than 1")
-        if y2 < 0.0:
-            raise DataError(f"group {t} (x={x!r}) has a squared y total of {y2!r}, below 0")
-        if t > 1 and not ft.q[t - 2] < x:
-            raise DataError(
-                f"x does not ascend strictly: group {t} (x={x!r}) follows x={ft.q[t - 2]!r}"
-            )
     cum_count = tuple(accumulate(ft.count, initial=0))
     cum_y = _compensated_prefix(ft.y_sum)
     cum_y2 = _compensated_prefix(ft.y_sumsq)

@@ -77,8 +77,9 @@ def brute_force_solve(
     report of nodes both reach; never a choice of nodes.
 
     Raises InfeasibleProblemError, InvalidSpecError and DataError from
-    check_problem, the one validation point of both searches, before the
-    cap is tested; OracleTooLargeError when the enumeration would exceed
+    check_problem, the one check of a spec against its table in both
+    searches, before the cap is tested (the table checked its own groups
+    when it was made); OracleTooLargeError when the enumeration would exceed
     cap; ConsistencyError when the groups cover a number of compositions
     other than count_solutions(K, L); and otherwise what solve_problem
     raises after its check.

@@ -243,11 +243,12 @@ def check_problem(ft: FrequencyTable, spec: ProblemSpec) -> tuple[Bounds, Prefix
     """The layer bounds and prefix moments of a problem whose spec fits
     its table.
 
-    The one validation point of both searches, which each runs before any
-    costing, the oracle before its cap too. Raises InfeasibleProblemError
-    when K < 2L, then InvalidSpecError when spec.N differs from the table's
-    N, then DataError from build_prefix_moments for a table that is not a
-    frequency table or whose running sum of y or y^2 overflows a float.
+    The one check of a spec against its table, which both searches run
+    before any costing, the oracle before its cap too; the table checked
+    its own groups when it was made. Raises InfeasibleProblemError when
+    K < 2L, then InvalidSpecError when spec.N differs from the table's N,
+    then DataError from build_prefix_moments when a running sum of y or y^2
+    overflows a float.
     """
     bounds = layer_bounds(ft.K, spec.L)
     if spec.N != ft.N:

@@ -97,93 +97,151 @@ class TestPrefixMoments:
                 assert stats.s2 == pytest.approx(expected, rel=1e-9)
 
 
-# hand-built tables that are not frequency tables, with the message each gets
+# fields no population tabulates into, with the message each table gets
 MALFORMED_TABLES = [
     pytest.param(
-        FrequencyTable((1.0, 2.0, 3.0, 4.0), (1, 0, 0, 1), (1.0, 0.0, 0.0, 4.0), (1.0, 0.0, 0.0, 16.0)),
+        ((1.0, 2.0, 3.0, 4.0), (1, 0, 0, 1), (1.0, 0.0, 0.0, 4.0), (1.0, 0.0, 0.0, 16.0)),
         r"^group 2 \(x=2\.0\) holds 0 units, fewer than 1$",
         id="empty-group",
     ),
     pytest.param(
-        FrequencyTable((1.0, 2.0, 3.0, 4.0), (2, 1, -1, 2), (2.0, 2.0, -3.0, 8.0), (2.0, 4.0, -9.0, 32.0)),
+        ((1.0, 2.0, 3.0, 4.0), (2, 1, -1, 2), (2.0, 2.0, -3.0, 8.0), (2.0, 4.0, -9.0, 32.0)),
         r"^group 3 \(x=3\.0\) holds -1 units, fewer than 1$",
         id="negative-count",
     ),
     pytest.param(
-        FrequencyTable((4.0, 3.0, 2.0, 1.0), (1, 1, 1, 1), (4.0, 3.0, 2.0, 1.0), (16.0, 9.0, 4.0, 1.0)),
+        ((4.0, 3.0, 2.0, 1.0), (1, 1, 1, 1), (4.0, 3.0, 2.0, 1.0), (16.0, 9.0, 4.0, 1.0)),
         r"^x does not ascend strictly: group 2 \(x=3\.0\) follows x=4\.0$",
         id="descending-x",
     ),
     pytest.param(
-        FrequencyTable((1.0, 2.0, 2.0, 3.0), (1, 1, 1, 1), (1.0, 2.0, 2.0, 3.0), (1.0, 4.0, 4.0, 9.0)),
+        ((1.0, 2.0, 2.0, 3.0), (1, 1, 1, 1), (1.0, 2.0, 2.0, 3.0), (1.0, 4.0, 4.0, 9.0)),
         r"^x does not ascend strictly: group 3 \(x=2\.0\) follows x=2\.0$",
         id="repeated-x",
     ),
     pytest.param(
-        FrequencyTable((1.0, 2.0, 3.0, 4.0), (1, True, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0)),
+        ((1.0, 2.0, 3.0, 4.0), (1, True, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0)),
         r"^group 2 \(x=2\.0\) holds True units, not an integer$",
         id="bool-count",
     ),
     pytest.param(
-        FrequencyTable((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, -4.0, 9.0, 16.0)),
+        ((1.0, 2.0, 3.0, 4.0), (1.5, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0)),
+        r"^group 1 \(x=1\.0\) holds 1\.5 units, not an integer$",
+        id="float-count",
+    ),
+    pytest.param(
+        ((1.0, 2.0, 3.0, 4.0), (2.0, 1, 1, 1), (2.0, 2.0, 3.0, 4.0), (2.0, 4.0, 9.0, 16.0)),
+        r"^group 1 \(x=1\.0\) holds 2\.0 units, not an integer$",
+        id="whole-float-count",
+    ),
+    pytest.param(
+        ((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, math.nan, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0)),
+        r"^y values too large or not numbers in group 2 \(x=2\.0\)$",
+        id="nan-y-total",
+    ),
+    pytest.param(
+        ((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, 4.0, math.nan, 16.0)),
+        r"^y values too large or not numbers in group 3 \(x=3\.0\)$",
+        id="nan-squared-total",
+    ),
+    pytest.param(
+        ((1.0, 2.0, 3.0, 4.0), (1, 1, 2, 1), (1.0, 2.0, 3e154, 4.0), (1.0, 4.0, math.inf, 16.0)),
+        r"^y values too large or not numbers in group 3 \(x=3\.0\)$",
+        id="infinite-squared-total",
+    ),
+    pytest.param(
+        ((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, -4.0, 9.0, 16.0)),
         r"^group 2 \(x=2\.0\) has a squared y total of -4\.0, below 0$",
         id="negative-squared-total",
     ),
     pytest.param(
-        FrequencyTable((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, 2.0, 3.0), (1.0, 4.0, 9.0, 16.0)),
+        ((1.0, 2.0, 3.0, 4.0), (2, 2, 2, 2), (10.0, 2.0, 3.0, 4.0), (1.0, 2.0, 4.5, 8.0)),
+        r"^group 1 \(x=1\.0\) has y_sumsq=1\.0 < y_sum\^2/count=50\.0$",
+        id="squared-total-below-the-mean-square",
+    ),
+    pytest.param(
+        ((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, 2.0, 3.0), (1.0, 4.0, 9.0, 16.0)),
         r"^frequency table fields differ in length: "
         r"\{'q': 4, 'count': 4, 'y_sum': 3, 'y_sumsq': 4\}$",
         id="unequal-lengths",
     ),
 ]
 
+# a table some population tabulates into, for copies to start from
+VALID_FIELDS = ((1.0, 2.0), (1, 2), (1.0, 4.0), (1.0, 8.0))
+
 
 class TestMalformedTable:
-    """build_prefix_moments, which every search and inspection route runs
-    before costing, the oracle before its cap too, rejects a table that is
-    not a frequency table."""
+    """A FrequencyTable checks its fields whenever one is made, so fields
+    that are not a frequency table never reach a search: every route from
+    them raises a DataError naming the first bad group."""
 
-    @pytest.mark.parametrize("table,message", MALFORMED_TABLES)
+    @pytest.mark.parametrize("fields,message", MALFORMED_TABLES)
     @pytest.mark.parametrize(
         "route",
         [
-            pytest.param(lambda ft: solve_problem(ft, ProblemSpec(L=2, n=1, N=ft.N)), id="solver"),
+            pytest.param(lambda fields: FrequencyTable(*fields), id="built"),
             pytest.param(
-                lambda ft: brute_force_solve(ft, ProblemSpec(L=2, n=1, N=ft.N)), id="oracle"
+                lambda fields: FrequencyTable(*VALID_FIELDS)._replace(
+                    **dict(zip(FrequencyTable._fields, fields))
+                ),
+                id="_replace",
+            ),
+            pytest.param(lambda fields: FrequencyTable._make(fields), id="_make"),
+            # a table made around the checks still meets them when unpickled
+            pytest.param(
+                lambda fields: pickle.loads(pickle.dumps(tuple.__new__(FrequencyTable, fields))),
+                id="pickle",
+            ),
+            # the searches and attach_costs are handed the table as built
+            pytest.param(
+                lambda fields: solve_problem(FrequencyTable(*fields), ProblemSpec(L=2, n=1, N=4)),
+                id="solver",
             ),
             pytest.param(
-                lambda ft: brute_force_solve(ft, ProblemSpec(L=2, n=1, N=ft.N), cap=0),
+                lambda fields: brute_force_solve(
+                    FrequencyTable(*fields), ProblemSpec(L=2, n=1, N=4)
+                ),
+                id="oracle",
+            ),
+            pytest.param(
+                lambda fields: brute_force_solve(
+                    FrequencyTable(*fields), ProblemSpec(L=2, n=1, N=4), cap=0
+                ),
                 id="oracle-under-a-zero-cap",
             ),
             pytest.param(
-                lambda ft: attach_costs(build_layered_graph(ft.K, 2), build_prefix_moments(ft)),
+                lambda fields: attach_costs(
+                    build_layered_graph(4, 2), build_prefix_moments(FrequencyTable(*fields))
+                ),
                 id="attach_costs",
             ),
         ],
     )
-    def test_every_route_raises_a_data_error(self, route, table, message):
+    def test_every_route_raises_a_data_error(self, route, fields, message):
         with pytest.raises(DataError, match=message):
-            route(table)
+            route(fields)
 
     @pytest.mark.parametrize("count", [1.5, 2.0])
     def test_float_count_raises_a_data_error(self, count):
         """A count of 1.5 or of 2.0 is not a number of units, even where
-        the counts total a whole N."""
-        table = FrequencyTable(
-            (1.0, 2.0, 3.0, 4.0), (count, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0)
-        )
+        the counts total a whole N: the table refuses to be built."""
         with pytest.raises(DataError, match=rf"^group 1 \(x=1\.0\) holds {count} units, not an integer$"):
-            build_prefix_moments(table)
+            FrequencyTable(
+                (1.0, 2.0, 3.0, 4.0), (count, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0)
+            )
 
     @pytest.mark.parametrize("search", [solve_problem, brute_force_solve], ids=["solver", "oracle"])
     def test_whole_float_count_raises_before_the_search(self, search):
-        """Counts (2.0, 1, 1, 1) total N = 5, which a spec can match, so
-        both searches refuse the table before they cost it."""
-        table = FrequencyTable(
-            (1.0, 2.0, 3.0, 4.0), (2.0, 1, 1, 1), (2.0, 2.0, 3.0, 4.0), (2.0, 4.0, 9.0, 16.0)
-        )
+        """Counts (2.0, 1, 1, 1) total N = 5, which a spec can match, yet
+        no search starts: the table refuses to be built."""
         with pytest.raises(DataError, match=r"^group 1 \(x=1\.0\) holds 2\.0 units, not an integer$"):
-            search(table, ProblemSpec(L=2, n=2, N=5))
+            search(
+                FrequencyTable(
+                    (1.0, 2.0, 3.0, 4.0), (2.0, 1, 1, 1), (2.0, 2.0, 3.0, 4.0), (2.0, 4.0, 9.0, 16.0)
+                ),
+                ProblemSpec(L=2, n=2, N=5),
+            )
 
     @pytest.mark.parametrize("seed", range(20))
     def test_tabulated_tables_pass(self, seed):

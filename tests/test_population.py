@@ -358,14 +358,14 @@ class TestFrequencyTable:
         built = FrequencyTable(*self.LISTS)
         ft = {
             "built": lambda: built,
-            "_replace": lambda: built._replace(q=[1.0, 3.0], count=[2, 1]),
+            "_replace": lambda: built._replace(q=[1.0, 3.0], count=[2, 2]),
             "_make": lambda: FrequencyTable._make(self.LISTS),
             "pickle": lambda: pickle.loads(pickle.dumps(built)),
         }[route]()
         assert type(ft) is FrequencyTable
         assert all(type(field) is tuple for field in ft), ft
         if route == "_replace":
-            assert ft[:2] == ((1.0, 3.0), (2, 1))
+            assert ft[:2] == ((1.0, 3.0), (2, 2))
         else:
             assert ft == tuple(map(tuple, self.LISTS))
 
@@ -375,6 +375,33 @@ class TestFrequencyTable:
         fields = tuple(map(tuple, self.LISTS))
         ft = FrequencyTable(*fields)
         assert all(map(lambda kept, given: kept is given, ft, fields))
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_tabulated_groups_are_never_refused(self, seed):
+        """No group a population tabulates into falls below the rounding
+        allowance of the check that y_sumsq >= y_sum^2 / count, though the
+        exact test count * y_sumsq >= y_sum^2 refuses some of these groups.
+        They are near-constant at scales 1e-300 to 1e150, subnormal, near
+        1e154 or identical values repeated up to 1000 times."""
+        rng = random.Random(seed)
+        groups = {}
+        for _ in range(400):
+            base = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-300.0, 150.0)
+            size = rng.choice((2, 3, 5, 8, 50))
+            spread = 2.0 ** -rng.randint(30, 60)
+            groups[len(groups)] = [base * (1.0 + rng.uniform(-spread, spread)) for _ in range(size)]
+        for _ in range(100):
+            groups[len(groups)] = [rng.randint(-50, 50) * 5e-324 for _ in range(rng.randint(1, 10))]
+        for _ in range(100):
+            size = rng.randint(1, 2)
+            groups[len(groups)] = [rng.choice((-9e153, 9e153)) * rng.uniform(0.5, 1.0) for _ in range(size)]
+        for _ in range(50):
+            value = rng.uniform(-1.0, 1.0) * 10.0 ** rng.uniform(-160.0, 150.0)
+            groups[len(groups)] = [value] * rng.randint(1, 1000)
+        ft = build_frequency_table(Population({float(x): ys for x, ys in groups.items()}))
+        assert ft.K == len(groups)
+        exact = [c * y2 >= y * y for c, y, y2 in zip(ft.count, ft.y_sum, ft.y_sumsq)]
+        assert not all(exact[:400])
 
 
 class TestBuildFrequencyTable:
