@@ -13,8 +13,7 @@ from __future__ import annotations
 
 import math
 import time
-from bisect import bisect_right
-from itertools import accumulate, chain, compress, count, repeat
+from itertools import accumulate, chain, compress, repeat
 from operator import add, eq, getitem, mul, sub
 from typing import Iterable, Iterator
 
@@ -166,12 +165,7 @@ def _walk_compositions(
     the arc s -> t; the list of every d-stratum suffix starting at i is,
     for each node j after i in ascending order, the arc i -> j plus the
     block of (d-1)-stratum suffixes starting at j. Lists hold plain integer
-    totals, prefix lists in colexicographic order and suffix lists in
-    lexicographic order. Their block starts are counted, never stored, both
-    by the hockey-stick identity: in a d-stratum prefix list the block of s
-    starts at comb(s-d-1, d-1), whatever the list's end node, and in the
-    d-stratum suffix list of i the block of j starts at
-    comb(K-i-d, d-1) - comb(K+2-j-d, d-1).
+    totals.
 
     The walk runs in two phases. The first prices every group before any
     is followed up. Every e-stratum suffix list is formed once and only its
@@ -199,11 +193,10 @@ def _walk_compositions(
     total only with a least base, a b whose priced arc is least and a least
     suffix of that b, and every prefix ends at a, so the group's least pair
     holds the smallest prefix with a least base, then the smallest such b,
-    then the first least entry of b's suffix list. The group's bases are
-    formed again, every prefix with a least base is unranked from its
-    position through the counted block starts, one level for all of them at
-    a time, and the smallest is kept; b's list is formed again and its
-    first least entry unranked the same way. No prefix ending at a is
+    then the smallest least suffix of b. One search (_first) finds each
+    side's: the first p-stratum path 1 -> a whose total is the least base,
+    and the first e-stratum path b -> K + 1 whose total is the least suffix
+    total of b, phase 1 having found both targets. No prefix ending at a is
     smaller than floor = (1, 3, ..., a), so a group is followed up only
     when (low, floor) < best, and is then kept by
     best = min(best, (low, nodes)).
@@ -214,9 +207,8 @@ def _walk_compositions(
     each group's least base, base count and least total: O(K) integers
     beside the deeper lists. Of the lists the first phase forms it holds
     one at a time, while its least and length are taken. Only while a
-    group is followed up does it hold that group's bases again, b's suffix
-    list again, the block starts of each depth, and the positions and
-    nodes of its prefixes with a least base.
+    group is followed up does it hold its priced middle arcs and, on the
+    search's stack, one path of one side.
     """
     if L == 1:
         return (1, K + 1), 1
@@ -270,41 +262,43 @@ def _walk_compositions(
         floor = (*range(1, 2 * p, 2), a)
         if (low, floor) < best:
             base = lows[a - groups.start]
-            if sizes[a - groups.start] == 1:  # the group's one prefix is its floor
-                prefix = floor
-            else:
-                # the block holding a position names its node one level
-                # down and its offset in that node's list; at depth 2 each
-                # block holds one prefix, so n_1 = position + 3
-                bases = next(_lists(rows, p, heads, (a,)))
-                positions = list(compress(count(), map(eq, bases, repeat(base))))
-                columns = []
-                for d in range(p, 2, -1):
-                    # starts[s - 2d + 1] is where the block of end node s starts
-                    starts = [math.comb(s - d - 1, d - 1) for s in range(2 * d - 1, a)]
-                    blocks = [bisect_right(starts, at) - 1 for at in positions]
-                    positions = list(map(sub, positions, map(starts.__getitem__, blocks)))
-                    columns.append(list(map(add, blocks, repeat(2 * d - 1))))
-                columns.append(map(add, positions, repeat(3)))
-                prefix = (1, *min(zip(*reversed(columns))), a)
             # the smallest b whose middle arc plus least suffix is least
-            priced = list(map(add, rows[a], least[a + 2 :]))
-            nodes = (*prefix, a + 2 + priced.index(low - base))
-            if e > 1:
-                # the first least entry of b's list, formed again, is its
-                # smallest least suffix
-                b = nodes[-1]
-                at = next(_lists(rows, e, tails, (b,), True)).index(least[b])
-                for d in range(e, 2, -1):
-                    # starts[j - i - 2] is where the block of node j starts
-                    i = nodes[-1]
-                    top = math.comb(K - i - d, d - 1)
-                    starts = [top - math.comb(m, d - 1) for m in range(K - i - d, d - 2, -1)]
-                    block = bisect_right(starts, at) - 1
-                    nodes, at = (*nodes, i + 2 + block), at - starts[block]
-                nodes = (*nodes, nodes[-1] + 2 + at)
-            best = min(best, (low, (*nodes, K + 1)))
+            b = a + 2 + list(map(add, rows[a], least[a + 2 :])).index(low - base)
+            suffix = _first(rows, final, e, b, K + 1, least[b])
+            best = min(best, (low, _first(rows, final, p, 1, a, base) + suffix))
     return best[1], scored
+
+
+def _first(
+    rows: list[list[int]], final: list[int | None], d: int, u: int, v: int, target: int
+) -> tuple[int, ...]:
+    """The lexicographically first path u -> v of d strata whose total is
+    target, which some such path must reach. Its last stratum t -> v costs
+    final[t] when v is the terminal K + 1, len(final). The search runs
+    depth first, heads ascending, on an explicit stack, so any d fits;
+    costs are integer units >= 0, so a branch ends as soon as its total
+    passes target."""
+    if d == 1:
+        return u, v
+    # a frame: its node, the total left for the strata from it, and the
+    # (head, arc cost) pairs left to try; d - i strata leave the node of
+    # frame i, so its heads stop where d - i - 1 strata of two fit before v
+    stack = [(u, target, zip(range(u + 2, v + 3 - 2 * d), rows[u]))]
+    while True:
+        _, total, arcs = stack[-1]
+        for h, cost in arcs:
+            left = total - cost
+            if left < 0:
+                continue
+            if len(stack) < d - 1:
+                heads = range(h + 2, v + 3 - 2 * (d - len(stack)))
+                stack.append((h, left, zip(heads, rows[h])))
+                break
+            # h starts the last stratum, h -> v
+            if (final[h] if v == len(final) else rows[h][v - h - 2]) == left:
+                return (*(frame[0] for frame in stack), h, v)
+        else:
+            stack.pop()
 
 
 def _lists(

@@ -51,10 +51,10 @@ class FrequencyTable(_FrequencyFields):
     solve's work. Tuples pass through as they are.
 
     Raises DataError when the fields differ in length, or at the first
-    group whose count is not an integer (a float or a bool) or is below 1,
-    whose y total or squared y total is not finite, whose squared y total
-    is below 0 or, beyond rounding, below its y total squared over its
-    count, or whose x does not exceed the x before it.
+    group whose x is not finite, whose count is not an integer (a float or
+    a bool) or is below 1, whose y total or squared y total is not finite,
+    whose squared y total is below 0 or, beyond rounding, below its y total
+    squared over its count, or whose x does not exceed the x before it.
     """
 
     __slots__ = ()
@@ -71,6 +71,8 @@ class FrequencyTable(_FrequencyFields):
         if len(set(lengths.values())) > 1:
             raise DataError(f"frequency table fields differ in length: {lengths}")
         for t, (x, c, y, y2) in enumerate(zip(*ft), start=1):
+            if not math.isfinite(x):
+                raise DataError(f"group {t} has a non-finite x={x!r}")
             if isinstance(c, bool) or not isinstance(c, int):
                 raise DataError(f"group {t} (x={x!r}) holds {c!r} units, not an integer")
             if c < 1:

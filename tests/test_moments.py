@@ -160,6 +160,17 @@ MALFORMED_TABLES = [
         id="squared-total-below-the-mean-square",
     ),
     pytest.param(
+        ((1.0, 2.0, 3.0, math.inf), (1, 1, 1, 1), (1.0, 2.0, 3.0, 4.0), (1.0, 4.0, 9.0, 16.0)),
+        r"^group 4 has a non-finite x=inf$",
+        id="infinite-x",
+    ),
+    # no later x compares with a lone x
+    pytest.param(
+        ((math.nan,), (1,), (1.0,), (1.0,)),
+        r"^group 1 has a non-finite x=nan$",
+        id="lone-nan-x",
+    ),
+    pytest.param(
         ((1.0, 2.0, 3.0, 4.0), (1, 1, 1, 1), (1.0, 2.0, 3.0), (1.0, 4.0, 9.0, 16.0)),
         r"^frequency table fields differ in length: "
         r"\{'q': 4, 'count': 4, 'y_sum': 3, 'y_sumsq': 4\}$",

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 import random
 import sys
+import traceback
 import tracemalloc
 
 import pytest
@@ -506,6 +507,31 @@ def _full_rows(K: int, L: int, cost):
     return rows, final
 
 
+def _count_searches(monkeypatch) -> tuple[list, list]:
+    """Patch the walk's search for a tied path to record each call's
+    arguments, and each row entry it reads, by iteration or by index."""
+    calls: list = []
+    reads: list = []
+    first = stratopt.oracle._first
+
+    class CountedRow(list):
+        def __iter__(self):
+            for cost in list.__iter__(self):
+                reads.append(cost)
+                yield cost
+
+        def __getitem__(self, at):
+            reads.append(at)
+            return list.__getitem__(self, at)
+
+    def counting(rows, final, *args):
+        calls.append(args)
+        return first(list(map(CountedRow, rows)), final, *args)
+
+    monkeypatch.setattr(stratopt.oracle, "_first", counting)
+    return calls, reads
+
+
 class TestGroupedWalk:
     """The walk groups prefixes by their last node and scores narrow units;
     the per-prefix walk over 2^-1074 units in tests/helpers.py is its
@@ -555,8 +581,8 @@ class TestGroupedWalk:
         scored. Prefixes hold three or four strata, then comes the middle
         stratum, and from L = 8 on suffixes hold four or five strata, which
         no shallower case reaches: their lists take more than one step, and
-        the first least suffix of b is unranked through two or three
-        levels."""
+        the search for the smallest least suffix of b spans four or five
+        strata."""
         rng = random.Random(1807)
         for case in range(320):
             L = case % 4 + 7
@@ -665,50 +691,70 @@ class TestGroupedWalk:
     def test_tie_floor_skips_groups_above_the_best_nodes(self, monkeypatch):
         """At K = 34, L = 9 every composition ties, and every group after
         the first has a floor above the best nodes, so only the first is
-        followed up: its one prefix needs no unranking, its smallest b is
-        11, and b's suffix of four strata takes one bisect_right call per
-        level above two, 2 in all. With four prefix and five suffix strata
-        around one split node, a walk that followed up every tie made 9,739
-        calls and took about twice as long (298,465 calls and 19 times as
-        long when the suffix held at most three strata)."""
+        followed up: one search for its prefix, ending at 9, and one for
+        the suffix of its smallest b, 11. Each takes the first head at
+        every level, and they read 7 row entries in all. A walk that
+        followed up every tied group made 34 searches; one whose search
+        went on through every tied path read 1,143 entries."""
         K, L = 34, 9
         rows, final = _full_rows(K, L, 100)
-        calls = []
-        bisect_right = stratopt.oracle.bisect_right
-
-        def counting(*args):
-            calls.append(args)
-            return bisect_right(*args)
-
-        monkeypatch.setattr(stratopt.oracle, "bisect_right", counting)
+        calls, reads = _count_searches(monkeypatch)
         nodes = (1, *range(3, 2 * L, 2), K + 1)
         assert _walk_compositions(rows, final, K, L) == (nodes, count_solutions(K, L))
-        assert len(calls) <= 4
+        assert len(calls) == 2
+        assert len(reads) <= 16
 
     def test_ties_within_groups_unrank_few_prefixes(self, monkeypatch):
         """At K = 34, L = 9, every arc 100 units but 1 -> 3 at 200, every
-        composition that avoids that arc ties, and every group from node 10
-        on is followed up, unranking every tied prefix it holds. With four
-        prefix strata, the middle stratum and four suffix strata a group
-        holds at most 969 prefixes, and the walk makes 7,786 bisect_right
-        calls (7,803 with four prefix and five suffix strata around one
-        split node); a walk that gave the suffix at most three strata, and
-        so the prefix six, held up to 20,349, made 217,073 calls here and
-        took about 10 times as long."""
+        composition that avoids that arc ties, and each of the 16 groups
+        from node 10 on is followed up with two searches. Each ends at its
+        first tied path. Below the head 3 a prefix passes its target only
+        at its last stratum, so the prefix searches read 2,168 row entries
+        in all and the suffix searches 48. A search that went on through
+        every tied path read 15,636."""
         K, L = 34, 9
         rows, final = _full_rows(K, L, 100)
         rows[1][0] = 200
-        calls = []
-        bisect_right = stratopt.oracle.bisect_right
-
-        def counting(*args):
-            calls.append(args)
-            return bisect_right(*args)
-
-        monkeypatch.setattr(stratopt.oracle, "bisect_right", counting)
+        calls, reads = _count_searches(monkeypatch)
         nodes = (1, *range(4, 2 * L + 1, 2), K + 1)
         assert _walk_compositions(rows, final, K, L) == (nodes, count_solutions(K, L))
-        assert len(calls) < 10_000
+        assert len(calls) == 32
+        assert len(reads) < 5_000
+
+    def test_tied_paths_last_in_each_side_list(self):
+        """K = 34, L = 9, every arc 2 units but 1 -> n for n >= 11 and the
+        last stratum from 31 on, each 0: a composition reaches the least
+        total only with both, so each side's tied paths come after nearly
+        every other path its search tries, with heads ascending. The walk
+        must still match the reference."""
+        K, L = 34, 9
+        rows, final = _full_rows(K, L, 2)
+        for n in range(K // 3, K):
+            rows[1][n - 3] = 0
+        final[K - 3 : K] = [0] * 3
+        nodes, scored = (1, 11, *range(13, 24, 2), 31, K + 1), count_solutions(K, L)
+        assert reference_walk_compositions(rows, final, K, L) == (nodes, 14, scored)
+        assert _walk_compositions(rows, final, K, L) == (nodes, scored)
+
+    def test_deep_sides_need_no_recursion(self):
+        """At K = 401, L = 200 each side holds about 100 strata, and the
+        check runs with at most 50 frames of stack to spare: a search that
+        recursed once a stratum would raise RecursionError. It must agree
+        with the solver."""
+        K, L = 401, 200
+        rng = random.Random(K)
+        ft = table_from_pairs(
+            [(float(x), float(rng.randint(0, 9))) for x in range(K) for _ in range(2)]
+        )
+        spec = ProblemSpec(L=L, n=L * 2, N=ft.N)
+        solved = solve_problem(ft, spec)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(len(traceback.extract_stack()) + 50)
+        try:
+            checked = brute_force_solve(ft, spec)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert checked.nodes == solved.nodes
 
     @pytest.mark.parametrize(
         "cheap,nodes",
@@ -802,8 +848,8 @@ class TestGroupedWalk:
         """In a seeded K = 24 unit table, the d-stratum list at node t holds
         count_solutions(t - 1, d) totals, and the block of end node s sits
         at [comb(s-d-1, d-1), comb(s-d, d-1)): the (d-1)-stratum list at s
-        plus the step s -> t, whatever t is. The walk unranks its tied
-        prefixes with these block starts, which no list stores."""
+        plus the step s -> t, whatever t is: every prefix once. The walk
+        counts the compositions it covers from these lengths."""
         K = 24
         rng = random.Random(24)
         rows = [[rng.randrange(1000) for _ in row] for row in _full_rows(K, 1, 0)[0]]
@@ -828,8 +874,8 @@ class TestGroupedWalk:
         holds count_solutions(K + 1 - i, d) totals, and the block of the
         next node j sits at [c - comb(K+2-j-d, d-1), c - comb(K+1-j-d, d-1))
         with c = comb(K-i-d, d-1): the step i -> j plus the (d-1)-stratum
-        list from j. The walk unranks its first least suffix with these
-        block starts, which no list stores."""
+        list from j: every suffix once. The walk counts the compositions it
+        covers from these lengths."""
         K = 24
         rng = random.Random(24)
         rows, final = _full_rows(K, 1, 0)
