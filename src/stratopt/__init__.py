@@ -26,7 +26,7 @@ from .errors import (
     UndefinedCVError,
     UndefinedVarianceError,
 )
-from .graph import Arc, LayeredGraph, arc_counts, attach_costs, build_layered_graph
+from .graph import Arc, LayeredGraph, arc_counts, attach_costs, build_layered_graph, count_solutions
 from .moments import (
     PrefixMoments,
     ProblemSpec,
@@ -59,18 +59,11 @@ from .solver import (
 
 __version__ = "0.1.0"
 
+
 # solving never needs the exhaustive oracle, so it loads on first use
-_ORACLE_NAMES = frozenset(
-    {
-        "brute_force_solve",
-        "count_solutions",
-    }
-)
-
-
 def __getattr__(name: str) -> object:
-    """An oracle name, imported from .oracle on first access (PEP 562)."""
-    if name not in _ORACLE_NAMES:
+    """brute_force_solve, imported from .oracle on first access (PEP 562)."""
+    if name != "brute_force_solve":
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     from . import oracle
 

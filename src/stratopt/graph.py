@@ -13,7 +13,8 @@ cost_table zips the prefix moments once into a list of (count, y total,
 squared y total) triples and hands every tail to one kernel, _cost_rows,
 which costs the rows of any list of tails in one comprehension, each row
 over a slice of the triples whose end it reads from layer_bounds through a
-node-indexed list.
+node-indexed list. arc_counts and count_solutions are the graph's closed
+forms: the arcs of each layer, and the source to terminal paths.
 """
 
 from __future__ import annotations
@@ -124,6 +125,20 @@ def arc_counts(K: int, L: int) -> tuple[int, int, int, int]:
     span = K - 2 * L + 1
     middle = span * (span + 1) // 2
     return span, span, middle, 2 * span + (L - 2) * middle
+
+
+def count_solutions(K: int, L: int) -> int:
+    """Number of feasible stratifications, comb(K - L - 1, L - 1): the
+    source to terminal paths of L arcs.
+
+    Exact at any size (Python integers). Returns 0 when K < 2L, where no
+    feasible stratification exists.
+    """
+    if L < 1:
+        raise ValueError(f"stratum count must be at least 1, got L={L}")
+    if K < 2 * L:
+        return 0
+    return math.comb(K - L - 1, L - 1)
 
 
 def cost_table(pm: PrefixMoments, bounds: Bounds) -> CostTable:

@@ -18,23 +18,10 @@ from operator import add, eq, getitem, mul, sub
 from typing import Iterable, Iterator
 
 from .errors import DEFAULT_ORACLE_CAP, ConsistencyError, OracleTooLargeError
-from .graph import cost_table
+from .graph import cost_table, count_solutions
 from .moments import ProblemSpec, exact_cost_units
 from .population import FrequencyTable
 from .solver import StratificationSolution, _report, _take_kept, check_problem
-
-
-def count_solutions(K: int, L: int) -> int:
-    """Number of feasible stratifications, comb(K - L - 1, L - 1).
-
-    Exact at any size (Python integers). Returns 0 when K < 2L, where no
-    feasible stratification exists.
-    """
-    if L < 1:
-        raise ValueError(f"stratum count must be at least 1, got L={L}")
-    if K < 2 * L:
-        return 0
-    return math.comb(K - L - 1, L - 1)
 
 
 def brute_force_solve(
@@ -65,7 +52,8 @@ def brute_force_solve(
 
     The check first empties the solver's kept slot. When the solver's
     _take_kept hands it the outcome of a solve_problem of this very table
-    and an equal spec, it skips check_problem, as the solve validated these
+    and an equal spec, which the solve keeps only where the default cap
+    admits its check, it skips check_problem, as the solve validated these
     inputs; it still tests its cap. It scores the kept cost table, the one
     cost_table would build from the same inputs, bit for bit, and drops it
     before the walk. When its walk lands on the solve's nodes it returns
@@ -159,20 +147,21 @@ def _walk_compositions(
     a -> b into a prefix of p = floor((L-1)/2) strata ending at a, the
     middle arc, and a suffix of e = floor(L/2) strata starting at b; at
     L = 1 and 2 the one path, or the K - 3 paths, are scored directly. Both
-    sides are formed by one list builder (_lists). The list of every
-    d-stratum prefix ending at t is, for each end node s before t in
-    ascending order, the block of (d-1)-stratum prefixes ending at s plus
-    the arc s -> t; the list of every d-stratum suffix starting at i is,
-    for each node j after i in ascending order, the arc i -> j plus the
-    block of (d-1)-stratum suffixes starting at j. Lists hold plain integer
-    totals.
+    sides are formed by one list builder (_lists) and priced by one
+    function (_priced). The list of every d-stratum prefix ending at t is,
+    for each end node s before t in ascending order, the block of
+    (d-1)-stratum prefixes ending at s plus the arc s -> t; the list of
+    every d-stratum suffix starting at i is, for each node j after i in
+    ascending order, the arc i -> j plus the block of (d-1)-stratum
+    suffixes starting at j. Lists hold plain integer totals.
 
     The walk runs in two phases. The first prices every group before any
-    is followed up. Every e-stratum suffix list is formed once and only its
-    least total and its length are kept, by node; the list is dropped. The
-    compositions through a form one group, whose bases are the totals of
-    every p-stratum prefix ending at a: one pass forms each group's bases
-    once and keeps their least and their length, dropping the list. One
+    is followed up. _priced prices one side at a time: every p-stratum
+    prefix list, then every e-stratum suffix list, is formed once and only
+    its least total and its length are kept, by node; the list is dropped.
+    A one-stratum side forms no list: its least totals are its one-stratum
+    totals, its lengths 1. The compositions through a form one group, whose
+    bases are the totals of every p-stratum prefix ending at a. One
     C-level pass then takes, for each a, the least over b of the middle arc
     a -> b plus the least suffix total of b. Any prefix ending at a, any
     middle arc from a and any suffix starting at its b make a composition,
@@ -201,14 +190,15 @@ def _walk_compositions(
     when (low, floor) < best, and is then kept by
     best = min(best, (low, nodes)).
 
-    Memory holds the table, the prefix lists of depth p-1 and the suffix
-    lists of depth e-1 of every node (and of one depth less while those are
-    built), and by node the least suffix total, a running suffix count, and
-    each group's least base, base count and least total: O(K) integers
-    beside the deeper lists. Of the lists the first phase forms it holds
-    one at a time, while its least and length are taken. Only while a
-    group is followed up does it hold its priced middle arcs and, on the
-    search's stack, one path of one side.
+    Memory holds the table and the deeper lists of one side at a time:
+    those of depth d-1 of every node, d being p and then e (and of one
+    depth less while those are built), dropped once that side is priced. By
+    node it holds each side's least totals and list lengths, a running
+    suffix count, and each group's least total: O(K) integers beside the
+    deeper lists. Of the lists the first phase forms it holds one at a
+    time, while its least and length are taken. Only while a group is
+    followed up does it hold its priced middle arcs and, on the search's
+    stack, one path of one side.
     """
     if L == 1:
         return (1, K + 1), 1
@@ -216,44 +206,23 @@ def _walk_compositions(
         totals = list(map(add, rows[1], final[3:K]))
         return (1, 3 + totals.index(min(totals)), K + 1), len(totals)
     p, e = (L - 1) // 2, L // 2
-    # the lists one stratum short of each side's, indexed by node, a list of
-    # one total held as that total: the one-stratum prefix ending at t
-    # totals rows[1][t-3] (the zero-stratum prefix, at node 1, 0) and the
+    # by node, the least total and the length of each side's lists: the
+    # one-stratum prefix ending at t totals rows[1][t-3], and the
     # one-stratum suffix starting at j totals final[j]
-    heads = [0, 0] if p == 1 else [0, 0, 0, *rows[1]]
-    tails = final[:-1]
-    # a d-stratum prefix ends at a node in 2d+1 .. K+1-2(L-d), and a
-    # d-stratum suffix starts at one in 2(L-d)+1 .. K+1-2d
-    for d in range(2, p):
-        span = range(2 * d + 1, K + 2 - 2 * (L - d))
-        heads = [[]] * span.start + list(_lists(rows, d, heads, span))
-    for d in range(2, e):
-        span = range(2 * (L - d) + 1, K + 2 - 2 * d)
-        tails = [[]] * span.start + list(_lists(rows, d, tails, span, True))
-    # indexed by node, least[b] is the least total of b's e-stratum suffix
-    # list and before[b+1] - before[b] its length, each list dropped once
-    # read; a one-stratum suffix list is the one total of its last stratum
-    least, before = tails, range(K + 1)
-    if e > 1:
-        span = range(2 * p + 3, K + 2 - 2 * e)
-        flats = _lists(rows, e, tails, span, True)
-        ends, lengths = zip(*[(min(flat), len(flat)) for flat in flats])
-        least = [0] * span.start + list(ends)
-        before = [0] * span.start + list(accumulate(lengths, initial=0))
-    # by group, the least base and the number of bases, each list of bases
-    # dropped once read
-    groups = range(2 * p + 1, K - 2 * e)
-    lows, sizes = zip(*[(min(bases), len(bases)) for bases in _lists(rows, p, heads, groups)])
+    lows, sizes = _priced(rows, [0, 0, 0, *rows[1]], p, L)
+    least, lengths = _priced(rows, final[:-1], e, L, True)
     # by group, its least base plus its least middle arc a -> b plus least
     # suffix of b, over b ascending from a + 2
+    groups = range(2 * p + 1, K - 2 * e)
     firsts = range(groups.start + 2, groups.stop + 2)
     suffixes = map(least.__getitem__, map(slice, firsts, repeat(None)))
     arcs = map(map, repeat(add), rows[groups.start : groups.stop], suffixes)
-    totals = list(map(add, lows, map(min, arcs)))
+    totals = list(map(add, lows[groups.start :], map(min, arcs)))
     # a's row reaches every b a suffix starts at, so the group of a covers
     # its bases times every suffix starting after a + 1
+    before = list(accumulate(lengths, initial=0))
     after = map(sub, repeat(before[-1]), before[firsts.start : firsts.stop])
-    scored = sum(map(mul, sizes, after))
+    scored = sum(map(mul, sizes[groups.start :], after))
     low = min(totals)
     best: tuple[float, tuple[int, ...]] = (math.inf, ())
     for a in compress(groups, map(eq, totals, repeat(low))):
@@ -261,12 +230,39 @@ def _walk_compositions(
         # a group whose (low, floor) is not below best can win
         floor = (*range(1, 2 * p, 2), a)
         if (low, floor) < best:
-            base = lows[a - groups.start]
+            base = lows[a]
             # the smallest b whose middle arc plus least suffix is least
             b = a + 2 + list(map(add, rows[a], least[a + 2 :])).index(low - base)
             suffix = _first(rows, final, e, b, K + 1, least[b])
             best = min(best, (low, _first(rows, final, p, 1, a, base) + suffix))
     return best[1], scored
+
+
+def _priced(
+    rows: list[list[int]], ones: list, d: int, L: int, suffix: bool = False
+) -> tuple[list, list]:
+    """By node, the least total and the length of the list of every
+    d-stratum prefix ending there, or with suffix set of every d-stratum
+    suffix starting there, in an L-stratum path; 0 and 0 at a node no such
+    list reaches. ones holds by node the total of the one-stratum prefix
+    ending there, or suffix starting there, as _lists takes it. The lists
+    of each depth up to d - 1 are formed from those of the depth before
+    (_lists) and held by node; each d-stratum list is dropped once its
+    least and its length are taken. At d = 1 each list is its one total,
+    so ones is returned with lengths of 1."""
+    if d == 1:
+        return ones, [1] * len(ones)
+    below, K = ones, len(rows) - 1
+    for depth in range(2, d + 1):
+        # a c-stratum prefix ends at a node in 2c+1 .. K+1-2(L-c), where a
+        # suffix of L - c strata starts
+        c = L - depth if suffix else depth
+        nodes = range(2 * c + 1, K + 2 - 2 * (L - c))
+        lists = _lists(rows, depth, below, nodes, suffix)
+        if depth < d:
+            below = [[]] * nodes.start + list(lists)
+    lows, lengths = zip(*[(min(totals), len(totals)) for totals in lists])
+    return [0] * nodes.start + list(lows), [0] * nodes.start + list(lengths)
 
 
 def _first(
@@ -311,15 +307,16 @@ def _lists(
     (d-1)-stratum suffix starts at. A prefix list is, for each end node s
     before n in ascending order, the block of s plus rows[s][n-s-2]; a
     suffix list is, for each node j after n in ascending order,
-    rows[n][j-n-2] plus the block of j. Up to d = 2 each block is one total,
-    held as that total, and the list is formed in one C-level pass."""
+    rows[n][j-n-2] plus the block of j. d is at least 2; at d = 2 each
+    block is a one-stratum total, held in below as that total, and the list
+    is formed in one C-level pass."""
     for n in nodes:
         if suffix:
             blocks, costs = below[n + 2 :], rows[n]
         else:
             blocks = below[2 * d - 1 :]
             costs = map(getitem, rows[2 * d - 1 : n - 1], range(n - 2 * d - 1, -1, -1))
-        if d <= 2:
+        if d == 2:
             yield list(map(add, blocks, costs))
             continue
         totals: list[int] = []

@@ -12,8 +12,8 @@ import time
 from operator import add
 from typing import NamedTuple
 
-from .errors import ConsistencyError, DataError, InvalidSpecError
-from .graph import Bounds, CostTable, LayeredGraph, cost_table, layer_bounds
+from .errors import DEFAULT_ORACLE_CAP, ConsistencyError, DataError, InvalidSpecError
+from .graph import Bounds, CostTable, LayeredGraph, cost_table, count_solutions, layer_bounds
 from .moments import (
     PrefixMoments,
     ProblemSpec,
@@ -89,8 +89,9 @@ class _Solved(NamedTuple):
     solution: StratificationSolution
 
 
-# the outcome of the last solve_problem that reported, until the next
-# search takes or drops it; at most one entry
+# the outcome of the last solve_problem that reported, if a check under the
+# default cap can take it, until the next search takes or drops it; at most
+# one entry
 _kept: list[_Solved] = []
 
 
@@ -265,14 +266,17 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
 
     Once reported, the solve's outcome stays kept in this module until the
     next search: the frequency table and spec it was handed, their prefix
-    moments, its cost table of about K^2/2 floats, and its report. The
-    next solve_problem drops it before it costs its own table. The next
-    brute_force_solve empties the slot through _take_kept, which hands it
-    the outcome only for the very same table object and an equal spec: the
-    check then skips check_problem, scores the kept table in place of
-    costing its own, and returns the kept report, its elapsed replaced,
-    when its walk lands on the same nodes. A solve that raises keeps
-    nothing.
+    moments, its cost table of about K^2/2 floats, and its report. It is
+    kept only where a check under the default cap can take it, when
+    count_solutions(K, L) <= DEFAULT_ORACLE_CAP; above that, a check with
+    a larger cap validates and costs its own table, which gives the same
+    answer more slowly. The next solve_problem drops any kept outcome
+    before it costs its own table. The next brute_force_solve empties the
+    slot through _take_kept, which hands it the outcome only for the very
+    same table object and an equal spec: the check then skips
+    check_problem, scores the kept table in place of costing its own, and
+    returns the kept report, its elapsed replaced, when its walk lands on
+    the same nodes. A solve that raises keeps nothing.
 
     Raises InfeasibleProblemError, InvalidSpecError and DataError from
     check_problem, before any costing; DataError also when a segment cost,
@@ -286,7 +290,8 @@ def solve_problem(ft: FrequencyTable, spec: ProblemSpec) -> StratificationSoluti
     _kept.clear()
     table = cost_table(pm, bounds)
     solution = _report(_cheapest_path(bounds, *table), pm, ft, spec, start)
-    _kept.append(_Solved(ft, spec, pm, table, solution))
+    if count_solutions(ft.K, spec.L) <= DEFAULT_ORACLE_CAP:
+        _kept.append(_Solved(ft, spec, pm, table, solution))
     return solution
 
 

@@ -7,6 +7,7 @@ import random
 import sys
 import traceback
 import tracemalloc
+from functools import cache
 
 import pytest
 
@@ -29,7 +30,7 @@ from stratopt import (
     solve_problem,
 )
 from stratopt.graph import cost_table, layer_bounds
-from stratopt.oracle import _exact_units, _lists, _walk_compositions
+from stratopt.oracle import _exact_units, _lists, _priced, _walk_compositions
 
 from helpers import (
     desk_table,
@@ -485,6 +486,40 @@ class TestOutcomeHandOff:
         assert checked._replace(elapsed=0.0) == expected
         assert not stratopt.solver._kept
 
+    @pytest.mark.parametrize("over", [True, False], ids=["count-over-cap", "count-at-cap"])
+    def test_outcome_kept_only_where_a_default_cap_check_can_take_it(self, monkeypatch, over):
+        """With the default cap the solver reads set one below
+        count_solutions(K, L), the solve keeps nothing, and a check with a
+        cap of the count validates, costs every row and self-checks every
+        stratum itself; with the cap at the count the outcome is kept and
+        the check repeats none of that work. Both report what the solve
+        reported."""
+        L = 3
+        _, ft, spec = self.problem(L, False)
+        count = count_solutions(ft.K, L)
+        monkeypatch.setattr(stratopt.solver, "DEFAULT_ORACLE_CAP", count - 1 if over else count)
+        tails = table_tails(*cost_table(build_prefix_moments(ft), layer_bounds(ft.K, L)))
+        solved = solve_problem(ft, spec)
+        assert len(stratopt.solver._kept) == (not over)
+        work = self.repeated_work(monkeypatch)
+        checked = brute_force_solve(ft, spec, cap=count)
+        if over:
+            assert len(work["build_prefix_moments"]) == 1
+            assert work["_cost_rows"] == tails
+            assert len(work["segment_stats_direct"]) == L
+        else:
+            assert work == {name: [] for name in work}
+        assert checked._replace(elapsed=0.0) == solved._replace(elapsed=0.0)
+        assert not stratopt.solver._kept
+
+    def test_a_solve_no_default_cap_check_can_take_keeps_nothing(self):
+        """K = 60, L = 8 has comb(51, 7) = 115,775,100 compositions, above
+        the default cap of 10^7, so its solve keeps no table."""
+        ft = random_instance(random.Random(60), 8, k_max=60, k_min=60)
+        assert count_solutions(ft.K, 8) == 115_775_100
+        solve_problem(ft, ProblemSpec(L=8, n=16, N=ft.N))
+        assert not stratopt.solver._kept
+
     def test_a_solve_that_raises_keeps_nothing(self, monkeypatch):
         """The outcome is kept only once the report has returned, so a check
         after a failed solve validates and costs its own."""
@@ -900,6 +935,71 @@ class TestGroupedWalk:
             tails = [[]] * starts.start + list(level.values())
             totals = level
 
+    @pytest.mark.parametrize("L", range(3, 12))
+    def test_priced_lists_are_the_least_and_length_of_the_lists_formed(self, L):
+        """On seeded unit tables, random and tie-heavy, for both sides and
+        every depth d of an L-stratum path, _priced gives at each node the
+        min and len of the d-stratum list _lists forms there, and 0 and 0
+        before the first node such a list reaches; at d = 1 the one-stratum
+        totals and 1. The reference lists are formed by plain recursion."""
+        rng = random.Random(f"priced:{L}")
+        for case in range(4):
+            K = rng.randint(2 * L, 2 * L + 6)
+            if case % 2:
+                pairs = random_pairs(rng, L, k_max=K, k_min=K)
+            else:
+                pairs = tie_heavy_pairs(rng, K)
+            table = cost_table(build_prefix_moments(table_from_pairs(pairs)), layer_bounds(K, L))
+            rows, final = _exact_units(*table)
+
+            def span(c):
+                # the nodes a c-stratum prefix of an L-stratum path ends at,
+                # where its suffix of L - c strata starts
+                return range(2 * c + 1, K + 2 - 2 * (L - c))
+
+            @cache
+            def prefixes(d, t):
+                if d == 1:
+                    return (rows[1][t - 3],)
+                return tuple(
+                    total + rows[s][t - s - 2]
+                    for s in range(2 * d - 1, t - 1)
+                    for total in prefixes(d - 1, s)
+                )
+
+            @cache
+            def suffixes(d, i):
+                if d == 1:
+                    return (final[i],)
+                return tuple(
+                    rows[i][j - i - 2] + total
+                    for j in range(i + 2, K + 4 - 2 * d)
+                    for total in suffixes(d - 1, j)
+                )
+
+            for suffix, ones, formed in (
+                (False, [0, 0, 0, *rows[1]], prefixes),
+                (True, final[:-1], suffixes),
+            ):
+                for d in range(1, L):
+                    nodes = span(L - d if suffix else d)
+                    lows, lengths = _priced(rows, ones, d, L, suffix)
+                    assert len(lows) == len(lengths) == nodes.stop, (K, suffix, d)
+                    if d == 1:
+                        assert all(lengths[n] == 1 for n in nodes), (K, suffix)
+                        assert [lows[n] for n in nodes] == [ones[n] for n in nodes], (K, suffix)
+                        continue
+                    # the (d-1)-stratum lists by node, as _lists takes them
+                    below = ones
+                    if d > 2:
+                        before = span(L - d + 1 if suffix else d - 1)
+                        below = [[]] * before.start + [list(formed(d - 1, n)) for n in before]
+                    lists = [list(formed(d, n)) for n in nodes]
+                    assert list(_lists(rows, d, below, nodes, suffix)) == lists, (K, suffix, d)
+                    assert lows[: nodes.start] == lengths[: nodes.start] == [0] * nodes.start
+                    assert [lows[n] for n in nodes] == list(map(min, lists)), (K, suffix, d)
+                    assert [lengths[n] for n in nodes] == list(map(len, lists)), (K, suffix, d)
+
     def test_total_past_the_float_range_raises(self):
         """y = -B, B, -B, B with B = sqrt(0.225 * max float): each of the
         two strata costs 0.9 * max float, so their total lies beyond the
@@ -1014,6 +1114,25 @@ class TestGroupedWalk:
         nodes, scored = (1, 3, 5, 7, 11, 15), count_solutions(K, L)
         assert reference_walk_compositions(rows, final, K, L) == (nodes, 60, scored)
         assert _walk_compositions(rows, final, K, L) == (nodes, scored)
+
+    def test_nine_strata_walk_memory_holds_one_side_at_a_time(self):
+        """At K = 50, L = 9 the walk alone, on a units table built before
+        tracing starts, holds the deeper lists of one side at a time: the
+        prefix side's are dropped once its lists are priced, before the
+        suffix side's are formed. Tracemalloc peaks on CPython 3.11:
+        935,288 bytes; 1,257,924 when the three-stratum lists of both sides
+        were held while the four-stratum lists were priced."""
+        K, L = 50, 9
+        ft = table_from_pairs(random_pairs(random.Random(5009), L, K, K))
+        units = _exact_units(*cost_table(build_prefix_moments(ft), layer_bounds(K, L)))
+        tracemalloc.start()
+        try:
+            _, scored = _walk_compositions(*units, K, L)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert scored == count_solutions(K, L)
+        assert peak < 1_100_000
 
     def test_seven_strata_walk_memory(self):
         """At K = 40, L = 7 the walk alone, on a units table built before

@@ -121,6 +121,9 @@ COLD_IMPORT = """
 import json, sys
 import stratopt
 seen = {"dataclasses": "dataclasses" in sys.modules, "oracle": "stratopt.oracle" in sys.modules}
+import stratopt.graph
+seen["count_is_graph"] = stratopt.count_solutions is stratopt.graph.count_solutions
+seen["count_oracle"] = "stratopt.oracle" in sys.modules
 lazy = stratopt.brute_force_solve
 import stratopt.oracle
 seen["lazy_is_oracle"] = lazy is stratopt.oracle.brute_force_solve
@@ -169,12 +172,15 @@ def fresh_interpreter(code, *args):
 
 def test_import_loads_neither_dataclasses_nor_the_oracle():
     """import stratopt leaves dataclasses and the oracle unloaded, and the
-    command line leaves dataclasses unloaded; an oracle name loads the
-    oracle module on first access, and an unknown name is still an
-    AttributeError that names it."""
+    command line leaves dataclasses unloaded; count_solutions is the
+    graph's, and reading it leaves the oracle unloaded; brute_force_solve
+    loads the oracle module on first access, and an unknown name is still
+    an AttributeError that names it."""
     assert fresh_interpreter(COLD_IMPORT) == {
         "dataclasses": False,
         "oracle": False,
+        "count_is_graph": True,
+        "count_oracle": False,
         "lazy_is_oracle": True,
         "cli_dataclasses": False,
         "unknown": "module 'stratopt' has no attribute 'no_such_name'",
@@ -196,5 +202,5 @@ def test_the_command_line_loads_the_oracle_only_to_check(tmp_path):
 
 def test_star_import_binds_every_public_name():
     """from stratopt import * binds each name in __all__, the lazily loaded
-    oracle names too, to the package's own object."""
+    brute_force_solve too, to the package's own object."""
     assert fresh_interpreter(STAR_IMPORT) == []
