@@ -22,6 +22,7 @@ from .errors import (
     StratificationError,
     UndefinedCVError,
 )
+from .forked import load_in_parts
 from .moments import ProblemSpec, allocate_neyman
 from .population import build_frequency_table, load_population
 from .solver import StratificationSolution, solve_problem
@@ -60,9 +61,11 @@ def run(cfg: RunConfig) -> int:
     try:
         try:
             with open(cfg.input_path, newline="", encoding="utf-8") as handle:
-                population = load_population(
-                    handle, cfg.x_col, cfg.y_col, delimiter=cfg.delimiter
-                )
+                population = load_in_parts(handle, cfg.x_col, cfg.y_col, cfg.delimiter)
+                if population is None:
+                    population = load_population(
+                        handle, cfg.x_col, cfg.y_col, delimiter=cfg.delimiter
+                    )
         except OSError as exc:
             return _fail(f"cannot read input: {exc}", EXIT_INPUT)
         ft = build_frequency_table(population)

@@ -9,6 +9,7 @@ import random
 import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -23,6 +24,7 @@ from stratopt import (
     load_population,
     solve_problem,
 )
+from stratopt import forked
 
 from helpers import DESK_CSV
 
@@ -894,3 +896,239 @@ class TestNoTraceback:
         assert code == 3
         assert out == ""
         assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+
+# the elapsed time, the one field of a JSON report that differs between runs
+ELAPSED = re.compile(r'\n  "elapsed_s": [^\n]*')
+
+
+def big_file(path, before=(), after=(), *, blank_part=False, delimiter=",", newline="\n", bom=False):
+    """Write a unit,x,y file above the forked loader's size threshold and
+    return its path: the rows before, about 1.2 MB of seeded rows (x among
+    1-40), then the rows after. With two processes the cut falls in the
+    middle, so the rows before and after land on either side of it. With
+    blank_part, blank lines take the second half and so the second part.
+    Each row is a tuple of cells; a cell "\\udcff" is written as the byte
+    0xff, which is not UTF-8."""
+    rng = random.Random(39)
+    rows = [
+        (str(1_000_000 + unit), str(rng.randrange(1, 41)), f"{rng.uniform(1, 100):.2f}")
+        for unit in range(forked.MIN_BYTES // 15)
+    ]
+    half = len(rows) // 2
+    if blank_part:
+        rows[half:] = [(" " * 99,)] * half
+    lines = [("\ufeffunit" if bom else "unit", "x", "y"), *before, *rows, *after]
+    text = "".join(delimiter.join(row) + newline for row in lines)
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+    assert path.stat().st_size >= forked.MIN_BYTES
+    return path
+
+
+@pytest.mark.skipif(
+    not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity"),
+    reason="the command line loads every file in one process here",
+)
+class TestLoadInParts:
+    """A large file loads in more than one process on the command line,
+    with one process's report, stderr and exit code, and no child is left
+    once the run returns."""
+
+    @pytest.fixture(autouse=True)
+    def two_cpus(self, monkeypatch):
+        """Two CPUs to run on, whatever the host has, so the file is cut in
+        two; afterwards, no child left and the real CPUs given back."""
+        cpus = os.sched_getaffinity(0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {min(cpus), min(cpus) + 1})
+        yield
+        os.sched_setaffinity(0, cpus)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.fixture()
+    def forks(self, monkeypatch):
+        """The pid of each child os.fork starts."""
+        pids = []
+        fork = os.fork
+
+        def counted():
+            pid = fork()
+            if pid:
+                pids.append(pid)
+            return pid
+
+        monkeypatch.setattr(os, "fork", counted)
+        return pids
+
+    @pytest.fixture()
+    def no_fork(self, monkeypatch):
+        def refused():
+            raise AssertionError("os.fork called")
+
+        monkeypatch.setattr(os, "fork", refused)
+
+    @staticmethod
+    def reports(capsys, monkeypatch, path, *flags):
+        """The command line's (exit code, JSON report without elapsed_s,
+        stderr) on path, as it runs and then with the file loaded in one
+        process by load_population, as before the forked loader."""
+        args = ("--input", str(path), "--strata", "3", "--sample-size", "50", "--json", *flags)
+        runs = [run_cli(capsys, *args)]
+        with monkeypatch.context() as patch:
+            patch.setattr(cli, "load_in_parts", lambda *args: None)
+            runs.append(run_cli(capsys, *args))
+        return [(code, ELAPSED.sub("", out), err) for code, out, err in runs]
+
+    @pytest.mark.parametrize(
+        "before,after,flags,options",
+        [
+            pytest.param((), (), (), {}, id="y-is-x"),
+            pytest.param((), (), ("--y-col", "y"), {}, id="y-col"),
+            pytest.param((), (), ("--tab", "--y-col", "y"), {"delimiter": "\t"}, id="tab"),
+            pytest.param((), (), ("--y-col", "y"), {"newline": "\r\n"}, id="crlf"),
+            pytest.param((), (), (), {"bom": True}, id="byte-order-mark"),
+            # the first zero is -0.0 before the cut and 0.0 after it
+            pytest.param(
+                (("1", "-0.0", "1.00"), ("2", "0.0", "2.00")),
+                (("3", "0.0", "3.00"), ("4", "-0.0", "4.00")),
+                (), {}, id="signed-zeros",
+            ),
+            pytest.param((), (("5", "500", "9.50"), ("6", "500", "9.60")), (), {}, id="group-after-cut"),
+        ],
+    )
+    def test_two_processes_load_what_one_does(
+        self, capsys, monkeypatch, tmp_path, forks, before, after, flags, options
+    ):
+        """The groups keep one process's keys, -0.0 included, their order
+        and each y list's order; the report, stderr and exit code match."""
+        path = big_file(tmp_path / "big.csv", before, after, **options)
+        y_col = "y" if "--y-col" in flags else None
+        delimiter = options.get("delimiter", ",")
+        loaded = []
+        for load in (forked.load_in_parts, load_population):
+            with open(path, newline="", encoding="utf-8") as handle:
+                loaded.append(load(handle, "x", y_col, delimiter))
+        assert len(forks) == 1
+        assert loaded[0] is not None
+        assert repr(list(loaded[0].groups.items())) == repr(list(loaded[1].groups.items()))
+        as_run, one_process = self.reports(capsys, monkeypatch, path, *flags)
+        assert as_run == one_process
+        assert as_run[0] == 0
+        assert len(forks) == 2
+
+    def test_a_part_of_blank_lines_loads_again_in_one_process(self, capsys, monkeypatch, tmp_path, forks):
+        path = big_file(tmp_path / "big.csv", blank_part=True)
+        with open(path, newline="", encoding="utf-8") as handle:
+            assert forked.load_in_parts(handle, "x") is None
+            assert handle.tell() == 0
+        as_run, one_process = self.reports(capsys, monkeypatch, path)
+        assert as_run == one_process
+        assert as_run[0] == 0
+        assert len(forks) == 2
+
+    @pytest.mark.parametrize("where", ["before", "after", "both"])
+    @pytest.mark.parametrize(
+        "cell,message",
+        [
+            pytest.param("abc", "cannot parse x='abc' as a number", id="bad-cell"),
+            pytest.param("inf", "non-finite x='inf'", id="non-finite"),
+            pytest.param("\udcff", "input is not UTF-8 text", id="not-utf-8"),
+        ],
+    )
+    def test_a_failed_part_gives_the_one_process_error(
+        self, capsys, monkeypatch, tmp_path, forks, where, cell, message
+    ):
+        """The whole file loads again in one process, which names the first
+        bad row in the file, counted from the header."""
+        bad = (("7", cell, "1.00"),)
+        before = bad if where != "after" else ()
+        after = bad if where != "before" else ()
+        path = big_file(tmp_path / "big.csv", before, after)
+        as_run, one_process = self.reports(capsys, monkeypatch, path)
+        assert as_run == one_process
+        code, out, err = as_run
+        assert (code, out) == (cli.EXIT_INPUT, "")
+        assert err.startswith("error: ") and message in err
+        if cell != "\udcff":
+            row = 2 if where != "after" else len(path.read_bytes().splitlines())
+            assert err.startswith(f"error: row {row}: ")
+        assert len(forks) == 1
+
+    @pytest.mark.parametrize(
+        "before,after",
+        [
+            pytest.param((), (("1", '"12"', "1.00"),), id="quote"),
+            # a carriage return alone ends a line, here one of two rows
+            pytest.param((("1", "12", "1.00\r2", "13", "2.00"),), (), id="bare-carriage-return"),
+        ],
+    )
+    def test_a_file_a_cut_could_split_a_row_of_loads_in_one_process(
+        self, capsys, monkeypatch, tmp_path, no_fork, before, after
+    ):
+        path = big_file(tmp_path / "big.csv", before, after)
+        as_run, one_process = self.reports(capsys, monkeypatch, path)
+        assert as_run == one_process
+        assert as_run[0] == 0
+
+    def test_a_small_file_loads_in_one_process(self, capsys, monkeypatch, tmp_path, no_fork):
+        path = tmp_path / "small.csv"
+        path.write_bytes(big_file(tmp_path / "big.csv").read_bytes()[: forked.MIN_BYTES - 1].rpartition(b"\n")[0])
+        as_run, one_process = self.reports(capsys, monkeypatch, path)
+        assert as_run == one_process
+        assert as_run[0] == 0
+
+    def test_a_named_pipe_loads_in_one_process(self, capsys, monkeypatch, tmp_path, no_fork):
+        path = big_file(tmp_path / "big.csv")
+        pipe = tmp_path / "pipe.csv"
+        os.mkfifo(pipe)
+        copy = "import sys; open(sys.argv[2], 'wb').write(open(sys.argv[1], 'rb').read())"
+        writer = subprocess.Popen([sys.executable, "-c", copy, str(path), str(pipe)])
+        args = ("--strata", "3", "--sample-size", "50", "--json")
+        try:
+            code, out, err = run_cli(capsys, "--input", str(pipe), *args)
+        finally:
+            assert writer.wait(timeout=60) == 0
+        monkeypatch.setattr(cli, "load_in_parts", lambda *args: None)
+        ref_code, ref_out, ref_err = run_cli(capsys, "--input", str(path), *args)
+        assert (code, ELAPSED.sub("", out), err) == (ref_code, ELAPSED.sub("", ref_out), ref_err)
+        assert code == 0
+
+    def test_one_cpu_loads_in_one_process(self, capsys, monkeypatch, tmp_path, no_fork):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        as_run, one_process = self.reports(capsys, monkeypatch, big_file(tmp_path / "big.csv"))
+        assert as_run == one_process
+        assert as_run[0] == 0
+
+    def test_no_fork_loads_in_one_process(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.delattr(os, "fork")
+        as_run, one_process = self.reports(capsys, monkeypatch, big_file(tmp_path / "big.csv"))
+        assert as_run == one_process
+        assert as_run[0] == 0
+
+    def test_a_second_thread_keeps_one_process(self, capsys, monkeypatch, tmp_path, no_fork):
+        path = big_file(tmp_path / "big.csv")
+        release = threading.Event()
+        thread = threading.Thread(target=release.wait)
+        thread.start()
+        try:
+            as_run, one_process = self.reports(capsys, monkeypatch, path)
+        finally:
+            release.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+        assert as_run == one_process
+        assert as_run[0] == 0
+
+    def test_four_cpus_start_at_most_three_children(self, capsys, monkeypatch, tmp_path, forks):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
+        path = big_file(tmp_path / "big.csv", (("1", "-0.0", "1.00"),), (("2", "500", "9.50"),))
+        with open(path, newline="", encoding="utf-8") as handle:
+            parts = forked.load_in_parts(handle, "x", "y")
+        with open(path, newline="", encoding="utf-8") as handle:
+            whole = load_population(handle, "x", "y")
+        assert repr(list(parts.groups.items())) == repr(list(whole.groups.items()))
+        forks.clear()
+        as_run, one_process = self.reports(capsys, monkeypatch, path, "--y-col", "y")
+        assert as_run == one_process
+        assert as_run[0] == 0
+        assert len(forks) == min(forked.MAX_PARTS, 4) - 1
