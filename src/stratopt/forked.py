@@ -29,7 +29,9 @@ from .population import Population, load_population
 # below this many bytes one process loads about as fast (see ROADMAP "A
 # forked loader for large files")
 MIN_BYTES = 1 << 20
-MAX_PARTS = 4
+# two parts is the one count timed (see ROADMAP); raise it only with a
+# timing from a host that has more CPUs
+MAX_PARTS = 2
 # the scan for quotes, carriage returns and cuts reads this much at a time
 _CHUNK = 1 << 20
 
@@ -49,9 +51,10 @@ def load_in_parts(
     fails, once every child has ended. Whenever it returns None, handle is
     at its start.
 
-    Each process runs on a CPU of its own, so that a scheduler that does
-    not balance load across CPUs cannot leave a child on its parent's
-    CPU. This process gets back the CPUs it may use before it returns.
+    Each process starts on a CPU of its own, so that a scheduler that
+    does not balance load across CPUs cannot leave a child on its
+    parent's CPU. Each then gets back every CPU it may use, so that runs
+    started together are not all held on the lowest CPUs.
     """
     allowed = _allowed_cpus()
     cpus = sorted(allowed)[:MAX_PARTS]
@@ -63,10 +66,13 @@ def load_in_parts(
     try:
         for (start, lines), cpu in zip(parts[1:], cpus[1:]):
             # a child starts on its parent's CPU, so move there first
-            _pin(cpu)
-            pid, pipe = _start(handle, start, lines, load)
+            _pin({cpu})
+            pid, pipe = _start(handle, start, lines, load, allowed)
             children[pid] = pipe
-        _pin(cpus[0])
+        # the scheduler leaves each process where it runs until a CPU it
+        # may use falls idle
+        _pin({cpus[0]})
+        _pin(allowed)
         groups = load(islice(handle, parts[0][1])).groups
         for pid in list(children):
             data = children[pid].read()
@@ -87,8 +93,7 @@ def load_in_parts(
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-        with suppress(OSError):
-            os.sched_setaffinity(0, allowed)
+        _pin(allowed)
 
 
 def _allowed_cpus() -> set[int]:
@@ -103,10 +108,10 @@ def _allowed_cpus() -> set[int]:
     return os.sched_getaffinity(0) if threads == 1 else set()
 
 
-def _pin(cpu: int) -> None:
-    """Run this process on cpu alone, if the system lets it."""
+def _pin(cpus: set[int]) -> None:
+    """Run this process on the given CPUs only, if the system lets it."""
     with suppress(OSError):
-        os.sched_setaffinity(0, {cpu})
+        os.sched_setaffinity(0, cpus)
 
 
 def _parts(fd: int, processes: int) -> list[tuple[int, int | None]] | None:
@@ -132,7 +137,9 @@ def _parts(fd: int, processes: int) -> list[tuple[int, int | None]] | None:
         if b"\r" in chunk and chunk.count(b"\r", 0, _CHUNK) != chunk.count(b"\r\n"):
             return None
         while len(cuts) < processes:
-            at = chunk.find(b"\n", max(size * len(cuts) // processes, cuts[-1]) - start, _CHUNK)
+            # a target before start lies in a line that crosses into this chunk
+            target = max(size * len(cuts) // processes, cuts[-1], start)
+            at = chunk.find(b"\n", target - start, _CHUNK)
             if at < 0:
                 seen += chunk.count(b"\n", 0, _CHUNK)
                 break
@@ -147,13 +154,14 @@ def _parts(fd: int, processes: int) -> list[tuple[int, int | None]] | None:
 
 
 def _start(
-    handle: io.TextIOWrapper, start: int, lines: int | None, load
+    handle: io.TextIOWrapper, start: int, lines: int | None, load, cpus: set[int]
 ) -> tuple[int, io.BufferedReader]:
-    """Fork a child that loads the header line and the given lines
-    from byte start of handle's file, which it opens again so that no file
-    offset is shared, and writes the groups, marshalled, to the pipe
-    returned with its pid. The child ends with os._exit: 0 once it wrote
-    them, 1 when the file it opened is not handle's or anything fails."""
+    """Fork a child that runs on cpus, loads the header line and the given
+    lines from byte start of handle's file, which it opens again so that
+    no file offset is shared, and writes the groups, marshalled, to the
+    pipe returned with its pid. The child ends with os._exit: 0 once it
+    wrote them, 1 when the file it opened is not handle's or anything
+    fails."""
     read_fd, write_fd = os.pipe()
     try:
         pid = os.fork()
@@ -164,6 +172,7 @@ def _start(
     if pid == 0:
         code = 1
         try:
+            _pin(cpus)
             os.close(read_fd)
             with open(handle.name, "rb") as raw:
                 if not os.path.samestat(os.fstat(raw.fileno()), os.fstat(handle.fileno())):

@@ -898,6 +898,10 @@ class TestNoTraceback:
         assert err.startswith("error: out of memory") and err.count("\n") == 1
 
 
+# the CPUs this process may run on, before a test patches them
+HOST_AFFINITY = getattr(os, "sched_getaffinity", None)
+HOST_CPUS = HOST_AFFINITY(0) if HOST_AFFINITY else set()
+
 # the elapsed time, the one field of a JSON report that differs between runs
 ELAPSED = re.compile(r'\n  "elapsed_s": [^\n]*')
 
@@ -1119,7 +1123,8 @@ class TestLoadInParts:
         assert as_run == one_process
         assert as_run[0] == 0
 
-    def test_four_cpus_start_at_most_three_children(self, capsys, monkeypatch, tmp_path, forks):
+    def test_four_cpus_start_one_child(self, capsys, monkeypatch, tmp_path, forks):
+        """Two parts is the one count timed, so more CPUs start no more."""
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         path = big_file(tmp_path / "big.csv", (("1", "-0.0", "1.00"),), (("2", "500", "9.50"),))
         with open(path, newline="", encoding="utf-8") as handle:
@@ -1127,8 +1132,39 @@ class TestLoadInParts:
         with open(path, newline="", encoding="utf-8") as handle:
             whole = load_population(handle, "x", "y")
         assert repr(list(parts.groups.items())) == repr(list(whole.groups.items()))
+        assert len(forks) == 1
         forks.clear()
         as_run, one_process = self.reports(capsys, monkeypatch, path, "--y-col", "y")
         assert as_run == one_process
         assert as_run[0] == 0
-        assert len(forks) == min(forked.MAX_PARTS, 4) - 1
+        assert len(forks) == 1
+
+    def test_each_process_loads_on_every_allowed_cpu(self, monkeypatch, tmp_path, forks):
+        """Each process is pinned only while the children start, so runs
+        started together are not all held on the lowest CPUs."""
+        parent = os.getpid()
+        allowed = {min(HOST_CPUS), min(HOST_CPUS) + 1} & HOST_CPUS
+
+        def load(*args, **kwargs):
+            with open(tmp_path / ("parent" if os.getpid() == parent else "child"), "w") as seen:
+                seen.write(repr(sorted(HOST_AFFINITY(0))))
+            return load_population(*args, **kwargs)
+
+        monkeypatch.setattr(forked, "load_population", load)
+        with open(big_file(tmp_path / "big.csv"), newline="", encoding="utf-8") as handle:
+            assert forked.load_in_parts(handle, "x") is not None
+        assert len(forks) == 1
+        for name in ("parent", "child"):
+            assert (tmp_path / name).read_text() == repr(sorted(allowed)), name
+
+    def test_a_cut_after_a_line_across_a_chunk_is_its_first_newline(self, monkeypatch, tmp_path):
+        """The middle byte (100) lies in a line that runs from one scanned
+        chunk (64 bytes here) into the next; the cut is just after that
+        line's newline (140), the first one past the chunk's start."""
+        monkeypatch.setattr(forked, "_CHUNK", 64)
+        monkeypatch.setattr(forked, "MIN_BYTES", 0)
+        path = tmp_path / "lines.csv"
+        path.write_bytes(b"a" * 89 + b"\n" + b"b" * 50 + b"\n" + (b"c" * 29 + b"\n") * 2)
+        with open(path, "rb") as raw:
+            assert os.fstat(raw.fileno()).st_size == 201
+            assert forked._parts(raw.fileno(), 2) == [(0, 2), (141, None)]
