@@ -22,9 +22,9 @@ from .errors import (
     StratificationError,
     UndefinedCVError,
 )
-from .forked import load_in_parts
+from .forked import load_file
 from .moments import ProblemSpec, allocate_neyman
-from .population import build_frequency_table, load_population
+from .population import build_frequency_table
 from .solver import StratificationSolution, solve_problem
 
 EXIT_OK = 0
@@ -61,11 +61,7 @@ def run(cfg: RunConfig) -> int:
     try:
         try:
             with open(cfg.input_path, newline="", encoding="utf-8") as handle:
-                population = load_in_parts(handle, cfg.x_col, cfg.y_col, cfg.delimiter)
-                if population is None:
-                    population = load_population(
-                        handle, cfg.x_col, cfg.y_col, delimiter=cfg.delimiter
-                    )
+                population = load_file(handle, cfg.x_col, cfg.y_col, cfg.delimiter)
         except OSError as exc:
             return _fail(f"cannot read input: {exc}", EXIT_INPUT)
         ft = build_frequency_table(population)

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -874,7 +875,7 @@ class TestNoTraceback:
     @pytest.mark.parametrize(
         "owner,stage",
         [
-            pytest.param(cli, "load_population", id="load_population"),
+            pytest.param(forked, "load_population", id="load_population"),
             pytest.param(cli, "solve_problem", id="solve_problem"),
             # the command line takes the oracle from the package
             pytest.param(stratopt, "brute_force_solve", id="brute_force_solve"),
@@ -906,12 +907,16 @@ HOST_CPUS = HOST_AFFINITY(0) if HOST_AFFINITY else set()
 ELAPSED = re.compile(r'\n  "elapsed_s": [^\n]*')
 
 
-def big_file(path, before=(), after=(), *, blank_part=False, delimiter=",", newline="\n", bom=False):
+def big_file(
+    path, before=(), after=(), *, blank_part=False, delimiter=",", newline="\n", bom=False,
+    final_newline=True,
+):
     """Write a unit,x,y file above the forked loader's size threshold and
     return its path: the rows before, about 1.2 MB of seeded rows (x among
     1-40), then the rows after. With two processes the cut falls in the
     middle, so the rows before and after land on either side of it. With
     blank_part, blank lines take the second half and so the second part.
+    Without final_newline, the last row ends the file with no line end.
     Each row is a tuple of cells; a cell "\\udcff" is written as the byte
     0xff, which is not UTF-8."""
     rng = random.Random(39)
@@ -924,6 +929,8 @@ def big_file(path, before=(), after=(), *, blank_part=False, delimiter=",", newl
         rows[half:] = [(" " * 99,)] * half
     lines = [("\ufeffunit" if bom else "unit", "x", "y"), *before, *rows, *after]
     text = "".join(delimiter.join(row) + newline for row in lines)
+    if not final_newline:
+        text = text[: -len(newline)]
     path.write_bytes(text.encode("utf-8", "surrogateescape"))
     assert path.stat().st_size >= forked.MIN_BYTES
     return path
@@ -979,7 +986,7 @@ class TestLoadInParts:
         args = ("--input", str(path), "--strata", "3", "--sample-size", "50", "--json", *flags)
         runs = [run_cli(capsys, *args)]
         with monkeypatch.context() as patch:
-            patch.setattr(cli, "load_in_parts", lambda *args: None)
+            patch.setattr(forked, "_allowed_cpus", set)
             runs.append(run_cli(capsys, *args))
         return [(code, ELAPSED.sub("", out), err) for code, out, err in runs]
 
@@ -998,6 +1005,7 @@ class TestLoadInParts:
                 (), {}, id="signed-zeros",
             ),
             pytest.param((), (("5", "500", "9.50"), ("6", "500", "9.60")), (), {}, id="group-after-cut"),
+            pytest.param((), (("7", "600", "9.70"),), (), {"final_newline": False}, id="no-final-newline"),
         ],
     )
     def test_two_processes_load_what_one_does(
@@ -1009,11 +1017,10 @@ class TestLoadInParts:
         y_col = "y" if "--y-col" in flags else None
         delimiter = options.get("delimiter", ",")
         loaded = []
-        for load in (forked.load_in_parts, load_population):
+        for load in (forked.load_file, load_population):
             with open(path, newline="", encoding="utf-8") as handle:
                 loaded.append(load(handle, "x", y_col, delimiter))
         assert len(forks) == 1
-        assert loaded[0] is not None
         assert repr(list(loaded[0].groups.items())) == repr(list(loaded[1].groups.items()))
         as_run, one_process = self.reports(capsys, monkeypatch, path, *flags)
         assert as_run == one_process
@@ -1023,12 +1030,67 @@ class TestLoadInParts:
     def test_a_part_of_blank_lines_loads_again_in_one_process(self, capsys, monkeypatch, tmp_path, forks):
         path = big_file(tmp_path / "big.csv", blank_part=True)
         with open(path, newline="", encoding="utf-8") as handle:
-            assert forked.load_in_parts(handle, "x") is None
-            assert handle.tell() == 0
+            parts = forked.load_file(handle, "x")
+        with open(path, newline="", encoding="utf-8") as handle:
+            whole = load_population(handle, "x")
+        assert len(forks) == 1
+        assert repr(list(parts.groups.items())) == repr(list(whole.groups.items()))
         as_run, one_process = self.reports(capsys, monkeypatch, path)
         assert as_run == one_process
         assert as_run[0] == 0
         assert len(forks) == 2
+
+    def test_a_file_replaced_before_the_fork_loads_as_opened(self, capsys, monkeypatch, tmp_path, forks):
+        """A file put in the input's place after it was opened is not the
+        one the child would load, so the child refuses it and the parent
+        loads the file it opened in one process."""
+        path = big_file(tmp_path / "big.csv")
+        opened = path.read_bytes()
+        other = big_file(tmp_path / "other.csv", after=(("9", "777", "1.00"),)).read_bytes()
+        args = ("--input", str(path), "--strata", "3", "--sample-size", "50", "--json", "--y-col", "y")
+        with open(path, newline="", encoding="utf-8") as handle:
+            whole = load_population(handle, "x", "y")
+        with monkeypatch.context() as patch:
+            patch.setattr(forked, "_allowed_cpus", set)
+            runs = [run_cli(capsys, *args)]
+        fork = os.fork
+
+        def replacing():
+            (tmp_path / "new.csv").write_bytes(other)
+            os.replace(tmp_path / "new.csv", path)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", replacing)
+        with open(path, newline="", encoding="utf-8") as handle:
+            parts = forked.load_file(handle, "x", "y")
+        assert len(forks) == 1
+        assert repr(list(parts.groups.items())) == repr(list(whole.groups.items()))
+        path.write_bytes(opened)
+        runs.append(run_cli(capsys, *args))
+        assert len(forks) == 2
+        one_process, as_run = [(code, ELAPSED.sub("", out), err) for code, out, err in runs]
+        assert as_run == one_process
+        assert as_run[0] == 0
+
+    def test_a_fork_that_fails_loads_in_one_process(self, capsys, monkeypatch, tmp_path):
+        """No descriptor is left open and every allowed CPU is given back."""
+        calls = []
+
+        def failing():
+            calls.append(None)
+            raise BlockingIOError(errno.EAGAIN, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(os, "fork", failing)
+        path = big_file(tmp_path / "big.csv")
+        descriptors = os.path.isdir("/proc/self/fd")
+        before = sorted(os.listdir("/proc/self/fd")) if descriptors else None
+        as_run, one_process = self.reports(capsys, monkeypatch, path)
+        after = sorted(os.listdir("/proc/self/fd")) if descriptors else None
+        assert len(calls) == 1
+        assert as_run == one_process
+        assert as_run[0] == 0
+        assert before == after
+        assert HOST_AFFINITY(0) == {min(HOST_CPUS), min(HOST_CPUS) + 1} & HOST_CPUS
 
     @pytest.mark.parametrize("where", ["before", "after", "both"])
     @pytest.mark.parametrize(
@@ -1092,7 +1154,7 @@ class TestLoadInParts:
             code, out, err = run_cli(capsys, "--input", str(pipe), *args)
         finally:
             assert writer.wait(timeout=60) == 0
-        monkeypatch.setattr(cli, "load_in_parts", lambda *args: None)
+        monkeypatch.setattr(forked, "_allowed_cpus", set)
         ref_code, ref_out, ref_err = run_cli(capsys, "--input", str(path), *args)
         assert (code, ELAPSED.sub("", out), err) == (ref_code, ELAPSED.sub("", ref_out), ref_err)
         assert code == 0
@@ -1128,7 +1190,7 @@ class TestLoadInParts:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2, 3})
         path = big_file(tmp_path / "big.csv", (("1", "-0.0", "1.00"),), (("2", "500", "9.50"),))
         with open(path, newline="", encoding="utf-8") as handle:
-            parts = forked.load_in_parts(handle, "x", "y")
+            parts = forked.load_file(handle, "x", "y")
         with open(path, newline="", encoding="utf-8") as handle:
             whole = load_population(handle, "x", "y")
         assert repr(list(parts.groups.items())) == repr(list(whole.groups.items()))
@@ -1152,7 +1214,7 @@ class TestLoadInParts:
 
         monkeypatch.setattr(forked, "load_population", load)
         with open(big_file(tmp_path / "big.csv"), newline="", encoding="utf-8") as handle:
-            assert forked.load_in_parts(handle, "x") is not None
+            forked.load_file(handle, "x")
         assert len(forks) == 1
         for name in ("parent", "child"):
             assert (tmp_path / name).read_text() == repr(sorted(allowed)), name
@@ -1160,11 +1222,24 @@ class TestLoadInParts:
     def test_a_cut_after_a_line_across_a_chunk_is_its_first_newline(self, monkeypatch, tmp_path):
         """The middle byte (100) lies in a line that runs from one scanned
         chunk (64 bytes here) into the next; the cut is just after that
-        line's newline (140), the first one past the chunk's start."""
+        line's newline (140), the first one past the chunk's start. A
+        newline at the middle byte is itself the one cut after; a file
+        with no final newline is cut as one with it; and a newline that
+        ends the file gives no cut, which would leave the second part
+        empty."""
         monkeypatch.setattr(forked, "_CHUNK", 64)
         monkeypatch.setattr(forked, "MIN_BYTES", 0)
         path = tmp_path / "lines.csv"
-        path.write_bytes(b"a" * 89 + b"\n" + b"b" * 50 + b"\n" + (b"c" * 29 + b"\n") * 2)
-        with open(path, "rb") as raw:
-            assert os.fstat(raw.fileno()).st_size == 201
-            assert forked._parts(raw.fileno(), 2) == [(0, 2), (141, None)]
+        cases = [
+            (b"a" * 89 + b"\n" + b"b" * 50 + b"\n" + (b"c" * 29 + b"\n") * 2, (141, 2)),
+            # newlines at bytes 69, 100 and 199
+            (b"a" * 69 + b"\n" + b"b" * 30 + b"\n" + b"c" * 98 + b"\n", (101, 2)),
+            # newlines at bytes 60 and 200
+            (b"a" * 60 + b"\n" + b"b" * 139 + b"\n", None),
+            (b"a" * 89 + b"\n" + b"b" * 50 + b"\n" + b"c" * 29 + b"\n" + b"c" * 29, (141, 2)),
+        ]
+        for data, cut in cases:
+            path.write_bytes(data)
+            with open(path, "rb") as raw:
+                assert forked._cut(raw.fileno()) == cut, data
+        assert [len(data) for data, _ in cases] == [201, 200, 201, 200]
